@@ -1,0 +1,87 @@
+"""Golden trajectories: fixed configs whose outputs must not change by a bit.
+
+Each ``tests/golden/<name>.yaml`` is run with ``fedrot run``; its
+``rounds.csv`` and ``summary.json`` must equal ``tests/golden/<name>/``
+byte for byte once the wall-clock fields (the ``wall_ms`` column and
+``metrics.wall_time_s``) are dropped.  The configs cover every strategy,
+all three tasks, mini-batching, the random-client reference and a run
+that trips the global-loss divergence guard.
+
+To rewrite the golden files after a deliberate change of the numbers::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from fedrot.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+CONFIGS = sorted(GOLDEN_DIR.glob("*.yaml"))
+
+
+def without_wall_clock(out_dir: Path) -> dict[str, str]:
+    """The run's output files as text, with the wall-clock fields dropped."""
+    lines = (out_dir / "rounds.csv").read_text(encoding="utf-8").splitlines()
+    wall = lines[0].split(",").index("wall_ms")
+    rounds = "".join(
+        ",".join(f for j, f in enumerate(line.split(",")) if j != wall) + "\n"
+        for line in lines
+    )
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    del summary["metrics"]["wall_time_s"]
+    return {
+        "rounds.csv": rounds,
+        "summary.json": json.dumps(summary, indent=2) + "\n",
+    }
+
+
+def run_golden(config: Path, out_dir: Path) -> tuple[int, dict[str, str]]:
+    code = main(["run", str(config), "--out", str(out_dir)])
+    return code, without_wall_clock(out_dir)
+
+
+def test_configs_cover_the_protocol():
+    assert len(CONFIGS) >= 6
+    text = "".join(c.read_text(encoding="utf-8") for c in CONFIGS)
+    for strategy in ("fedit", "fedrot", "ffa_lora", "rolora", "scalar_rescale",
+                     "random_rotation"):
+        assert f"strategy: {strategy}\n" in text
+    for task in ("scalar_toy", "lowrank_regression", "logistic"):
+        assert f"kind: {task}\n" in text
+    assert "batch_size:" in text
+    assert "kind: random_client" in text
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_outputs_match_golden(config, tmp_path):
+    code, files = run_golden(config, tmp_path / "out")
+    status = json.loads(files["summary.json"])["status"]
+    assert code == (0 if status == "ok" else 3)
+    for name, text in files.items():
+        golden = (GOLDEN_DIR / config.stem / name).read_text(encoding="utf-8")
+        assert text == golden, f"{config.stem}/{name} differs from the golden file"
+
+
+def test_golden_set_has_a_diverged_run():
+    statuses = {
+        json.loads((GOLDEN_DIR / c.stem / "summary.json").read_text())["status"]
+        for c in CONFIGS
+    }
+    assert statuses == {"ok", "diverged"}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for config in CONFIGS:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, files = run_golden(config, Path(tmp) / "out")
+        target = GOLDEN_DIR / config.stem
+        target.mkdir(exist_ok=True)
+        for name, text in files.items():
+            (target / name).write_text(text, encoding="utf-8")
+        print(f"{config.stem}: exit {code}")
