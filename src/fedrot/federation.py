@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -210,6 +211,19 @@ def _frozen_factors(strategy: Strategy, round_index: int) -> tuple[bool, bool]:
     return False, False
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` bit for bit, without its dispatch overhead."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite; the elementwise test runs
+    only when the sum of squares is not finite."""
+    flat = x.ravel(order="K")
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(x).all())
+
+
 def local_train(
     client: int,
     start: LoraAdapter,
@@ -242,20 +256,27 @@ def local_train(
         if rng is not None:
             idx = rng.choice(n_samples, size=batch_size, replace=False)
         gb, ga = task.client_grads(client, b, a, sample_idx=idx)
-        if not (np.isfinite(gb).all() and np.isfinite(ga).all()):
+        norm_b, norm_a = _norm(gb), _norm(ga)
+        # A finite norm proves every entry finite; a non-finite one may
+        # only be an overflowing sum of squares of finite entries.
+        if not (math.isfinite(norm_b) and math.isfinite(norm_a)) and not (
+            np.isfinite(gb).all() and np.isfinite(ga).all()
+        ):
             raise DivergenceError(
                 f"non-finite gradient on client {client}",
                 round_index=round_index,
                 step_index=step,
             )
-        grad_norm_max = max(
-            grad_norm_max, float(np.linalg.norm(gb)), float(np.linalg.norm(ga))
-        )
+        grad_norm_max = max(grad_norm_max, norm_b, norm_a)
+        # A frozen factor keeps its finite start value, so only the
+        # updated factors need the check.
         if not freeze_b:
-            b -= eta * gb
+            gb *= eta
+            b -= gb
         if not freeze_a:
-            a -= eta * ga
-        if not (np.isfinite(b).all() and np.isfinite(a).all()):
+            ga *= eta
+            a -= ga
+        if not ((freeze_b or _all_finite(b)) and (freeze_a or _all_finite(a))):
             raise DivergenceError(
                 f"non-finite parameters on client {client}",
                 round_index=round_index,

@@ -103,14 +103,23 @@ class LowRankRegressionTask:
         return float(np.sum(resid * resid))
 
     def client_grads(self, i, b, a, sample_idx=None):
-        resid = b @ a - self.client_targets[i]
+        resid = b @ a
+        resid -= self.client_targets[i]
         if sample_idx is None:
-            return 2.0 * resid @ a.T, 2.0 * b.T @ resid
+            # Doubling is exact, so doubling the small products gives the
+            # bits of the gradient of the doubled residual.
+            gb = resid @ a.T
+            gb *= 2.0
+            ga = b.T @ resid
+            ga *= 2.0
+            return gb, ga
         # Mini-batch gradient through a probe subset: the per-sample loss is
         # |(b a - W_i) x|^2, whose mean over isotropic probes is unbiased
         # for the full Frobenius objective.
         x = self.probes[sample_idx]
-        grad_w = 2.0 * resid @ (x.T @ x) / len(x)
+        grad_w = resid @ (x.T @ x)
+        grad_w *= 2.0
+        grad_w /= len(x)
         return grad_w @ a.T, b.T @ grad_w
 
     def global_loss(self, b, a) -> float:
@@ -189,30 +198,29 @@ class LogisticTask:
             raise UsageError("every shard must be non-empty")
         self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
 
-    def _loss_grad(self, idx, b, a, want_grad):
-        x = self.features[idx]
-        y = self.labels[idx]
-        w = self.w0 + b @ a
+    def _shifted_logits(self, x, b, a):
+        """Logits ``x (w0 + b a)^T`` minus each row's maximum."""
+        w = b @ a
+        w += self.w0
         z = x @ w.T
         z -= z.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        denom = expz.sum(axis=1)
-        logp = z - np.log(denom)[:, None]
-        loss = float(-logp[np.arange(len(y)), y].mean())
-        if not want_grad:
-            return loss, None, None
-        p = expz / denom[:, None]
-        p[np.arange(len(y)), y] -= 1.0
-        gw = p.T @ x / len(y)
-        return loss, gw @ a.T, b.T @ gw
+        return z
 
     def client_loss(self, i, b, a) -> float:
-        return self._loss_grad(self.shards[i], b, a, want_grad=False)[0]
+        idx = self.shards[i]
+        z = self._shifted_logits(self.features[idx], b, a)
+        logp = z - np.log(np.exp(z).sum(axis=1))[:, None]
+        return float(-logp[np.arange(len(idx)), self.labels[idx]].mean())
 
     def client_grads(self, i, b, a, sample_idx=None):
         idx = self.shards[i] if sample_idx is None else self.shards[i][sample_idx]
-        _, gb, ga = self._loss_grad(idx, b, a, want_grad=True)
-        return gb, ga
+        x = self.features[idx]
+        p = np.exp(self._shifted_logits(x, b, a))
+        p /= p.sum(axis=1)[:, None]
+        p[np.arange(len(idx)), self.labels[idx]] -= 1.0
+        gw = p.T @ x
+        gw /= len(idx)
+        return gw @ a.T, b.T @ gw
 
     def global_loss(self, b, a) -> float:
         return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))

@@ -15,6 +15,7 @@ from fedrot.errors import DivergenceError, UsageError
 from fedrot.federation import (
     FederationConfig,
     TaskSpec,
+    _frozen_factors,
     apply_overrides,
     build_task,
     client_round,
@@ -140,6 +141,125 @@ class TestLocalTrain:
         ]
         assert (runs[0].b == runs[1].b).all()
         assert (runs[0].a == runs[1].a).all()
+
+
+class ScriptedTask:
+    """A one-client task that returns scripted gradients, step by step,
+    repeating the last pair once the script runs out."""
+
+    def __init__(self, *steps):
+        self.steps = steps
+        self.calls = 0
+
+    def sample_count(self, i):
+        return 1
+
+    def client_grads(self, i, b, a, sample_idx=None):
+        gb, ga = self.steps[min(self.calls, len(self.steps) - 1)]
+        self.calls += 1
+        return np.full(b.shape, gb), np.full(a.shape, ga)
+
+
+def local_train_reference(client, start, task, steps, eta, strategy, round_index,
+                          seed, batch_size=None):
+    """The local update rule with every check written out in full."""
+    b, a = start.b.copy(), start.a.copy()
+    freeze_b, freeze_a = _frozen_factors(strategy, round_index)
+    n_samples = task.sample_count(client)
+    rng = None
+    if batch_size is not None and batch_size < n_samples:
+        rng = np.random.default_rng([seed, client, round_index])
+    grad_norm_max = 0.0
+    for step in range(steps):
+        idx = None
+        if rng is not None:
+            idx = rng.choice(n_samples, size=batch_size, replace=False)
+        gb, ga = task.client_grads(client, b, a, sample_idx=idx)
+        if not (np.isfinite(gb).all() and np.isfinite(ga).all()):
+            raise DivergenceError("non-finite gradient", step_index=step)
+        grad_norm_max = max(
+            grad_norm_max, float(np.linalg.norm(gb)), float(np.linalg.norm(ga))
+        )
+        if not freeze_b:
+            b -= eta * gb
+        if not freeze_a:
+            a -= eta * ga
+        if not (np.isfinite(b).all() and np.isfinite(a).all()):
+            raise DivergenceError("non-finite parameters", step_index=step)
+    return b, a, grad_norm_max
+
+
+class TestLocalTrainEdgeCases:
+    def setup_method(self):
+        self.start = init_adapter(4, 3, 2, seed=0)
+
+    def train(self, task, steps=5, eta=0.1, strategy=Strategy.FEDIT, round_index=1):
+        return local_train(0, self.start, task, steps, eta, strategy, round_index, 0)
+
+    def test_nan_gradient_raises_at_its_step(self):
+        task = ScriptedTask((0.1, 0.1), (0.1, 0.1), (0.1, 0.1), (0.1, np.nan))
+        with pytest.raises(DivergenceError, match="non-finite gradient") as exc:
+            self.train(task, round_index=4)
+        assert exc.value.step_index == 3
+        assert exc.value.round_index == 4
+
+    def test_inf_gradient_raises(self):
+        with pytest.raises(DivergenceError, match="non-finite gradient") as exc:
+            self.train(ScriptedTask((-np.inf, 0.0)))
+        assert exc.value.step_index == 0
+
+    def test_overflowing_gradient_norm_is_not_divergence(self):
+        # Every entry is finite; only the sum of squares overflows.
+        task = ScriptedTask((1e200, 1e200))
+        out, grad_norm_max = self.train(task, steps=3, eta=1e-200)
+        assert grad_norm_max == np.inf
+        assert np.isfinite(out.b).all() and np.isfinite(out.a).all()
+        assert task.calls == 3
+
+    def test_parameter_overflow_raises(self):
+        task = ScriptedTask((0.0, 0.0), (1e300, 0.0))
+        with pytest.raises(DivergenceError, match="non-finite parameters") as exc:
+            self.train(task, eta=1e10)
+        assert exc.value.step_index == 1
+
+    def test_parameter_overflow_from_finite_update_raises(self):
+        # b grows by 1e307 per step and overflows on its 19th step.
+        with pytest.raises(DivergenceError, match="non-finite parameters") as exc:
+            self.train(ScriptedTask((-1e307, 0.0)), steps=40, eta=1.0)
+        assert exc.value.step_index == 17
+
+    @pytest.mark.parametrize(
+        "strategy,round_index,frozen,grads",
+        [(Strategy.FFA_LORA, 1, "a", (0.5, 1e300)),
+         (Strategy.ROLORA, 1, "a", (0.5, 1e300)),
+         (Strategy.ROLORA, 2, "b", (1e300, 0.5))],
+    )
+    def test_frozen_factor_unchanged_bit_for_bit(self, strategy, round_index, frozen,
+                                                 grads):
+        # The frozen factor's gradient would overflow it if it were applied.
+        self.start = LoraAdapter(np.full((4, 2), -0.0), self.start.a, 2)
+        out, grad_norm_max = self.train(
+            ScriptedTask(grads), eta=1e10, strategy=strategy, round_index=round_index
+        )
+        assert getattr(out, frozen).tobytes() == getattr(self.start, frozen).tobytes()
+        assert grad_norm_max == np.inf  # 1e300 squared overflows
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_matches_reference_loop(self, strategy, batch_size):
+        task = lowrank_regression_task(8, 6, 2, 3, 0.4, seed=[3, 101], n_probes=40)
+        rng = np.random.default_rng(1)
+        start = LoraAdapter(rng.standard_normal((8, 2)), rng.standard_normal((2, 6)), 2)
+        for round_index in (1, 2):
+            out, grad_norm_max = local_train(
+                1, start, task, 30, 0.02, strategy, round_index, 9, batch_size=batch_size
+            )
+            b, a, want = local_train_reference(
+                1, start, task, 30, 0.02, strategy, round_index, 9, batch_size=batch_size
+            )
+            assert out.b.tobytes() == b.tobytes()
+            assert out.a.tobytes() == a.tobytes()
+            assert grad_norm_max == want
 
 
 class TestClientRound:

@@ -155,6 +155,72 @@ class TestLogistic:
             task.set_shards([np.arange(10), np.array([], dtype=np.int64)])
 
 
+def regression_grads_reference(task, i, b, a, sample_idx=None):
+    """The regression gradient written as its formula, one array per step."""
+    resid = b @ a - task.client_targets[i]
+    if sample_idx is None:
+        return 2.0 * resid @ a.T, 2.0 * b.T @ resid
+    x = task.probes[sample_idx]
+    grad_w = 2.0 * resid @ (x.T @ x) / len(x)
+    return grad_w @ a.T, b.T @ grad_w
+
+
+def logistic_loss_grads_reference(task, idx, b, a):
+    """Softmax cross-entropy loss and gradient, written as their formulas."""
+    x = task.features[idx]
+    y = task.labels[idx]
+    w = task.w0 + b @ a
+    z = x @ w.T
+    z -= z.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    denom = expz.sum(axis=1)
+    logp = z - np.log(denom)[:, None]
+    loss = float(-logp[np.arange(len(y)), y].mean())
+    p = expz / denom[:, None]
+    p[np.arange(len(y)), y] -= 1.0
+    gw = p.T @ x / len(y)
+    return loss, gw @ a.T, b.T @ gw
+
+
+class TestGradientBits:
+    """The task kernels reorder their arithmetic for speed; the bits of
+    every gradient and loss must equal those of the plain formulas."""
+
+    @pytest.mark.parametrize("dims,rank", [((64, 64), 4), ((8, 6), 2), ((1, 1), 1)])
+    def test_regression_matches_formula(self, dims, rank):
+        task = lowrank_regression_task(*dims, rank, 3, 0.5, seed=[4, 101], n_probes=40)
+        rng = np.random.default_rng(dims[0])
+        for trial in range(20):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            b = scale * rng.standard_normal((dims[0], rank))
+            a = rng.standard_normal((rank, dims[1])) / scale
+            idx = None if trial % 2 == 0 else rng.choice(40, size=16, replace=False)
+            got = task.client_grads(trial % 3, b, a, sample_idx=idx)
+            want = regression_grads_reference(task, trial % 3, b, a, sample_idx=idx)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_logistic_matches_formula(self):
+        task = logistic_task(8, 4, 300, seed=9)
+        task.set_shards(dirichlet_partition(task.labels, 5, 0.5, seed=9).assignment)
+        rng = np.random.default_rng(9)
+        for trial in range(40):
+            client = trial % 5
+            b = rng.uniform(0.1, 3.0) * rng.standard_normal((4, 3))
+            a = rng.standard_normal((3, 8))
+            n = task.sample_count(client)
+            idx = None
+            if trial % 2 and n > 4:
+                idx = rng.choice(n, size=n // 2, replace=False)
+            shard = task.shards[client] if idx is None else task.shards[client][idx]
+            loss, gb_want, ga_want = logistic_loss_grads_reference(task, shard, b, a)
+            gb, ga = task.client_grads(client, b, a, sample_idx=idx)
+            assert np.array_equal(gb, gb_want)
+            assert np.array_equal(ga, ga_want)
+            if idx is None:
+                assert task.client_loss(client, b, a) == loss
+
+
 class TestDirichletPartition:
     def test_conserves_samples(self):
         rng = np.random.default_rng(9)
