@@ -52,6 +52,7 @@ _EXPERIMENT_KEYS = {
     "reference",
     "task",
 }
+_INTEGER_KEYS = {"n_clients", "rank", "rounds", "local_steps"}
 _REFERENCE_KEYS = {"kind", "lag"}
 _TASK_KEYS = {
     "kind",
@@ -122,6 +123,14 @@ def _value(node):
         _fail(node, f"malformed value: {exc}")
 
 
+def _integer(node, key: str) -> int:
+    raw = _value(node)
+    # YAML booleans are Python ints; a count of ``true`` is a mistake.
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        _fail(node, f"{key} must be an integer, got {raw!r}")
+    return raw
+
+
 def _enum(node, enum_cls, what: str):
     raw = _value(node)
     try:
@@ -176,6 +185,8 @@ def _experiment(node) -> FederationConfig:
             kwargs["strategy"] = _enum(value_node, Strategy, "strategy")
         elif key == "schedule":
             kwargs["schedule"] = _enum(value_node, ScheduleAblation, "schedule")
+        elif key in _INTEGER_KEYS:
+            kwargs[key] = _integer(value_node, key)
         elif key == "lambda":
             kwargs["lam"] = float(_value(value_node))
         elif key == "reference":

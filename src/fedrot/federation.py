@@ -372,7 +372,8 @@ def run_federation(config: FederationConfig) -> RunResult:
     """Run the full protocol for ``config.rounds`` rounds.
 
     Deterministic for a fixed config; raises :class:`DivergenceError`
-    (carrying the partial trajectory) if any loss or parameter blows up.
+    carrying the completed rounds as ``partial`` if any loss, gradient or
+    parameter blows up.
     """
     t_start = time.perf_counter()
     task = build_task(config)
@@ -405,10 +406,15 @@ def run_federation(config: FederationConfig) -> RunResult:
             log.debug("round %d: charging one extra adapter download for the "
                       "random-client reference", t)
         broadcast = history[-1].adapter
-        reports = [
-            client_round(i, broadcast, task, config, t, reference)
-            for i in range(config.n_clients)
-        ]
+        try:
+            reports = [
+                client_round(i, broadcast, task, config, t, reference)
+                for i in range(config.n_clients)
+            ]
+        except DivergenceError as exc:
+            if exc.partial is None:
+                exc.partial = _result(config, records, history, t_start)
+            raise
         model, err = server_step(config.strategy, reports, t, config, history)
         loss = task.global_loss(model.adapter.b, model.adapter.a)
         target = alignment_schedule(t, config.schedule)
@@ -451,18 +457,16 @@ def run_federation(config: FederationConfig) -> RunResult:
         history.append(model)
         prev_snapshots = [r.adapter for r in reports]
         if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
-            partial = RunResult(
-                rounds=records,
-                final_model=model,
-                config=config,
-                wall_time=time.perf_counter() - t_start,
-                history=history,
-            )
             raise DivergenceError(
                 f"global loss diverged at round {t} (loss={loss!r})",
                 round_index=t,
-                partial=partial,
+                partial=_result(config, records, history, t_start),
             )
+    return _result(config, records, history, t_start)
+
+
+def _result(config, records, history, t_start) -> RunResult:
+    """The run so far: its completed rounds and the latest global model."""
     return RunResult(
         rounds=records,
         final_model=history[-1],

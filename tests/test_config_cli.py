@@ -93,6 +93,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.yaml")
 
+    @pytest.mark.parametrize("key", ["rounds", "local_steps", "n_clients", "rank"])
+    @pytest.mark.parametrize("value", ["2.5", "true", "'3'"])
+    def test_count_must_be_integer(self, tmp_path, key, value):
+        text = MINIMAL.replace(f"  {key}: ", f"  {key}: {value} #", 1)
+        with pytest.raises(ConfigError, match=f"{key} must be an integer") as exc:
+            load_config(write(tmp_path, text))
+        line = next(n for n, x in enumerate(MINIMAL.splitlines(), 1)
+                    if x.startswith(f"  {key}: "))
+        assert (exc.value.line, exc.value.column) == (line, len(key) + 5)
+
     def test_unknown_sweep_parameter(self, tmp_path):
         text = MINIMAL + "sweep:\n  grid:\n    warp: [1]\n"
         with pytest.raises(ConfigError, match="warp"):
@@ -150,6 +160,36 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["status"] == "diverged"
         assert summary["metrics"]["rounds_completed"] >= 1
+
+    def test_local_divergence_flushes_partial_outputs(self, tmp_path, capsys):
+        # The gradient overflows inside local training in round 1, before
+        # the global-loss guard ever runs.
+        text = MINIMAL.replace("learning_rate: 0.05", "learning_rate: 1.0")
+        text = text.replace("local_steps: 10", "local_steps: 400")
+        out = tmp_path / "out"
+        code = main(["run", write(tmp_path, text), "--out", str(out)])
+        assert code == 3
+        assert "non-finite gradient" in capsys.readouterr().err
+        lines = (out / "rounds.csv").read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "round,loss,agg_error,dispersion,alignment_gain,"
+            "rotation_deviation,tau_diag,wall_ms"
+        ]
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["status"] == "diverged"
+        assert summary["metrics"]["rounds_completed"] == 0
+        assert summary["metrics"]["final_loss"] is None
+
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_non_integer_rounds_exit_2(self, tmp_path, capsys, value):
+        text = MINIMAL.replace("rounds: 4", f"rounds: {value}")
+        out = tmp_path / "out"
+        code = main(["run", write(tmp_path, text), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rounds must be an integer" in err
+        assert "line 6, column 11" in err
+        assert not out.exists()
 
 
 class TestSweepCommand:

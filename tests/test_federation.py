@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import fedrot.federation
 from fedrot.aggregation import Strategy
 from fedrot.alignment import (
     AlignmentTarget,
@@ -386,6 +387,28 @@ class TestRunFederation:
         assert partial is not None
         assert 1 <= len(partial.rounds) <= 40
         assert exc.value.round_index == len(partial.rounds)
+
+    def test_local_divergence_carries_completed_rounds(self, monkeypatch):
+        real_local_train = fedrot.federation.local_train
+
+        def local_train_failing_in_round_3(*args, **kwargs):
+            if args[6] == 3:
+                raise DivergenceError("non-finite gradient on client 0",
+                                      round_index=3, step_index=7)
+            return real_local_train(*args, **kwargs)
+
+        monkeypatch.setattr(fedrot.federation, "local_train",
+                            local_train_failing_in_round_3)
+        config = regression_config(rounds=5)
+        with pytest.raises(DivergenceError, match="non-finite gradient") as exc:
+            run_federation(config)
+        partial = exc.value.partial
+        assert [r.round for r in partial.rounds] == [1, 2]
+        assert exc.value.round_index == 3 and exc.value.step_index == 7
+        assert partial.final_model is partial.history[-1]
+        assert len(partial.history) == 3
+        full = run_federation(dataclasses.replace(config, rounds=2))
+        assert_runs_bit_identical(partial, full)
 
     def test_history_length(self):
         run = run_federation(regression_config(rounds=5))
