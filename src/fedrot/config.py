@@ -52,7 +52,14 @@ _EXPERIMENT_KEYS = {
     "reference",
     "task",
 }
-_INTEGER_KEYS = {"n_clients", "rank", "rounds", "local_steps"}
+_INTEGER_KEYS = {
+    "n_clients",
+    "rank",
+    "rounds",
+    "local_steps",
+    "seed",
+    "align_from_round",
+}
 _REFERENCE_KEYS = {"kind", "lag"}
 _TASK_KEYS = {
     "kind",

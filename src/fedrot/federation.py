@@ -219,9 +219,8 @@ def _norm(x: np.ndarray) -> float:
 
 def _all_finite(x: np.ndarray) -> bool:
     """Whether every entry of ``x`` is finite; the elementwise test runs
-    only when the sum of squares is not finite."""
-    flat = x.ravel(order="K")
-    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(x).all())
+    only when the norm is not finite."""
+    return math.isfinite(_norm(x)) or bool(np.isfinite(x).all())
 
 
 def local_train(
@@ -238,8 +237,10 @@ def local_train(
     """Deterministic (full-batch) gradient descent on the client's shard.
 
     Returns the trained adapter and the largest gradient norm observed.
-    Mini-batching, when enabled, draws seeded batches from
-    ``(seed, client, round)`` so results never depend on scheduling.
+    The gradient arrays ``task.client_grads`` returns are scaled in place,
+    so it must return fresh arrays.  Mini-batching, when enabled, draws
+    seeded batches from ``(seed, client, round)`` so results never depend
+    on scheduling.
     """
     if steps < 1:
         raise UsageError("steps must be >= 1")

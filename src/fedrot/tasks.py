@@ -106,8 +106,9 @@ class LowRankRegressionTask:
         resid = b @ a
         resid -= self.client_targets[i]
         if sample_idx is None:
-            # Doubling is exact, so doubling the small products gives the
-            # bits of the gradient of the doubled residual.
+            # Doubling is exact short of overflow or subnormal results, so
+            # doubling the small r x d products gives the bits of
+            # ``2.0 * resid @ a.T`` without scaling the d x d residual.
             gb = resid @ a.T
             gb *= 2.0
             ga = b.T @ resid

@@ -93,13 +93,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.yaml")
 
-    @pytest.mark.parametrize("key", ["rounds", "local_steps", "n_clients", "rank"])
+    @pytest.mark.parametrize(
+        "key", ["rounds", "local_steps", "n_clients", "rank", "align_from_round", "seed"]
+    )
     @pytest.mark.parametrize("value", ["2.5", "true", "'3'"])
     def test_count_must_be_integer(self, tmp_path, key, value):
-        text = MINIMAL.replace(f"  {key}: ", f"  {key}: {value} #", 1)
+        text = MINIMAL + "  seed: 0\n"
+        text = text.replace(f"  {key}: ", f"  {key}: {value} #", 1)
         with pytest.raises(ConfigError, match=f"{key} must be an integer") as exc:
             load_config(write(tmp_path, text))
-        line = next(n for n, x in enumerate(MINIMAL.splitlines(), 1)
+        line = next(n for n, x in enumerate(text.splitlines(), 1)
                     if x.startswith(f"  {key}: "))
         assert (exc.value.line, exc.value.column) == (line, len(key) + 5)
 
