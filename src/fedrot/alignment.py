@@ -253,13 +253,8 @@ def select_reference(
     if mode.kind is ReferenceKind.PREV_GLOBAL:
         return history[-1].adapter
     if mode.kind is ReferenceKind.OLDER_GLOBAL:
-        if round_index <= mode.lag:
-            raise UsageError(
-                f"older-global reference with lag {mode.lag} needs round > lag, "
-                f"got round {round_index}"
-            )
-        # history[-1] is the previous round's model (lag 1); clamp to the
-        # earliest recorded model.
+        # history[-1] is the previous round's model (lag 1); until ``lag``
+        # rounds exist, clamp to the earliest recorded model.
         idx = max(len(history) - mode.lag, 0)
         return history[idx].adapter
     if not client_snapshots:

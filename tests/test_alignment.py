@@ -262,11 +262,13 @@ class TestReferenceSelection:
         assert ref is history[2].adapter
 
     def test_older_global_needs_enough_rounds(self):
+        # Until ``lag`` rounds exist, the oldest model is the reference.
         rng = np.random.default_rng(18)
-        history = self._history(rng, 1)
         mode = ReferenceMode(kind=ReferenceKind.OLDER_GLOBAL, lag=2)
-        with pytest.raises(UsageError):
-            select_reference(history, mode, 1, [], seed=0)
+        for rounds in (1, 2):
+            history = self._history(rng, rounds)
+            ref = select_reference(history, mode, rounds, [], seed=0)
+            assert ref is history[0].adapter
 
     def test_older_global_rejects_small_lag(self):
         with pytest.raises(UsageError):

@@ -4,8 +4,8 @@ Each ``tests/golden/<name>.yaml`` is run with ``fedrot run``; its
 ``rounds.csv`` and ``summary.json`` must equal ``tests/golden/<name>/``
 byte for byte once the wall-clock fields (the ``wall_ms`` column and
 ``metrics.wall_time_s``) are dropped.  The configs cover every strategy,
-all three tasks, mini-batching, the random-client reference and a run
-that trips the global-loss divergence guard.
+all three tasks, mini-batching, the random-client and older-global
+references, and a run that trips the global-loss divergence guard.
 
 To rewrite the golden files after a deliberate change of the numbers::
 
@@ -54,6 +54,7 @@ def test_configs_cover_the_protocol():
         assert f"kind: {task}\n" in text
     assert "batch_size:" in text
     assert "kind: random_client" in text
+    assert "kind: older_global" in text
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
