@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,12 @@ __all__ = [
     "aggregate_factorwise",
     "aggregation_error",
     "lagrange_error_oracle",
+    "frozen_factors",
     "server_step",
 ]
 
 
 class Strategy(enum.Enum):
-    IDEAL = "ideal"  # diagnostics only, never broadcast
     FEDIT = "fedit"
     FFA_LORA = "ffa_lora"
     ROLORA = "rolora"
@@ -39,19 +39,9 @@ ROTATIONAL_STRATEGIES = frozenset(
 
 @dataclass
 class AggregationError:
-    """Frobenius norm of the factor-wise-minus-ideal discrepancy.
-
-    ``per_layer`` carries one entry per LoRA layer; ``frobenius`` is their
-    sum (errors are summed, not averaged, across layers).
-    """
+    """Frobenius norm of the factor-wise-minus-ideal discrepancy."""
 
     frobenius: float
-    per_layer: list[float] = field(default_factory=list)
-
-    @classmethod
-    def combine(cls, errors: list["AggregationError"]) -> "AggregationError":
-        per_layer = [x for e in errors for x in e.per_layer]
-        return cls(frobenius=float(sum(per_layer)), per_layer=per_layer)
 
 
 def _check_adapters(adapters: list[LoraAdapter]) -> None:
@@ -89,8 +79,7 @@ def aggregation_error(adapters: list[LoraAdapter]) -> AggregationError:
     """``|factorwise product - ideal mean|_F`` for one LoRA layer."""
     _check_adapters(adapters)
     diff = semantic_update(aggregate_factorwise(adapters)) - aggregate_ideal(adapters)
-    err = frobenius_norm(diff)
-    return AggregationError(frobenius=err, per_layer=[err])
+    return AggregationError(frobenius=frobenius_norm(diff))
 
 
 def lagrange_error_oracle(adapters: list[LoraAdapter]) -> np.ndarray:
@@ -108,6 +97,19 @@ def lagrange_error_oracle(adapters: list[LoraAdapter]) -> np.ndarray:
     return -total / (2.0 * n * n)
 
 
+def frozen_factors(strategy: Strategy, round_index: int) -> tuple[bool, bool]:
+    """(freeze_b, freeze_a): the factors a strategy keeps from the previous
+    global model in this round, locally and at the server."""
+    if strategy is Strategy.FFA_LORA:
+        return False, True
+    if strategy is Strategy.ROLORA:
+        # Odd rounds train B (A frozen), even rounds train A (B frozen).
+        if round_index % 2 == 1:
+            return False, True
+        return True, False
+    return False, False
+
+
 def server_step(
     strategy: Strategy,
     reports,
@@ -118,16 +120,12 @@ def server_step(
     """Aggregate one round of client reports into the next global model.
 
     The incoming adapters are already transformed client-side, so all
-    rotational strategies reduce to factor-wise averaging here.  FFA-LoRA
-    keeps the frozen A of the previous global bit-for-bit; RoLoRA keeps
-    whichever factor was frozen this round.  Returns the new model along
-    with the aggregation error of the incoming adapters.
+    rotational strategies reduce to factor-wise averaging here.  A factor
+    that :func:`frozen_factors` freezes this round (FFA-LoRA's A, RoLoRA's
+    alternating factor) is kept from the previous global bit-for-bit.
+    Returns the new model along with the aggregation error of the incoming
+    adapters.
     """
-    if strategy is Strategy.IDEAL:
-        raise UsageError(
-            "the ideal strategy is diagnostics-only; its full-rank output "
-            "cannot be re-broadcast as a rank-r adapter"
-        )
     if len(reports) != config.n_clients:
         raise ProtocolError(
             f"expected {config.n_clients} client reports, got {len(reports)}"
@@ -137,13 +135,10 @@ def server_step(
     err = aggregation_error(adapters)
     prev = history[-1]
     averaged = aggregate_factorwise(adapters)
-    if strategy is Strategy.FFA_LORA:
-        new_adapter = LoraAdapter(averaged.b, prev.adapter.a, averaged.rank)
-    elif strategy is Strategy.ROLORA:
-        if round_index % 2 == 1:  # B trained this round, A frozen
-            new_adapter = LoraAdapter(averaged.b, prev.adapter.a, averaged.rank)
-        else:
-            new_adapter = LoraAdapter(prev.adapter.b, averaged.a, averaged.rank)
-    else:
-        new_adapter = averaged
-    return GlobalModel(prev.w0, new_adapter), err
+    freeze_b, freeze_a = frozen_factors(strategy, round_index)
+    new_adapter = LoraAdapter(
+        prev.adapter.b if freeze_b else averaged.b,
+        prev.adapter.a if freeze_a else averaged.a,
+        averaged.rank,
+    )
+    return GlobalModel(new_adapter), err

@@ -3,21 +3,26 @@
 The on-disk dialect is YAML: an ``experiment`` mapping that corresponds
 field-for-field to :class:`~fedrot.federation.FederationConfig` (with
 nested ``reference`` and ``task`` mappings), plus an optional ``sweep``
-mapping holding a parameter ``grid`` and a ``seeds`` list.  Unknown keys
-are rejected with the offending line and column.
+mapping holding a parameter ``grid`` and a ``seeds`` list.  The dataclass
+fields are the schema: their annotations type each value, the fields
+without a default are required, and their metadata names the file keys
+that differ from the field names and the keys a grid may vary.  Unknown
+keys and ill-typed or out-of-range values are rejected with their line and
+column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
+import functools
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import yaml
 
-from .aggregation import Strategy
-from .alignment import ReferenceKind, ReferenceMode, ScheduleAblation
 from .errors import ConfigError, UsageError
-from .federation import FederationConfig, TaskSpec
-from .tasks import TaskKind
+from .federation import FederationConfig, TaskSpec, apply_overrides, file_key
 
 __all__ = ["SweepSpec", "ExperimentFile", "load_config", "config_to_dict"]
 
@@ -32,61 +37,6 @@ class SweepSpec:
 class ExperimentFile:
     experiment: FederationConfig
     sweep: SweepSpec | None
-
-
-_EXPERIMENT_KEYS = {
-    "strategy",
-    "n_clients",
-    "rank",
-    "dims",
-    "rounds",
-    "local_steps",
-    "learning_rate",
-    "lambda",
-    "seed",
-    "align_from_round",
-    "batch_size",
-    "init_a_value",
-    "schedule",
-    "dirichlet_alpha",
-    "reference",
-    "task",
-}
-_INTEGER_KEYS = {
-    "n_clients",
-    "rank",
-    "rounds",
-    "local_steps",
-    "seed",
-    "align_from_round",
-}
-_REFERENCE_KEYS = {"kind", "lag"}
-_TASK_KEYS = {
-    "kind",
-    "targets",
-    "true_rank",
-    "heterogeneity",
-    "n_features",
-    "n_classes",
-    "n_samples",
-}
-_SWEEP_KEYS = {"grid", "seeds"}
-_SWEEP_PARAMS = {
-    "lambda",
-    "strategy",
-    "schedule",
-    "learning_rate",
-    "local_steps",
-    "rounds",
-    "rank",
-    "n_clients",
-    "dirichlet_alpha",
-    "align_from_round",
-    "batch_size",
-    "heterogeneity",
-    "true_rank",
-    "seed",
-}
 
 
 def _mark(node) -> tuple[int, int]:
@@ -112,7 +62,7 @@ def _mapping_items(node, context: str) -> dict[str, tuple]:
     return out
 
 
-def _check_keys(items: dict, allowed: set[str], context: str) -> None:
+def _check_keys(items: dict, allowed, context: str) -> None:
     for key, (key_node, _) in items.items():
         if key not in allowed:
             _fail(
@@ -130,120 +80,108 @@ def _value(node):
         _fail(node, f"malformed value: {exc}")
 
 
-def _integer(node, key: str) -> int:
-    raw = _value(node)
-    # YAML booleans are Python ints; a count of ``true`` is a mistake.
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        _fail(node, f"{key} must be an integer, got {raw!r}")
-    return raw
+@functools.cache
+def _schema(cls) -> dict[str, tuple]:
+    """File key -> (field, resolved annotation) of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {file_key(f): (f, hints[f.name]) for f in fields(cls)}
 
 
-def _enum(node, enum_cls, what: str):
-    raw = _value(node)
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        _fail(
-            node,
-            f"invalid {what} {raw!r} (one of: "
-            f"{', '.join(m.value for m in enum_cls)})",
+def _typed(node, tp, name: str):
+    """The value of ``node`` as the annotated type ``tp``; ``name`` is its
+    key path in messages."""
+    if is_dataclass(tp):
+        return _dataclass(node, tp, name)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:  # ``T | None``
+        return None if _value(node) is None else _typed(node, args[0], name)
+    if typing.get_origin(tp) is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(node, yaml.SequenceNode) or not (
+            variadic or len(node.value) == len(args)
+        ):
+            size = "" if variadic else f" of {len(args)} values"
+            _fail(node, f"{name} must be a list{size}")
+        elements = args[:1] * len(node.value) if variadic else args
+        return tuple(
+            _typed(n, t, f"{name}[{i}]")
+            for i, (n, t) in enumerate(zip(node.value, elements))
         )
-
-
-def _reference(node) -> ReferenceMode:
-    items = _mapping_items(node, "reference")
-    _check_keys(items, _REFERENCE_KEYS, "reference")
-    kwargs = {}
-    if "kind" in items:
-        kwargs["kind"] = _enum(items["kind"][1], ReferenceKind, "reference kind")
-    if "lag" in items:
-        kwargs["lag"] = int(_value(items["lag"][1]))
+    raw = _value(node)
+    if issubclass(tp, enum.Enum):
+        try:
+            return tp(raw)
+        except ValueError:
+            _fail(
+                node,
+                f"invalid {name} {raw!r} (one of: {', '.join(m.value for m in tp)})",
+            )
+    # YAML booleans are Python ints; a count or a rate of ``true`` is a mistake.
+    if isinstance(raw, bool) or not isinstance(raw, int if tp is int else (int, float)):
+        _fail(node, f"{name} must be {'an integer' if tp is int else 'a number'}, got {raw!r}")
     try:
-        return ReferenceMode(**kwargs)
+        return tp(raw)
+    except OverflowError:
+        _fail(node, f"{name} is out of range, got {raw!r}")
+
+
+def _dataclass(node, cls, name: str):
+    """A mapping node as an instance of the config dataclass ``cls``; the
+    top-level experiment has the empty ``name``."""
+    context = name or "experiment"
+    prefix = f"{name}." if name else ""
+    items = _mapping_items(node, context)
+    schema = _schema(cls)
+    _check_keys(items, schema, context)
+    kwargs = {
+        schema[key][0].name: _typed(value_node, schema[key][1], prefix + key)
+        for key, (_, value_node) in items.items()
+    }
+    for key, (f, _) in schema.items():
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            _fail(node, f"{context} is missing required key {key!r}")
+    try:
+        return cls(**kwargs)
     except UsageError as exc:
         _fail(node, str(exc))
 
 
-def _task(node) -> TaskSpec:
-    items = _mapping_items(node, "task")
-    _check_keys(items, _TASK_KEYS, "task")
-    if "kind" not in items:
-        _fail(node, "task requires a 'kind' key")
-    kwargs = {"kind": _enum(items["kind"][1], TaskKind, "task kind")}
-    for key, (_, value_node) in items.items():
-        if key == "kind":
-            continue
-        value = _value(value_node)
-        if key == "targets":
-            value = tuple(float(x) for x in value)
-        kwargs[key] = value
-    try:
-        return TaskSpec(**kwargs)
-    except (UsageError, TypeError, ValueError) as exc:
-        _fail(node, str(exc))
-
-
-def _experiment(node) -> FederationConfig:
-    items = _mapping_items(node, "experiment")
-    _check_keys(items, _EXPERIMENT_KEYS, "experiment")
-    kwargs = {}
-    for key, (_, value_node) in items.items():
-        if key == "strategy":
-            kwargs["strategy"] = _enum(value_node, Strategy, "strategy")
-        elif key == "schedule":
-            kwargs["schedule"] = _enum(value_node, ScheduleAblation, "schedule")
-        elif key in _INTEGER_KEYS:
-            kwargs[key] = _integer(value_node, key)
-        elif key == "lambda":
-            kwargs["lam"] = float(_value(value_node))
-        elif key == "reference":
-            kwargs["reference_mode"] = _reference(value_node)
-        elif key == "task":
-            kwargs["task"] = _task(value_node)
-        elif key == "dims":
-            dims = _value(value_node)
-            if not (isinstance(dims, list) and len(dims) == 2):
-                _fail(value_node, "dims must be a two-element list [d_out, d_in]")
-            kwargs["dims"] = (int(dims[0]), int(dims[1]))
-        else:
-            kwargs[key] = _value(value_node)
-    for required in ("strategy", "n_clients", "rank", "dims", "rounds",
-                     "local_steps", "learning_rate"):
-        wanted = "lam" if required == "lambda" else required
-        if wanted not in kwargs:
-            _fail(node, f"experiment is missing required key {required!r}")
-    try:
-        return FederationConfig(**kwargs)
-    except (UsageError, TypeError, ValueError) as exc:
-        _fail(node, str(exc))
-
-
-def _sweep(node) -> SweepSpec:
+def _sweep(node, experiment: FederationConfig) -> SweepSpec:
     items = _mapping_items(node, "sweep")
-    _check_keys(items, _SWEEP_KEYS, "sweep")
+    _check_keys(items, {"grid", "seeds"}, "sweep")
     if "grid" not in items:
         _fail(node, "sweep requires a 'grid' mapping")
-    grid_items = _mapping_items(items["grid"][1], "sweep grid")
+    params = {
+        key: tp
+        for cls in (FederationConfig, TaskSpec)
+        for key, (f, tp) in _schema(cls).items()
+        if f.metadata.get("sweep")
+    }
     grid = {}
-    for key, (key_node, value_node) in grid_items.items():
-        if key not in _SWEEP_PARAMS:
+    for key, (key_node, values) in _mapping_items(items["grid"][1], "sweep grid").items():
+        if key not in params:
             _fail(
                 key_node,
-                f"unknown sweep parameter {key!r} "
-                f"(allowed: {', '.join(sorted(_SWEEP_PARAMS))})",
+                f"unknown sweep parameter {key!r} (allowed: "
+                f"{', '.join(sorted(params))}; seeds go in sweep.seeds)",
             )
-        values = _value(value_node)
-        if not isinstance(values, list) or not values:
-            _fail(value_node, f"sweep parameter {key!r} must be a non-empty list")
-        grid[key] = values
+        if not isinstance(values, yaml.SequenceNode) or not values.value:
+            _fail(values, f"sweep parameter {key!r} must be a non-empty list")
+        grid[key] = []
+        for value_node in values.value:
+            value = _typed(value_node, params[key], key)
+            try:
+                apply_overrides(experiment, {key: value})
+            except UsageError as exc:
+                _fail(value_node, str(exc))
+            grid[key].append(value)
     if not grid:
         _fail(items["grid"][1], "sweep grid must contain at least one parameter")
     seeds = (0,)
     if "seeds" in items:
-        raw = _value(items["seeds"][1])
-        if not isinstance(raw, list) or not raw:
-            _fail(items["seeds"][1], "sweep seeds must be a non-empty list")
-        seeds = tuple(int(s) for s in raw)
+        seeds = _typed(items["seeds"][1], tuple[int, ...], "sweep.seeds")
+        if not seeds:
+            _fail(items["seeds"][1], "sweep.seeds must be a non-empty list")
     return SweepSpec(grid=grid, seeds=seeds)
 
 
@@ -265,39 +203,22 @@ def load_config(path) -> ExperimentFile:
     _check_keys(items, {"experiment", "sweep"}, "config file")
     if "experiment" not in items:
         _fail(root, "config file requires an 'experiment' section")
-    experiment = _experiment(items["experiment"][1])
-    sweep = _sweep(items["sweep"][1]) if "sweep" in items else None
+    experiment = _dataclass(items["experiment"][1], FederationConfig, "")
+    sweep = _sweep(items["sweep"][1], experiment) if "sweep" in items else None
     return ExperimentFile(experiment=experiment, sweep=sweep)
 
 
-def config_to_dict(config: FederationConfig) -> dict:
-    """Fully resolved config as plain JSON-serializable data."""
-    return {
-        "strategy": config.strategy.value,
-        "n_clients": config.n_clients,
-        "rank": config.rank,
-        "dims": list(config.dims),
-        "rounds": config.rounds,
-        "local_steps": config.local_steps,
-        "learning_rate": config.learning_rate,
-        "lambda": config.lam,
-        "reference": {
-            "kind": config.reference_mode.kind.value,
-            "lag": config.reference_mode.lag,
-        },
-        "schedule": config.schedule.value,
-        "task": {
-            "kind": config.task.kind.value,
-            "targets": list(config.task.targets),
-            "true_rank": config.task.true_rank,
-            "heterogeneity": config.task.heterogeneity,
-            "n_features": config.task.n_features,
-            "n_classes": config.task.n_classes,
-            "n_samples": config.task.n_samples,
-        },
-        "dirichlet_alpha": config.dirichlet_alpha,
-        "seed": config.seed,
-        "align_from_round": config.align_from_round,
-        "batch_size": config.batch_size,
-        "init_a_value": config.init_a_value,
-    }
+def config_to_dict(config) -> dict:
+    """A config dataclass as plain JSON-serializable data under its file
+    keys, in field order."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[file_key(f)] = value
+    return out

@@ -14,11 +14,11 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
-from .aggregation import ROTATIONAL_STRATEGIES, Strategy, server_step
+from .aggregation import ROTATIONAL_STRATEGIES, Strategy, frozen_factors, server_step
 from .alignment import (
     AlignmentTarget,
     ReferenceKind,
@@ -35,6 +35,7 @@ from .alignment import (
 )
 from .errors import DegenerateInputError, DivergenceError, UsageError
 from .lora import GlobalModel, LoraAdapter, init_adapter, semantic_update
+from .metrics import dispersion
 from .numerics import frobenius_norm
 from .tasks import (
     DEFAULT_SCALAR_TARGETS,
@@ -63,13 +64,23 @@ log = logging.getLogger(__name__)
 
 LOSS_DIVERGENCE_LIMIT = 1e12
 
+# Field metadata of the config dataclasses, which are the experiment-file
+# schema (see ``fedrot.config``): ``key`` is the file key where it differs
+# from the field name, ``sweep`` marks the keys a sweep grid may vary.
+_SWEEP = {"sweep": True}
+
+
+def file_key(f: Field) -> str:
+    """The experiment-file key of a config dataclass field."""
+    return f.metadata.get("key", f.name)
+
 
 @dataclass(frozen=True)
 class TaskSpec:
     kind: TaskKind
     targets: tuple[float, ...] = DEFAULT_SCALAR_TARGETS  # scalar toy
-    true_rank: int = 1  # low-rank regression
-    heterogeneity: float = 0.0
+    true_rank: int = field(default=1, metadata=_SWEEP)  # low-rank regression
+    heterogeneity: float = field(default=0.0, metadata=_SWEEP)
     n_features: int = 8  # logistic classification
     n_classes: int = 4
     n_samples: int = 200
@@ -77,21 +88,25 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    strategy: Strategy
-    n_clients: int
-    rank: int
+    strategy: Strategy = field(metadata=_SWEEP)
+    n_clients: int = field(metadata=_SWEEP)
+    rank: int = field(metadata=_SWEEP)
     dims: tuple[int, int]
-    rounds: int
-    local_steps: int
-    learning_rate: float
-    lam: float = 0.0
-    reference_mode: ReferenceMode = ReferenceMode()
-    schedule: ScheduleAblation = ScheduleAblation.ALTERNATE
+    rounds: int = field(metadata=_SWEEP)
+    local_steps: int = field(metadata=_SWEEP)
+    learning_rate: float = field(metadata=_SWEEP)
+    lam: float = field(default=0.0, metadata={"key": "lambda", "sweep": True})
+    reference_mode: ReferenceMode = field(
+        default=ReferenceMode(), metadata={"key": "reference"}
+    )
+    schedule: ScheduleAblation = field(
+        default=ScheduleAblation.ALTERNATE, metadata=_SWEEP
+    )
     task: TaskSpec = TaskSpec(kind=TaskKind.LOWRANK_REGRESSION)
-    dirichlet_alpha: float = 0.5
+    dirichlet_alpha: float = field(default=0.5, metadata=_SWEEP)
     seed: int = 0
-    align_from_round: int = 2
-    batch_size: int | None = None
+    align_from_round: int = field(default=2, metadata=_SWEEP)
+    batch_size: int | None = field(default=None, metadata=_SWEEP)
     init_a_value: float | None = None
 
     def __post_init__(self):
@@ -199,18 +214,6 @@ def build_task(config: FederationConfig):
     raise UsageError(f"unknown task kind {spec.kind}")
 
 
-def _frozen_factors(strategy: Strategy, round_index: int) -> tuple[bool, bool]:
-    """(freeze_b, freeze_a) for the local update rule."""
-    if strategy is Strategy.FFA_LORA:
-        return False, True
-    if strategy is Strategy.ROLORA:
-        # Odd rounds train B (A frozen), even rounds train A (B frozen).
-        if round_index % 2 == 1:
-            return False, True
-        return True, False
-    return False, False
-
-
 def _norm(x: np.ndarray) -> float:
     """``np.linalg.norm(x)`` bit for bit, without its dispatch overhead."""
     flat = x.ravel(order="K")
@@ -246,7 +249,7 @@ def local_train(
         raise UsageError("steps must be >= 1")
     b = start.b.copy()
     a = start.a.copy()
-    freeze_b, freeze_a = _frozen_factors(strategy, round_index)
+    freeze_b, freeze_a = frozen_factors(strategy, round_index)
     n_samples = task.sample_count(client)
     rng = None
     if batch_size is not None and batch_size < n_samples:
@@ -388,7 +391,7 @@ def run_federation(config: FederationConfig) -> RunResult:
         adapter0 = LoraAdapter(
             adapter0.b, np.full((config.rank, d_in), config.init_a_value), config.rank
         )
-    history = [GlobalModel(np.zeros((d_out, d_in)), adapter0)]
+    history = [GlobalModel(adapter0)]
     records: list[RoundRecord] = []
     prev_snapshots: list[LoraAdapter] = []
     payload = _payload_scalars(config)
@@ -419,10 +422,8 @@ def run_federation(config: FederationConfig) -> RunResult:
         model, err = server_step(config.strategy, reports, t, config, history)
         loss = task.global_loss(model.adapter.b, model.adapter.a)
         target = alignment_schedule(t, config.schedule)
-        phi_raw = _dispersion_of(
-            [r.raw_adapter for r in reports], reference, target
-        )
-        phi_aligned = _dispersion_of([r.adapter for r in reports], reference, target)
+        phi_raw = dispersion([r.raw_adapter for r in reports], reference, target)
+        phi_aligned = dispersion([r.adapter for r in reports], reference, target)
         gain = 1.0 - phi_aligned / phi_raw if phi_raw > 0 else float("nan")
         aligned = (
             config.strategy in ROTATIONAL_STRATEGIES
@@ -477,39 +478,23 @@ def _result(config, records, history, t_start) -> RunResult:
     )
 
 
-def _dispersion_of(adapters, reference, target):
-    if target is AlignmentTarget.FACTOR_A:
-        dists = [frobenius_norm(ad.a - reference.a) ** 2 for ad in adapters]
-    else:
-        dists = [frobenius_norm(ad.b - reference.b) ** 2 for ad in adapters]
-    return float(np.mean(dists))
-
-
-_TASK_OVERRIDES = {"heterogeneity", "true_rank", "targets"}
-
-
 def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
-    """Produce a config with sweep-cell parameter overrides applied."""
-    plain = {}
-    task_spec = config.task
-    for name, value in params.items():
-        if name == "lambda":
-            plain["lam"] = float(value)
-        elif name == "strategy":
-            plain["strategy"] = value if isinstance(value, Strategy) else Strategy(value)
-        elif name == "schedule":
-            plain["schedule"] = (
-                value if isinstance(value, ScheduleAblation) else ScheduleAblation(value)
-            )
-        elif name in _TASK_OVERRIDES:
-            task_spec = replace(task_spec, **{name: value})
-        elif name == "seed":
-            plain["seed"] = int(value)
+    """Produce a config with sweep-cell parameter overrides applied.
+
+    ``params`` maps experiment-file keys to values of their fields' types;
+    a key naming a :class:`TaskSpec` field overrides the task.
+    """
+    names = {file_key(f): f.name for f in fields(FederationConfig)}
+    task_names = {f.name for f in fields(TaskSpec)}
+    plain, task = {}, {}
+    for key, value in params.items():
+        if key in names:
+            plain[names[key]] = value
+        elif key in task_names:
+            task[key] = value
         else:
-            if not hasattr(config, name):
-                raise UsageError(f"unknown sweep parameter {name!r}")
-            plain[name] = value
-    return replace(config, task=task_spec, **plain)
+            raise UsageError(f"unknown sweep parameter {key!r}")
+    return replace(config, task=replace(config.task, **task), **plain)
 
 
 @dataclass(eq=False)

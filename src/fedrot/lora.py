@@ -6,14 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, UsageError
-from .numerics import as_matrix, frobenius_norm, matmul
+from .errors import UsageError
+from .numerics import as_matrix, matmul
 
 __all__ = [
     "LoraAdapter",
     "GlobalModel",
     "semantic_update",
-    "gauge_rescale",
     "init_adapter",
 ]
 
@@ -49,42 +48,14 @@ class LoraAdapter:
 
 @dataclass(eq=False)
 class GlobalModel:
-    """Frozen base weights plus the current global adapter."""
+    """One round's global model: the adapter on the frozen base weights."""
 
-    w0: np.ndarray
     adapter: LoraAdapter
-
-    def __post_init__(self):
-        self.w0 = as_matrix(self.w0)
-        if self.w0.shape != self.adapter.dims:
-            raise UsageError(
-                f"base shape {self.w0.shape} inconsistent with adapter dims {self.adapter.dims}"
-            )
-
-    def effective_weights(self) -> np.ndarray:
-        return self.w0 + semantic_update(self.adapter)
 
 
 def semantic_update(ad: LoraAdapter) -> np.ndarray:
     """The update the adapter represents: ``b @ a``."""
     return matmul(ad.b, ad.a)
-
-
-def gauge_rescale(ad: LoraAdapter) -> LoraAdapter:
-    """Rebalance factor norms without changing the semantic update.
-
-    Returns ``(b / c, c * a)`` with ``c = sqrt(|b| / |a|)`` so that the
-    two factors end up with equal Frobenius norm.  Diagnostics-only; the
-    training loop never applies this.
-    """
-    norm_a = frobenius_norm(ad.a)
-    norm_b = frobenius_norm(ad.b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise DegenerateInputError(
-            f"gauge_rescale undefined for zero-norm factor (|a|={norm_a}, |b|={norm_b})"
-        )
-    c = np.sqrt(norm_b / norm_a)
-    return LoraAdapter(ad.b / c, ad.a * c, ad.rank)
 
 
 def init_adapter(d_out: int, d_in: int, rank: int, seed) -> LoraAdapter:

@@ -8,7 +8,6 @@ global loss (mean over clients) for trajectory records.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 
@@ -26,8 +25,6 @@ __all__ = [
     "lowrank_regression_task",
     "logistic_task",
     "dirichlet_partition",
-    "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
 DEFAULT_SCALAR_TARGETS = (0.5, 1.0, 1.5)
@@ -309,40 +306,3 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> Dirichlet
             assignment[donor] = assignment[donor][:-1]
     return DirichletPartition(alpha, proportions, assignment)
 
-
-def save_dataset_csv(path, features, labels, assignment) -> None:
-    """Dump a sample-based dataset: one row per sample, ``features...,
-    label, client_id``."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    client_of = np.full(len(labels), -1, dtype=np.int64)
-    for client, idx in enumerate(assignment):
-        client_of[idx] = client
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"f{j}" for j in range(features.shape[1])] + ["label", "client_id"]
-        )
-        for row, label, client in zip(features, labels, client_of):
-            writer.writerow([f"{x:.17g}" for x in row] + [int(label), int(client)])
-
-
-def load_dataset_csv(path):
-    """Inverse of :func:`save_dataset_csv`; returns (features, labels,
-    assignment)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_feat = len(header) - 2
-        feats, labels, clients = [], [], []
-        for row in reader:
-            feats.append([float(x) for x in row[:n_feat]])
-            labels.append(int(row[n_feat]))
-            clients.append(int(row[n_feat + 1]))
-    features = np.asarray(feats, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    clients = np.asarray(clients, dtype=np.int64)
-    assignment = [
-        np.flatnonzero(clients == c) for c in range(int(clients.max()) + 1)
-    ]
-    return features, labels, assignment

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrot.aggregation import (
-    AggregationError,
     Strategy,
     aggregate_factorwise,
     aggregate_ideal,
@@ -116,12 +115,6 @@ class TestAggregationError:
         direct = semantic_update(aggregate_factorwise(ads)) - aggregate_ideal(ads)
         np.testing.assert_allclose(direct, lagrange_error_oracle(ads), atol=1e-10)
 
-    def test_combine_sums_layers(self):
-        combined = AggregationError.combine(
-            [AggregationError(1.0, [1.0]), AggregationError(2.5, [2.0, 0.5])]
-        )
-        assert combined.frobenius == pytest.approx(3.5)
-        assert combined.per_layer == [1.0, 2.0, 0.5]
 
 
 def make_config(strategy, n_clients=3, rank=2):
@@ -145,7 +138,7 @@ class FakeReport:
 class TestServerStep:
     def _history(self, rng):
         ad = LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 4)), 2)
-        return [GlobalModel(np.zeros((5, 4)), ad)]
+        return [GlobalModel(ad)]
 
     def test_fedit_factorwise(self):
         rng = np.random.default_rng(8)
@@ -175,13 +168,6 @@ class TestServerStep:
         assert (odd.adapter.a == history[0].adapter.a).all()
         even, _ = server_step(Strategy.ROLORA, reports, 2, config, history)
         assert (even.adapter.b == history[0].adapter.b).all()
-
-    def test_ideal_is_diagnostics_only(self):
-        rng = np.random.default_rng(11)
-        history = self._history(rng)
-        reports = [FakeReport(ad) for ad in random_adapters(rng, 3)]
-        with pytest.raises(UsageError):
-            server_step(Strategy.IDEAL, reports, 1, make_config(Strategy.IDEAL), history)
 
     def test_report_count_mismatch(self):
         rng = np.random.default_rng(12)

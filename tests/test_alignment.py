@@ -245,7 +245,7 @@ class TestReferenceSelection:
             ad = LoraAdapter(
                 rng.standard_normal((4, 2)), rng.standard_normal((2, 4)), 2
             )
-            models.append(GlobalModel(np.zeros((4, 4)), ad))
+            models.append(GlobalModel(ad))
         return models
 
     def test_prev_global(self):

@@ -1,6 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedrot.alignment
 from fedrot.aggregation import Strategy
@@ -111,6 +116,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="warp"):
             load_config(write(tmp_path, text))
 
+    def test_grid_values_typed_at_load(self, tmp_path):
+        text = MINIMAL + "sweep:\n  grid:\n    strategy: [fedit]\n    lambda: [0, 1]\n"
+        grid = load_config(write(tmp_path, text)).sweep.grid
+        assert grid == {"strategy": [Strategy.FEDIT], "lambda": [0.0, 1.0]}
+        assert all(type(v) is float for v in grid["lambda"])
+
+    def test_seed_is_not_a_grid_key(self, tmp_path):
+        text = MINIMAL + "sweep:\n  grid:\n    seed: [5, 6]\n"
+        with pytest.raises(ConfigError, match="sweep.seeds") as exc:
+            load_config(write(tmp_path, text))
+        assert (exc.value.line, exc.value.column) == (17, 5)
+
 
 class TestRunCommand:
     def test_exit_zero_and_outputs(self, tmp_path):
@@ -193,6 +210,79 @@ class TestRunCommand:
         assert "rounds must be an integer" in err
         assert "line 6, column 11" in err
         assert not out.exists()
+
+
+def grid(line: str) -> str:
+    return MINIMAL + "sweep:\n  grid:\n    " + line + "\n"
+
+
+# (command, config text, the rejected value as it appears in the text)
+LOCATED_ERRORS = {
+    "batch_size": ("run", MINIMAL + "  batch_size: 2.5\n", "2.5"),
+    "dims_element": ("run", MINIMAL.replace("[8, 6]", "[8, x]"), "x]"),
+    "dims_length": ("run", MINIMAL.replace("[8, 6]", "[8, 6, 2]"), "[8, 6, 2]"),
+    "learning_rate": ("run", MINIMAL.replace("0.05", "fast"), "fast"),
+    "task.true_rank": ("run", MINIMAL.replace("true_rank: 2", "true_rank: 1.5"), "1.5"),
+    "reference.lag": (
+        "run",
+        MINIMAL + "  reference:\n    kind: older_global\n    lag: 2.7\n",
+        "2.7",
+    ),
+    "strategy_ideal": ("run", MINIMAL.replace("fedrot", "ideal"), "ideal"),
+    "grid_strategy": ("sweep", grid("strategy: [fancy]"), "fancy"),
+    "grid_rounds": ("sweep", grid("rounds: [3, 2.5]"), "2.5"),
+    "grid_lambda": ("sweep", grid("lambda: [1.5]"), "1.5"),
+    "grid_rank": ("sweep", grid("rank: [9]"), "9"),
+}
+
+
+@pytest.mark.parametrize("case", LOCATED_ERRORS, ids=str)
+def test_rejected_value_located(tmp_path, capsys, case):
+    command, text, value = LOCATED_ERRORS[case]
+    (line,) = [n for n, x in enumerate(text.splitlines(), 1) if value in x]
+    column = text.splitlines()[line - 1].index(value) + 1
+    out = tmp_path / "out"
+    assert main([command, write(tmp_path, text), "--out", str(out)]) == 2
+    assert f"(line {line}, column {column})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def scalar_leaves(node, path=()):
+    """Key paths of every scalar in a parsed config (list indices included)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in scalar_leaves(child, path + (key,))]
+
+
+MINIMAL_LEAVES = scalar_leaves(yaml.safe_load(MINIMAL))
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 50),
+    st.floats(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 50), max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MINIMAL_LEAVES), FUZZ_VALUES)
+def test_fuzzed_leaf_exits_cleanly(path, value):
+    # Any one scalar of a valid config replaced by an arbitrary value must
+    # run, be rejected as a config error, or diverge -- never raise.
+    doc = yaml.safe_load(MINIMAL)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", str(config), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
 
 
 class TestSweepCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fedrot.federation
-from fedrot.aggregation import Strategy
+from fedrot.aggregation import Strategy, frozen_factors
 from fedrot.alignment import (
     AlignmentTarget,
     ReferenceKind,
@@ -16,7 +16,6 @@ from fedrot.errors import DivergenceError, UsageError
 from fedrot.federation import (
     FederationConfig,
     TaskSpec,
-    _frozen_factors,
     apply_overrides,
     build_task,
     client_round,
@@ -165,7 +164,7 @@ def local_train_reference(client, start, task, steps, eta, strategy, round_index
                           seed, batch_size=None):
     """The local update rule with every check written out in full."""
     b, a = start.b.copy(), start.a.copy()
-    freeze_b, freeze_a = _frozen_factors(strategy, round_index)
+    freeze_b, freeze_a = frozen_factors(strategy, round_index)
     n_samples = task.sample_count(client)
     rng = None
     if batch_size is not None and batch_size < n_samples:
@@ -443,10 +442,6 @@ class TestApplyOverrides:
         assert out.lam == 0.25
         assert out.task.heterogeneity == 0.9
         assert base.lam == 0.7
-
-    def test_strategy_coercion_from_string(self):
-        out = apply_overrides(regression_config(), {"strategy": "fedit"})
-        assert out.strategy is Strategy.FEDIT
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(UsageError):

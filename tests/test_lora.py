@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from fedrot.errors import DegenerateInputError, UsageError
+from fedrot.errors import UsageError
 from fedrot.lora import (
-    GlobalModel,
     LoraAdapter,
-    gauge_rescale,
     init_adapter,
     semantic_update,
 )
@@ -38,22 +36,6 @@ class TestLoraAdapter:
         assert ad.b[0, 0] != dup.b[0, 0]
 
 
-class TestGlobalModel:
-    def test_effective_weights(self):
-        rng = np.random.default_rng(2)
-        ad = make_adapter(rng)
-        w0 = rng.standard_normal(ad.dims)
-        model = GlobalModel(w0, ad)
-        np.testing.assert_allclose(
-            model.effective_weights(), w0 + ad.b @ ad.a, atol=1e-14
-        )
-
-    def test_shape_mismatch_rejected(self):
-        ad = make_adapter(np.random.default_rng(3))
-        with pytest.raises(UsageError):
-            GlobalModel(np.zeros((4, 4)), ad)
-
-
 class TestSemanticUpdate:
     def test_matches_product(self):
         ad = make_adapter(np.random.default_rng(4))
@@ -62,30 +44,6 @@ class TestSemanticUpdate:
     def test_scalar_case(self):
         ad = LoraAdapter(np.array([[2.0]]), np.array([[0.5]]), 1)
         assert semantic_update(ad)[0, 0] == pytest.approx(1.0)
-
-
-class TestGaugeRescale:
-    def test_preserves_product_and_balances_norms(self):
-        rng = np.random.default_rng(5)
-        ad = make_adapter(rng)
-        out = gauge_rescale(ad)
-        np.testing.assert_allclose(
-            semantic_update(out), semantic_update(ad), atol=1e-12
-        )
-        assert frobenius_norm(out.b) == pytest.approx(frobenius_norm(out.a), rel=1e-12)
-
-    def test_scalar_example(self):
-        # (2, 0.5) and (1.5, 2/3) both represent the update 1.0; rescaling
-        # maps each to the balanced pair (1, 1).
-        for b, a in ((2.0, 0.5), (1.5, 2.0 / 3.0)):
-            out = gauge_rescale(LoraAdapter(np.array([[b]]), np.array([[a]]), 1))
-            assert out.b[0, 0] == pytest.approx(1.0, rel=1e-12)
-            assert out.a[0, 0] == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_factor_rejected(self):
-        ad = LoraAdapter(np.zeros((3, 2)), np.ones((2, 3)), 2)
-        with pytest.raises(DegenerateInputError):
-            gauge_rescale(ad)
 
 
 class TestInitAdapter:

@@ -6,10 +6,8 @@ import pytest
 from fedrot.errors import PartitionError, UsageError
 from fedrot.tasks import (
     dirichlet_partition,
-    load_dataset_csv,
     logistic_task,
     lowrank_regression_task,
-    save_dataset_csv,
     scalar_toy_task,
 )
 
@@ -278,17 +276,3 @@ class TestDirichletPartition:
         with pytest.raises(UsageError):
             dirichlet_partition([0, 1, 0], 2, 0.0, seed=0)
 
-
-class TestDatasetCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        features = rng.standard_normal((30, 4))
-        labels = rng.integers(0, 3, size=30)
-        part = dirichlet_partition(labels, 3, 0.5, seed=14)
-        path = tmp_path / "data.csv"
-        save_dataset_csv(path, features, labels, part.assignment)
-        feats2, labels2, assignment2 = load_dataset_csv(path)
-        np.testing.assert_array_equal(feats2, features)
-        np.testing.assert_array_equal(labels2, labels)
-        for x, y in zip(assignment2, part.assignment):
-            np.testing.assert_array_equal(x, y)
