@@ -118,7 +118,8 @@ def _typed(node, tp, name: str):
             )
     # YAML booleans are Python ints; a count or a rate of ``true`` is a mistake.
     if isinstance(raw, bool) or not isinstance(raw, int if tp is int else (int, float)):
-        _fail(node, f"{name} must be {'an integer' if tp is int else 'a number'}, got {raw!r}")
+        kind = "an integer" if tp is int else "a number"
+        _fail(node, f"{name} must be {kind}, got {raw!r}")
     try:
         return tp(raw)
     except OverflowError:
@@ -138,7 +139,7 @@ def _dataclass(node, cls, name: str):
         for key, (_, value_node) in items.items()
     }
     for key, (f, _) in schema.items():
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+        if f.name not in kwargs and f.default is MISSING:
             _fail(node, f"{context} is missing required key {key!r}")
     try:
         return cls(**kwargs)
