@@ -269,7 +269,7 @@ FUZZ_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.sampled_from(MINIMAL_LEAVES), FUZZ_VALUES)
 def test_fuzzed_leaf_exits_cleanly(path, value):
     # Any one scalar of a valid config replaced by an arbitrary value must
