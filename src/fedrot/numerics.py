@@ -2,9 +2,9 @@
 
 Everything here operates on 2-D ``float64`` numpy arrays and is a pure
 function of its inputs: identical input bits always produce identical
-output bits.  The SVD is a one-sided Jacobi iteration, which is accurate
-and fully deterministic for the tiny (rank x rank) matrices this package
-cares about.
+output bits.  The SVD is LAPACK's (``np.linalg.svd``) followed by a sign
+canonicalization that makes its factors unique for distinct singular
+values.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ __all__ = [
     "qr_orthonormal",
     "determinant",
 ]
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
-
 
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array, rejecting non-finite entries."""
@@ -71,114 +67,27 @@ class SvdResult:
 
 
 def svd(a) -> SvdResult:
-    """One-sided Jacobi SVD with deterministic sign canonicalization.
+    """LAPACK thin SVD with deterministic sign canonicalization.
+
+    The largest-magnitude entry of every column of ``u`` is made
+    nonnegative (the first such entry on ties), and the matching row of
+    ``vt`` is flipped with it, so the factorization is unique for
+    distinct singular values.
 
     Raises
     ------
     NumericError
-        If the Jacobi sweeps do not converge within the iteration cap.
+        If LAPACK does not converge.
     """
     a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        # Work on the transpose and swap the roles of u and v.
-        r = svd(a.T)
-        return SvdResult(u=r.vt.T, sigma=r.sigma, vt=r.u.T)
-
-    g = a.copy()
-    v = np.eye(n)
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gp = g[:, p]
-                gq = g[:, q]
-                app = float(gp @ gp)
-                aqq = float(gq @ gq)
-                apq = float(gp @ gq)
-                if app == 0.0 or aqq == 0.0:
-                    continue
-                if abs(apq) <= _JACOBI_TOL * np.sqrt(app * aqq):
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                gp_new = c * gp - s * gq
-                gq_new = s * gp + c * gq
-                g[:, p] = gp_new
-                g[:, q] = gq_new
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if not rotated:
-            converged = True
-            break
-    if not converged:
-        norms = np.linalg.norm(g, axis=0)
-        big = float(norms.max())
-        small = float(norms.min())
-        raise NumericError(
-            "Jacobi SVD failed to converge in "
-            f"{_JACOBI_MAX_SWEEPS} sweeps for shape {a.shape}; "
-            f"column-norm spread [{small:.3e}, {big:.3e}]"
-        )
-
-    sigma = np.linalg.norm(g, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    g = g[:, order]
-    v = v[:, order]
-
-    u = np.zeros((m, n))
-    tiny = np.finfo(np.float64).tiny
-    cutoff = max(sigma[0], 1.0) * 1e-300
-    deficient = []
-    for j in range(n):
-        if sigma[j] > max(cutoff, tiny):
-            u[:, j] = g[:, j] / sigma[j]
-        else:
-            sigma[j] = 0.0
-            deficient.append(j)
-    if deficient:
-        _complete_basis(u, deficient)
-
-    # Sign canonicalization: largest-magnitude entry of every left
-    # singular vector is made nonnegative (flipping v in tandem).
-    for j in range(n):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-
-    return SvdResult(u=u, sigma=sigma, vt=v.T)
-
-
-def _complete_basis(u: np.ndarray, cols: list[int]) -> None:
-    """Fill zero columns of ``u`` with an orthonormal completion.
-
-    Deterministic: candidate vectors are canonical basis vectors taken in
-    index order, orthogonalized against the existing columns.
-    """
-    m = u.shape[0]
-    filled = [j for j in range(u.shape[1]) if j not in cols]
-    for j in cols:
-        for k in range(m):
-            cand = np.zeros(m)
-            cand[k] = 1.0
-            for f in filled:
-                cand -= (u[:, f] @ cand) * u[:, f]
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:  # e_k is far from span of existing columns
-                u[:, j] = cand / norm
-                filled.append(j)
-                break
-        else:  # pragma: no cover - cannot happen with < m columns filled
-            raise NumericError("failed to complete orthonormal basis")
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed for shape {a.shape}: {exc}") from exc
+    cols = np.arange(u.shape[1])
+    peak = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[peak, cols] < 0.0, -1.0, 1.0)
+    return SvdResult(u=u * signs, sigma=sigma, vt=vt * signs[:, None])
 
 
 def qr_orthonormal(a) -> np.ndarray:

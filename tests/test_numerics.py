@@ -121,6 +121,25 @@ class TestSvd:
         mat = np.random.default_rng(seed).standard_normal((m_rows, n_cols))
         self._check_factors(mat, svd(mat))
 
+    @pytest.mark.parametrize("size", [1, 64])
+    def test_alignment_sizes_factor_and_sign_canonical(self, size):
+        # Alignment runs at rank up to 64; the scalar toy runs at rank 1.
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            mat = random_matrix(rng, size, size)
+            res = svd(mat)
+            self._check_factors(mat, res)
+            for col in res.u.T:
+                assert col[np.argmax(np.abs(col))] >= 0.0
+
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericError, match="SVD did not converge"):
+            svd(np.eye(3))
+
 
 class TestQrOrthonormal:
     def test_orthonormal_and_deterministic(self):
