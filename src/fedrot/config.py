@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -121,9 +122,12 @@ def _typed(node, tp, name: str):
         kind = "an integer" if tp is int else "a number"
         _fail(node, f"{name} must be {kind}, got {raw!r}")
     try:
-        return tp(raw)
+        value = tp(raw)
     except OverflowError:
         _fail(node, f"{name} is out of range, got {raw!r}")
+    if tp is float and not math.isfinite(value):
+        _fail(node, f"{name} must be finite, got {raw!r}")
+    return value
 
 
 def _dataclass(node, cls, name: str):

@@ -9,6 +9,7 @@ global loss (mean over clients) for trajectory records.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,8 +273,8 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> Dirichlet
     the largest shard.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if alpha <= 0:
-        raise UsageError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise UsageError(f"alpha must be positive and finite, got {alpha}")
     if n_clients < 1:
         raise UsageError(f"n_clients must be >= 1, got {n_clients}")
     if len(labels) < n_clients:

@@ -229,6 +229,10 @@ LOCATED_ERRORS = {
         "2.7",
     ),
     "strategy_ideal": ("run", MINIMAL.replace("fedrot", "ideal"), "ideal"),
+    "dirichlet_alpha_inf": ("run", MINIMAL + "  dirichlet_alpha: .inf\n", ".inf"),
+    "init_a_value_nan": ("run", MINIMAL + "  init_a_value: .nan\n", ".nan"),
+    "learning_rate_nan": ("run", MINIMAL.replace("0.05", ".nan"), ".nan"),
+    "learning_rate_inf": ("run", MINIMAL.replace("0.05", ".inf"), ".inf"),
     "grid_strategy": ("sweep", grid("strategy: [fancy]"), "fancy"),
     "grid_rounds": ("sweep", grid("rounds: [3, 2.5]"), "2.5"),
     "grid_lambda": ("sweep", grid("lambda: [1.5]"), "1.5"),

@@ -276,3 +276,8 @@ class TestDirichletPartition:
         with pytest.raises(UsageError):
             dirichlet_partition([0, 1, 0], 2, 0.0, seed=0)
 
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(UsageError, match="finite"):
+            dirichlet_partition([0, 1, 0], 2, alpha, seed=0)
