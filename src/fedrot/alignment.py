@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, UsageError
+from .errors import DegenerateInputError, NumericError, UsageError
 from .lora import GlobalModel, LoraAdapter
 from .numerics import as_matrix, determinant, frobenius_norm, qr_orthonormal, svd
 
@@ -209,7 +209,7 @@ def haar_random_rotation(rank: int, seed) -> Rotation:
         z = rng.standard_normal((rank, rank))
         try:
             q = qr_orthonormal(z)
-        except Exception:
+        except NumericError:
             continue
         if determinant(q) < 0.0:
             q = q.copy()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrot import alignment
 from fedrot.alignment import (
     AlignmentTarget,
     ReferenceKind,
@@ -19,7 +20,7 @@ from fedrot.alignment import (
     select_reference,
     soft_rotation,
 )
-from fedrot.errors import DegenerateInputError, UsageError
+from fedrot.errors import DegenerateInputError, NumericError, UsageError
 from fedrot.lora import GlobalModel, LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 
@@ -236,6 +237,29 @@ class TestHaarRandomRotation:
         ]
         counts, _ = np.histogram(angles, bins=8, range=(-math.pi, math.pi))
         assert counts.min() > 2000 / 8 * 0.7
+
+    def test_rank_deficient_draw_is_resampled(self, monkeypatch):
+        draws = []
+
+        def first_draw_singular(z):
+            draws.append(z)
+            if len(draws) == 1:
+                raise NumericError("qr_orthonormal: matrix is rank deficient")
+            return np.linalg.qr(z)[0]
+
+        monkeypatch.setattr(alignment, "qr_orthonormal", first_draw_singular)
+        rot = haar_random_rotation(3, seed=5)
+        assert len(draws) == 2
+        assert not np.array_equal(draws[0], draws[1])
+        assert np.linalg.det(rot.r) == pytest.approx(1.0, abs=1e-10)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(z):
+            raise TypeError("bug inside qr_orthonormal")
+
+        monkeypatch.setattr(alignment, "qr_orthonormal", broken)
+        with pytest.raises(TypeError, match="bug inside"):
+            haar_random_rotation(3, seed=5)
 
 
 class TestReferenceSelection:
