@@ -231,7 +231,9 @@ class ReferenceMode:
 
     def __post_init__(self):
         if self.kind is ReferenceKind.OLDER_GLOBAL and self.lag < 2:
-            raise UsageError(f"older-global reference requires lag >= 2, got {self.lag}")
+            raise UsageError(
+                f"older-global reference requires lag >= 2, got {self.lag}", key="lag"
+            )
 
 
 def select_reference(

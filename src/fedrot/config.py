@@ -148,7 +148,9 @@ def _dataclass(node, cls, name: str):
     try:
         return cls(**kwargs)
     except UsageError as exc:
-        _fail(node, str(exc))
+        # A rejected value is located at its own node; a default is not in
+        # the file, so it falls back to the mapping.
+        _fail(items[exc.key][1] if exc.key in items else node, str(exc))
 
 
 def _sweep(node, experiment: FederationConfig) -> SweepSpec:

@@ -6,7 +6,15 @@ class FedRotError(Exception):
 
 
 class UsageError(FedRotError):
-    """Caller violated a precondition (bad shapes, bad arguments)."""
+    """Caller violated a precondition (bad shapes, bad arguments).
+
+    ``key`` is the experiment-file key of the offending config value, when
+    a config dataclass rejected one.
+    """
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class NumericError(FedRotError):

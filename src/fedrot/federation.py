@@ -111,21 +111,25 @@ class FederationConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise UsageError(f"lambda must lie in [0, 1], got {self.lam}")
+            raise UsageError(f"lambda must lie in [0, 1], got {self.lam}", key="lambda")
         if not 1 <= self.rank <= min(self.dims):
-            raise UsageError(f"rank {self.rank} out of range for dims {self.dims}")
+            raise UsageError(
+                f"rank {self.rank} out of range for dims {self.dims}", key="rank"
+            )
         if self.align_from_round < 1:
-            raise UsageError("align_from_round must be >= 1")
-        if self.rounds < 1 or self.local_steps < 1:
-            raise UsageError("rounds and local_steps must be >= 1")
+            raise UsageError("align_from_round must be >= 1", key="align_from_round")
+        if self.rounds < 1:
+            raise UsageError("rounds must be >= 1", key="rounds")
+        if self.local_steps < 1:
+            raise UsageError("local_steps must be >= 1", key="local_steps")
         if self.n_clients < 1:
-            raise UsageError("n_clients must be >= 1")
+            raise UsageError("n_clients must be >= 1", key="n_clients")
         if self.learning_rate < 0:
-            raise UsageError("learning_rate must be nonnegative")
+            raise UsageError("learning_rate must be nonnegative", key="learning_rate")
         if self.dirichlet_alpha <= 0:
-            raise UsageError("dirichlet_alpha must be positive")
+            raise UsageError("dirichlet_alpha must be positive", key="dirichlet_alpha")
         if self.batch_size is not None and self.batch_size < 1:
-            raise UsageError("batch_size must be >= 1 when set")
+            raise UsageError("batch_size must be >= 1 when set", key="batch_size")
 
 
 @dataclass(eq=False)

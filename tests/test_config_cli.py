@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -216,7 +217,7 @@ def grid(line: str) -> str:
     return MINIMAL + "sweep:\n  grid:\n    " + line + "\n"
 
 
-# (command, config text, the rejected value as it appears in the text)
+# (command, config text, the rejected value: a token that occurs once in the text)
 LOCATED_ERRORS = {
     "batch_size": ("run", MINIMAL + "  batch_size: 2.5\n", "2.5"),
     "dims_element": ("run", MINIMAL.replace("[8, 6]", "[8, x]"), "x]"),
@@ -233,6 +234,15 @@ LOCATED_ERRORS = {
     "init_a_value_nan": ("run", MINIMAL + "  init_a_value: .nan\n", ".nan"),
     "learning_rate_nan": ("run", MINIMAL.replace("0.05", ".nan"), ".nan"),
     "learning_rate_inf": ("run", MINIMAL.replace("0.05", ".inf"), ".inf"),
+    "lambda_out_of_range": ("run", MINIMAL.replace("lambda: 0.7", "lambda: 1.5"), "1.5"),
+    "rank_too_large": ("run", MINIMAL.replace("\n  rank: 2", "\n  rank: 9"), "9"),
+    "rounds_zero": ("run", MINIMAL.replace("rounds: 4", "rounds: 0"), "0"),
+    "dirichlet_alpha_zero": ("run", MINIMAL + "  dirichlet_alpha: 0.0\n", "0.0"),
+    "reference.lag_too_small": (
+        "run",
+        MINIMAL + "  reference:\n    kind: older_global\n    lag: 0\n",
+        "0",
+    ),
     "grid_strategy": ("sweep", grid("strategy: [fancy]"), "fancy"),
     "grid_rounds": ("sweep", grid("rounds: [3, 2.5]"), "2.5"),
     "grid_lambda": ("sweep", grid("lambda: [1.5]"), "1.5"),
@@ -243,8 +253,12 @@ LOCATED_ERRORS = {
 @pytest.mark.parametrize("case", LOCATED_ERRORS, ids=str)
 def test_rejected_value_located(tmp_path, capsys, case):
     command, text, value = LOCATED_ERRORS[case]
-    (line,) = [n for n, x in enumerate(text.splitlines(), 1) if value in x]
-    column = text.splitlines()[line - 1].index(value) + 1
+    token = re.compile(rf"(?<![\w.]){re.escape(value)}(?![\w.])")
+    ((line, column),) = [
+        (n, m.start() + 1)
+        for n, x in enumerate(text.splitlines(), 1)
+        for m in token.finditer(x)
+    ]
     out = tmp_path / "out"
     assert main([command, write(tmp_path, text), "--out", str(out)]) == 2
     assert f"(line {line}, column {column})" in capsys.readouterr().err
