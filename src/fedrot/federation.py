@@ -218,16 +218,24 @@ def build_task(config: FederationConfig):
     raise UsageError(f"unknown task kind {spec.kind}")
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)`` bit for bit, without its dispatch overhead."""
+def _sq_norm(x: np.ndarray) -> float:
+    """The square of ``np.linalg.norm(x)`` bit for bit, without its
+    dispatch overhead: ``math.sqrt`` of it is that norm."""
     flat = x.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    return flat.dot(flat)
 
 
 def _all_finite(x: np.ndarray) -> bool:
     """Whether every entry of ``x`` is finite; the elementwise test runs
     only when the norm is not finite."""
-    return math.isfinite(_norm(x)) or bool(np.isfinite(x).all())
+    return math.isfinite(_sq_norm(x)) or bool(np.isfinite(x).all())
+
+
+# While a running bound on a factor's Frobenius norm stays below this, the
+# factor is provably finite and its per-step check is skipped.  The gap to
+# the largest double (~1.8e308) dwarfs the rounding of any feasible number
+# of bound updates.
+_PARAM_BOUND = 1e300
 
 
 def local_train(
@@ -258,16 +266,23 @@ def local_train(
     rng = None
     if batch_size is not None and batch_size < n_samples:
         rng = np.random.default_rng([seed, client, round_index])
-    grad_norm_max = 0.0
+    # |b|_F <= bound_b after every step, since |b - eta g| <= |b| + |eta| |g|;
+    # a non-finite start gives an infinite or NaN bound, which is checked.
+    step_scale = abs(eta)
+    bound_b = math.sqrt(_sq_norm(b))
+    bound_a = math.sqrt(_sq_norm(a))
+    # sqrt is monotone and correctly rounded, so the square root of the
+    # largest squared norm is the largest norm.
+    sq_max = 0.0
     for step in range(steps):
         idx = None
         if rng is not None:
             idx = rng.choice(n_samples, size=batch_size, replace=False)
         gb, ga = task.client_grads(client, b, a, sample_idx=idx)
-        norm_b, norm_a = _norm(gb), _norm(ga)
+        sq_b, sq_a = _sq_norm(gb), _sq_norm(ga)
         # A finite norm proves every entry finite; a non-finite one may
         # only be an overflowing sum of squares of finite entries.
-        if not (math.isfinite(norm_b) and math.isfinite(norm_a)) and not (
+        if not (math.isfinite(sq_b) and math.isfinite(sq_a)) and not (
             np.isfinite(gb).all() and np.isfinite(ga).all()
         ):
             raise DivergenceError(
@@ -275,22 +290,27 @@ def local_train(
                 round_index=round_index,
                 step_index=step,
             )
-        grad_norm_max = max(grad_norm_max, norm_b, norm_a)
-        # A frozen factor keeps its finite start value, so only the
-        # updated factors need the check.
+        sq_max = max(sq_max, sq_b, sq_a)
+        # A frozen factor keeps its start value, so only the updated
+        # factors need the check.
         if not freeze_b:
             gb *= eta
             b -= gb
+            bound_b += step_scale * math.sqrt(sq_b)
         if not freeze_a:
             ga *= eta
             a -= ga
-        if not ((freeze_b or _all_finite(b)) and (freeze_a or _all_finite(a))):
+            bound_a += step_scale * math.sqrt(sq_a)
+        if not (
+            (freeze_b or bound_b < _PARAM_BOUND or _all_finite(b))
+            and (freeze_a or bound_a < _PARAM_BOUND or _all_finite(a))
+        ):
             raise DivergenceError(
                 f"non-finite parameters on client {client}",
                 round_index=round_index,
                 step_index=step,
             )
-    return LoraAdapter(b, a, start.rank), grad_norm_max
+    return LoraAdapter(b, a, start.rank), math.sqrt(sq_max)
 
 
 def client_round(

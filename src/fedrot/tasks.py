@@ -4,6 +4,10 @@ Three task families: the scalar toy problem, low-rank matrix regression,
 and Dirichlet-partitioned logistic classification.  Every task exposes
 per-client loss and gradients in the LoRA factor parameterization, and a
 global loss (mean over clients) for trajectory records.
+
+The gradient kernels call ``np.dot`` where their formulas read ``@``: for
+these 2-D products both reach the same BLAS call, so they give the same
+bits, and ``np.dot`` skips the ufunc dispatch.
 """
 
 from __future__ import annotations
@@ -101,25 +105,25 @@ class LowRankRegressionTask:
         return float(np.sum(resid * resid))
 
     def client_grads(self, i, b, a, sample_idx=None):
-        resid = b @ a
+        resid = np.dot(b, a)
         resid -= self.client_targets[i]
         if sample_idx is None:
             # Doubling is exact short of overflow or subnormal results, so
             # doubling the small r x d products gives the bits of
             # ``2.0 * resid @ a.T`` without scaling the d x d residual.
-            gb = resid @ a.T
+            gb = np.dot(resid, a.T)
             gb *= 2.0
-            ga = b.T @ resid
+            ga = np.dot(b.T, resid)
             ga *= 2.0
             return gb, ga
         # Mini-batch gradient through a probe subset: the per-sample loss is
         # |(b a - W_i) x|^2, whose mean over isotropic probes is unbiased
         # for the full Frobenius objective.
         x = self.probes[sample_idx]
-        grad_w = resid @ (x.T @ x)
+        grad_w = np.dot(resid, np.dot(x.T, x))
         grad_w *= 2.0
         grad_w /= len(x)
-        return grad_w @ a.T, b.T @ grad_w
+        return np.dot(grad_w, a.T), np.dot(b.T, grad_w)
 
     def global_loss(self, b, a) -> float:
         return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
@@ -170,7 +174,8 @@ class LogisticTask:
 
     ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
     holds per-client sample index arrays; until partitioned, every client
-    sees the full dataset split round-robin.
+    sees the full dataset split round-robin.  Replace them with
+    :meth:`set_shards`, which also gathers each client's samples once.
     """
 
     features: np.ndarray
@@ -183,6 +188,7 @@ class LogisticTask:
     def __post_init__(self):
         if self.w0 is None:
             self.w0 = np.zeros((self.n_classes, self.features.shape[1]))
+        self._cache_shards()
 
     @property
     def n_clients(self) -> int:
@@ -196,41 +202,46 @@ class LogisticTask:
         if any(len(s) == 0 for s in shards):
             raise UsageError("every shard must be non-empty")
         self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
+        self._cache_shards()
+
+    def _cache_shards(self) -> None:
+        """Gather each client's features and labels once, with the row
+        indices ``0..n-1`` that pick each sample's label logit."""
+        self._shard_data = [
+            (self.features[s], self.labels[s], np.arange(len(s))) for s in self.shards
+        ]
 
     def _shifted_logits(self, x, b, a):
         """Logits ``x (w0 + b a)^T`` minus each row's maximum."""
-        w = b @ a
+        w = np.dot(b, a)
         w += self.w0
-        z = x @ w.T
-        z -= z.max(axis=1, keepdims=True)
+        z = np.dot(x, w.T)
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
         return z
 
     def client_loss(self, i, b, a) -> float:
-        idx = self.shards[i]
-        z = self._shifted_logits(self.features[idx], b, a)
+        x, y, rows = self._shard_data[i]
+        z = self._shifted_logits(x, b, a)
         logp = z - np.log(np.exp(z).sum(axis=1))[:, None]
-        return float(-logp[np.arange(len(idx)), self.labels[idx]].mean())
+        return float(-logp[rows, y].mean())
 
     def client_grads(self, i, b, a, sample_idx=None):
-        idx = self.shards[i] if sample_idx is None else self.shards[i][sample_idx]
-        x = self.features[idx]
-        p = np.exp(self._shifted_logits(x, b, a))
-        p /= p.sum(axis=1)[:, None]
-        p[np.arange(len(idx)), self.labels[idx]] -= 1.0
-        gw = p.T @ x
-        gw /= len(idx)
-        return gw @ a.T, b.T @ gw
+        x, y, rows = self._shard_data[i]
+        if sample_idx is not None:
+            x, y, rows = x[sample_idx], y[sample_idx], rows[: len(sample_idx)]
+        p = self._shifted_logits(x, b, a)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=1)[:, None]
+        p[rows, y] -= 1.0
+        gw = np.dot(p.T, x)
+        gw /= len(rows)
+        return np.dot(gw, a.T), np.dot(b.T, gw)
 
     def global_loss(self, b, a) -> float:
         return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
 
     def sample_count(self, i: int) -> int:
         return len(self.shards[i])
-
-    def accuracy(self, b, a) -> float:
-        w = self.w0 + b @ a
-        pred = (self.features @ w.T).argmax(axis=1)
-        return float((pred == self.labels).mean())
 
 
 def logistic_task(n_features: int, n_classes: int, n_samples: int, seed) -> LogisticTask:

@@ -160,6 +160,21 @@ class ScriptedTask:
         return np.full(b.shape, gb), np.full(a.shape, ga)
 
 
+class GrowingTask:
+    """A one-client task whose gradient is ``-scale`` times each factor."""
+
+    def __init__(self, scale):
+        self.scale = scale
+        self.calls = 0
+
+    def sample_count(self, i):
+        return 1
+
+    def client_grads(self, i, b, a, sample_idx=None):
+        self.calls += 1
+        return b * -self.scale, a * -self.scale
+
+
 def local_train_reference(client, start, task, steps, eta, strategy, round_index,
                           seed, batch_size=None):
     """The local update rule with every check written out in full."""
@@ -243,6 +258,45 @@ class TestLocalTrainEdgeCases:
         )
         assert getattr(out, frozen).tobytes() == getattr(self.start, frozen).tobytes()
         assert grad_norm_max == np.inf  # 1e300 squared overflows
+
+    def assert_raises_like_reference(self, task, start, steps, eta, strategy,
+                                     round_index):
+        with pytest.raises(DivergenceError) as want:
+            local_train_reference(0, start, task, steps, eta, strategy, round_index, 0)
+        task.calls = 0
+        with pytest.raises(DivergenceError) as got:
+            local_train(0, start, task, steps, eta, strategy, round_index, 0)
+        assert str(want.value) in str(got.value)
+        assert got.value.step_index == want.value.step_index
+        return got.value.step_index
+
+    @pytest.mark.parametrize(
+        "strategy,round_index",
+        [(Strategy.FEDIT, 1), (Strategy.FFA_LORA, 1), (Strategy.ROLORA, 1),
+         (Strategy.ROLORA, 2)],
+    )
+    def test_slow_parameter_growth_overflows_at_reference_step(self, strategy,
+                                                               round_index):
+        # Each updated factor grows by 2.5x per step while every squared
+        # gradient norm stays finite, so the running norm bound passes 1e300
+        # with the factors still finite and the per-step check takes over
+        # some steps before they overflow.
+        start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)), 2)
+        step = self.assert_raises_like_reference(
+            GrowingTask(1e-150), start, 1000, 1.5e150, strategy, round_index
+        )
+        assert step > 700
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("factor", ["b", "a"])
+    def test_non_finite_start_raises_at_reference_step(self, bad, factor):
+        # LoraAdapter rejects non-finite factors, so the entry is written
+        # after construction.
+        start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)), 2)
+        getattr(start, factor)[1, 1] = bad
+        self.assert_raises_like_reference(
+            ScriptedTask((0.1, 0.1)), start, 5, 0.1, Strategy.FEDIT, 1
+        )
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("batch_size", [None, 16])

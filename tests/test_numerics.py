@@ -192,3 +192,35 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "d_out,d_in,rank", [(1, 1, 1), (8, 6, 1), (64, 64, 4), (6, 8, 2), (4, 8, 3), (128, 96, 8)]
+)
+def test_dot_matches_matmul_bits(d_out, d_in, rank):
+    # The training kernels call ``np.dot`` where their formulas read ``@``;
+    # the goldens hold only while both reach the same BLAS call, for every
+    # operand layout the kernels use.
+    rng = np.random.default_rng([d_out, d_in, rank])
+
+    def same(x, y):
+        assert np.array_equal(np.dot(x, y), x @ y)
+
+    for _ in range(10):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        b = scale * rng.standard_normal((d_out, rank))
+        a = rng.standard_normal((rank, d_in)) / scale
+        same(b, a)  # the product b a; 1x1 takes numpy's scalar path
+        resid = b @ a - rng.standard_normal((d_out, d_in))
+        same(resid, a.T)  # regression gradient of b
+        same(b.T, resid)  # regression gradient of a; gemv at rank 1
+        w = rng.standard_normal((d_out, d_in))
+        for n in (1, 16, 32, 200):
+            x = rng.standard_normal((n, d_in))
+            same(x.T, x)  # regression probe Gram matrix
+            same(resid, x.T @ x)
+            same(x, w.T)  # logistic logits
+            same(rng.standard_normal((n, d_out)).T, x)  # logistic gradient
+            gathered = x[rng.choice(n, size=max(1, n // 2), replace=False)]
+            same(gathered, w.T)
+            same(rng.standard_normal((len(gathered), d_out)).T, gathered)

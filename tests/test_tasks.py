@@ -138,6 +138,11 @@ class TestLogistic:
             assert_grads_match(task, 0, b, a, rel=1e-4)
 
     def test_centralized_training_reaches_high_accuracy(self):
+        def accuracy(task, b, a):
+            w = task.w0 + b @ a
+            pred = (task.features @ w.T).argmax(axis=1)
+            return float((pred == task.labels).mean())
+
         task = logistic_task(8, 3, 300, seed=7)
         b = np.zeros((3, 3))
         a = 0.1 * np.random.default_rng(7).standard_normal((3, 8))
@@ -145,7 +150,7 @@ class TestLogistic:
             gb, ga = task.client_grads(0, b, a)
             b -= 0.5 * gb
             a -= 0.5 * ga
-        assert task.accuracy(b, a) >= 0.9
+        assert accuracy(task, b, a) >= 0.9
 
     def test_shard_validation(self):
         task = logistic_task(4, 2, 20, seed=8)
