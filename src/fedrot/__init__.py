@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .aggregation import (
-    AggregationError,
     Strategy,
     aggregate_factorwise,
     aggregate_ideal,
@@ -51,7 +50,6 @@ from .tasks import TaskKind, dirichlet_partition
 
 __all__ = [
     "__version__",
-    "AggregationError",
     "Strategy",
     "aggregate_factorwise",
     "aggregate_ideal",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +12,6 @@ from .numerics import frobenius_norm
 
 __all__ = [
     "Strategy",
-    "AggregationError",
     "aggregate_ideal",
     "aggregate_factorwise",
     "aggregation_error",
@@ -35,13 +33,6 @@ class Strategy(enum.Enum):
 ROTATIONAL_STRATEGIES = frozenset(
     {Strategy.FEDROT, Strategy.SCALAR_RESCALE, Strategy.RANDOM_ROTATION}
 )
-
-
-@dataclass
-class AggregationError:
-    """Frobenius norm of the factor-wise-minus-ideal discrepancy."""
-
-    frobenius: float
 
 
 def _check_adapters(adapters: list[LoraAdapter]) -> None:
@@ -75,11 +66,10 @@ def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
     return LoraAdapter(b, a, adapters[0].rank)
 
 
-def aggregation_error(adapters: list[LoraAdapter]) -> AggregationError:
+def aggregation_error(adapters: list[LoraAdapter]) -> float:
     """``|factorwise product - ideal mean|_F`` for one LoRA layer."""
-    _check_adapters(adapters)
     diff = semantic_update(aggregate_factorwise(adapters)) - aggregate_ideal(adapters)
-    return AggregationError(frobenius=frobenius_norm(diff))
+    return frobenius_norm(diff)
 
 
 def lagrange_error_oracle(adapters: list[LoraAdapter]) -> np.ndarray:
@@ -116,7 +106,7 @@ def server_step(
     round_index: int,
     config,
     history: list[GlobalModel],
-) -> tuple[GlobalModel, AggregationError]:
+) -> tuple[GlobalModel, float]:
     """Aggregate one round of client reports into the next global model.
 
     The incoming adapters are already transformed client-side, so all
@@ -131,7 +121,6 @@ def server_step(
             f"expected {config.n_clients} client reports, got {len(reports)}"
         )
     adapters = [r.adapter for r in reports]
-    _check_adapters(adapters)
     err = aggregation_error(adapters)
     prev = history[-1]
     averaged = aggregate_factorwise(adapters)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -68,30 +67,18 @@ def _summary_payload(result: RunResult, status: str = "ok") -> dict:
     }
 
 
-def _write_run_outputs(out_dir: Path, result: RunResult, status: str = "ok") -> None:
+def _write_run_outputs(out_dir: Path, result: RunResult, status: str = "ok") -> dict:
+    """Write ``rounds.csv`` and ``summary.json``; return the summary's metrics."""
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_rounds_csv(out_dir / "rounds.csv", result.rounds)
     payload = _summary_payload(result, status=status)
     (out_dir / "summary.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
+    return payload["metrics"]
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("FEDROT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FEDROT_THREADS must be an integer, got {env!r}")
-    return 1
-
-
-def cmd_run(config_path, out_dir, seed: int | None = None,
-            jobs: int | None = None) -> int:
-    del jobs  # a single run is sequential; accepted for interface symmetry
+def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
     from .federation import run_federation
 
     experiment = load_config(config_path).experiment
@@ -114,7 +101,7 @@ def _cell_dir_name(index: int, params: dict, seed: int) -> str:
     return f"cell-{index:03d}_" + "_".join(parts + [f"seed-{seed}"])
 
 
-def cmd_sweep(config_path, out_dir, jobs: int | None = None) -> int:
+def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
     parsed = load_config(config_path)
     if parsed.sweep is None:
         raise ConfigError("sweep command requires a 'sweep' section in the config")
@@ -124,7 +111,7 @@ def cmd_sweep(config_path, out_dir, jobs: int | None = None) -> int:
         parsed.experiment,
         parsed.sweep.grid,
         parsed.sweep.seeds,
-        jobs=_resolve_jobs(jobs),
+        jobs=jobs,
     )
     param_names = list(parsed.sweep.grid.keys())
     header = param_names + ["seed", "final_loss", "mean_agg_error", "status"]
@@ -139,12 +126,11 @@ def cmd_sweep(config_path, out_dir, jobs: int | None = None) -> int:
             for v in (cell.params[name] for name in param_names)
         ]
         if cell.result is not None:
-            _write_run_outputs(cell_dir, cell.result)
-            records = cell.result.rounds
+            metrics = _write_run_outputs(cell_dir, cell.result)
             row = values + [
                 str(cell.seed),
-                _fmt(records[-1].loss),
-                _fmt(float(np.mean([r.agg_error for r in records]))),
+                _fmt(metrics["final_loss"]),
+                _fmt(metrics["mean_agg_error"]),
                 "ok",
             ]
         else:
@@ -180,12 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="experiment file (YAML)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the seed")
-    p_run.add_argument("--jobs", type=int, default=None, help="parallelism cap")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
     p_sweep.add_argument("config", help="experiment file with a sweep section")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel sweep cells")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
 
     sub.add_parser("verify", help="run the built-in self-checks")
     return parser
@@ -195,7 +180,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.out, seed=args.seed, jobs=args.jobs)
+            return cmd_run(args.config, args.out, seed=args.seed)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out, jobs=args.jobs)
         return cmd_verify()

@@ -148,9 +148,16 @@ def _dataclass(node, cls, name: str):
     try:
         return cls(**kwargs)
     except UsageError as exc:
-        # A rejected value is located at its own node; a default is not in
-        # the file, so it falls back to the mapping.
-        _fail(items[exc.key][1] if exc.key in items else node, str(exc))
+        # A rejected value is located at its own node, which the error's
+        # dotted key path names; a default is not in the file, so it falls
+        # back to the innermost mapping on that path.
+        for key in exc.key.split(".") if exc.key else ():
+            if key not in items:
+                break
+            node = items[key][1]
+            if isinstance(node, yaml.MappingNode):
+                items = _mapping_items(node, key)
+        _fail(node, str(exc))
 
 
 def _sweep(node, experiment: FederationConfig) -> SweepSpec:

@@ -35,7 +35,7 @@ from .alignment import (
 )
 from .errors import DegenerateInputError, DivergenceError, UsageError
 from .lora import GlobalModel, LoraAdapter, init_adapter, semantic_update
-from .metrics import dispersion
+from .metrics import alignment_gain, dispersion
 from .numerics import frobenius_norm
 from .tasks import (
     DEFAULT_SCALAR_TARGETS,
@@ -85,6 +85,17 @@ class TaskSpec:
     n_classes: int = 4
     n_samples: int = 200
 
+    def __post_init__(self):
+        if self.kind is TaskKind.LOWRANK_REGRESSION and self.heterogeneity < 0:
+            raise UsageError("heterogeneity must be nonnegative", key="heterogeneity")
+        if self.kind is TaskKind.LOGISTIC:
+            if self.n_classes < 2:
+                raise UsageError(
+                    f"need at least 2 classes, got {self.n_classes}", key="n_classes"
+                )
+            if self.n_samples < self.n_classes:
+                raise UsageError("need at least one sample per class", key="n_samples")
+
 
 @dataclass(frozen=True)
 class FederationConfig:
@@ -130,13 +141,41 @@ class FederationConfig:
             raise UsageError("dirichlet_alpha must be positive", key="dirichlet_alpha")
         if self.batch_size is not None and self.batch_size < 1:
             raise UsageError("batch_size must be >= 1 when set", key="batch_size")
+        # The task's requirements on the fields around it.
+        task = self.task
+        if task.kind is TaskKind.SCALAR_TOY:
+            if self.dims != (1, 1):
+                raise UsageError("scalar toy task requires dims (1, 1)", key="dims")
+            if self.n_clients != len(task.targets):
+                raise UsageError(
+                    f"scalar toy task has {len(task.targets)} targets but config "
+                    f"declares {self.n_clients} clients",
+                    key="n_clients",
+                )
+        elif task.kind is TaskKind.LOWRANK_REGRESSION:
+            if not 1 <= task.true_rank <= min(self.dims):
+                raise UsageError(
+                    f"true_rank {task.true_rank} out of range for dims {self.dims}",
+                    key="task.true_rank",
+                )
+        else:
+            if self.dims != (task.n_classes, task.n_features):
+                raise UsageError(
+                    "logistic task requires dims (n_classes, n_features) = "
+                    f"({task.n_classes}, {task.n_features}), got {self.dims}",
+                    key="dims",
+                )
+            if task.n_samples < self.n_clients:
+                raise UsageError(
+                    f"cannot give {self.n_clients} clients non-empty shards from "
+                    f"{task.n_samples} samples",
+                    key="n_clients",
+                )
 
 
 @dataclass(eq=False)
 class ClientReport:
-    client_id: int
     adapter: LoraAdapter  # post-alignment factors
-    local_loss_final: float
     rotation_deviation: float  # |R_soft - I|_F, 0 for non-rotational strategies
     # Diagnostics beyond the wire payload:
     raw_adapter: LoraAdapter = None
@@ -154,11 +193,9 @@ class RoundRecord:
     loss: float
     agg_error: float
     dispersion: float  # phi(lambda): aligned factors vs reference
-    dispersion_unaligned: float  # phi(0): raw factors vs reference
     alignment_gain: float  # 1 - phi(lambda)/phi(0), nan when undefined
     rotation_deviation: float  # mean |R_soft - I|_F over clients
     tau_diag: float  # max over clients of |B|_F |A|_F
-    global_norm_product: float  # |B_bar|_F * |A_bar|_F
     grad_norm_max: float
     dist_a_min: float
     dist_b_min: float
@@ -183,13 +220,6 @@ def build_task(config: FederationConfig):
     """Instantiate the task a config describes, including data partitioning."""
     spec = config.task
     if spec.kind is TaskKind.SCALAR_TOY:
-        if config.dims != (1, 1):
-            raise UsageError("scalar toy task requires dims (1, 1)")
-        if config.n_clients != len(spec.targets):
-            raise UsageError(
-                f"scalar toy task has {len(spec.targets)} targets but config "
-                f"declares {config.n_clients} clients"
-            )
         return scalar_toy_task(spec.targets)
     if spec.kind is TaskKind.LOWRANK_REGRESSION:
         return lowrank_regression_task(
@@ -201,21 +231,14 @@ def build_task(config: FederationConfig):
             seed=[config.seed, 101],
             n_probes=spec.n_samples,
         )
-    if spec.kind is TaskKind.LOGISTIC:
-        if config.dims != (spec.n_classes, spec.n_features):
-            raise UsageError(
-                "logistic task requires dims (n_classes, n_features) = "
-                f"({spec.n_classes}, {spec.n_features}), got {config.dims}"
-            )
-        task = logistic_task(
-            spec.n_features, spec.n_classes, spec.n_samples, seed=[config.seed, 102]
-        )
-        part = dirichlet_partition(
-            task.labels, config.n_clients, config.dirichlet_alpha, seed=[config.seed, 103]
-        )
-        task.set_shards(part.assignment)
-        return task
-    raise UsageError(f"unknown task kind {spec.kind}")
+    task = logistic_task(
+        spec.n_features, spec.n_classes, spec.n_samples, seed=[config.seed, 102]
+    )
+    part = dirichlet_partition(
+        task.labels, config.n_clients, config.dirichlet_alpha, seed=[config.seed, 103]
+    )
+    task.set_shards(part.assignment)
+    return task
 
 
 def _sq_norm(x: np.ndarray) -> float:
@@ -377,9 +400,7 @@ def client_round(
     drift = frobenius_norm(semantic_update(reported) - raw_update)
     drift /= max(1.0, frobenius_norm(raw_update))
     return ClientReport(
-        client_id=client,
         adapter=reported,
-        local_loss_final=task.client_loss(client, trained.b, trained.a),
         rotation_deviation=rotation_deviation,
         raw_adapter=trained,
         procrustes_deviation=procrustes_deviation,
@@ -405,10 +426,6 @@ def run_federation(config: FederationConfig) -> RunResult:
     """
     t_start = time.perf_counter()
     task = build_task(config)
-    if task.n_clients != config.n_clients:
-        raise UsageError(
-            f"task provides {task.n_clients} clients, config wants {config.n_clients}"
-        )
     d_out, d_in = config.dims
     adapter0 = init_adapter(d_out, d_in, config.rank, seed=[config.seed, 100])
     if config.init_a_value is not None:
@@ -448,7 +465,6 @@ def run_federation(config: FederationConfig) -> RunResult:
         target = alignment_schedule(t, config.schedule)
         phi_raw = dispersion([r.raw_adapter for r in reports], reference, target)
         phi_aligned = dispersion([r.adapter for r in reports], reference, target)
-        gain = 1.0 - phi_aligned / phi_raw if phi_raw > 0 else float("nan")
         aligned = (
             config.strategy in ROTATIONAL_STRATEGIES
             and (config.strategy is not Strategy.FEDROT or t >= config.align_from_round)
@@ -461,14 +477,11 @@ def run_federation(config: FederationConfig) -> RunResult:
         record = RoundRecord(
             round=t,
             loss=loss,
-            agg_error=err.frobenius,
+            agg_error=err,
             dispersion=phi_aligned,
-            dispersion_unaligned=phi_raw,
-            alignment_gain=gain,
+            alignment_gain=alignment_gain(phi_aligned, phi_raw),
             rotation_deviation=float(np.mean([r.rotation_deviation for r in reports])),
             tau_diag=max(r.tau for r in reports),
-            global_norm_product=frobenius_norm(model.adapter.b)
-            * frobenius_norm(model.adapter.a),
             grad_norm_max=max(r.grad_norm_max for r in reports),
             dist_a_min=min(r.dist_a_raw for r in reports),
             dist_b_min=min(r.dist_b_raw for r in reports),

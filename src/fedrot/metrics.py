@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import AlignmentTarget
-from .errors import DegenerateInputError, EstimationError, UsageError
+from .errors import EstimationError, UsageError
 from .lora import LoraAdapter
 from .numerics import frobenius_norm
 
@@ -63,13 +63,9 @@ def dispersion(
 
 
 def alignment_gain(phi_lambda: float, phi_zero: float) -> float:
-    """Relative dispersion reduction ``1 - phi(lambda) / phi(0)``."""
-    if phi_zero == 0.0:
-        raise DegenerateInputError(
-            "alignment gain undefined for zero unaligned dispersion "
-            "(homogeneous clients)"
-        )
-    return 1.0 - phi_lambda / phi_zero
+    """Relative dispersion reduction ``1 - phi(lambda) / phi(0)``; NaN when
+    the unaligned dispersion is zero (homogeneous clients)."""
+    return 1.0 - phi_lambda / phi_zero if phi_zero > 0 else float("nan")
 
 
 def gamma(lam: float, k: TheoryConstants) -> float:

@@ -41,20 +41,22 @@ class TaskKind(enum.Enum):
     LOGISTIC = "logistic"
 
 
+class _Task:
+    """The global loss of every task family: the mean client loss."""
+
+    def global_loss(self, b, a) -> float:
+        return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
+
+
 @dataclass(eq=False)
-class ScalarToyTask:
+class ScalarToyTask(_Task):
     """Client i minimizes ``(B A - target_i)^2`` with scalar factors."""
 
     targets: tuple[float, ...]
-    kind: TaskKind = TaskKind.SCALAR_TOY
 
     @property
     def n_clients(self) -> int:
         return len(self.targets)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (1, 1)
 
     def client_loss(self, i: int, b: np.ndarray, a: np.ndarray) -> float:
         p = float(b[0, 0] * a[0, 0])
@@ -64,9 +66,6 @@ class ScalarToyTask:
         p = float(b[0, 0] * a[0, 0])
         resid = 2.0 * (p - self.targets[i])
         return resid * a.T.copy(), resid * b.T.copy()
-
-    def global_loss(self, b, a) -> float:
-        return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
 
     def sample_count(self, i: int) -> int:
         return 1
@@ -80,7 +79,7 @@ def scalar_toy_task(targets=DEFAULT_SCALAR_TARGETS) -> ScalarToyTask:
 
 
 @dataclass(eq=False)
-class LowRankRegressionTask:
+class LowRankRegressionTask(_Task):
     """Client i minimizes ``|b a - W_i|_F^2`` for low-rank targets W_i.
 
     The targets share a common component of the requested rank; each
@@ -90,15 +89,10 @@ class LowRankRegressionTask:
 
     client_targets: list[np.ndarray]
     probes: np.ndarray = field(default=None)  # n_samples x d_in measurement vectors
-    kind: TaskKind = TaskKind.LOWRANK_REGRESSION
 
     @property
     def n_clients(self) -> int:
         return len(self.client_targets)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.client_targets[0].shape
 
     def client_loss(self, i, b, a) -> float:
         resid = b @ a - self.client_targets[i]
@@ -124,9 +118,6 @@ class LowRankRegressionTask:
         grad_w *= 2.0
         grad_w /= len(x)
         return np.dot(grad_w, a.T), np.dot(b.T, grad_w)
-
-    def global_loss(self, b, a) -> float:
-        return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
 
     def sample_count(self, i: int) -> int:
         return 1 if self.probes is None else len(self.probes)
@@ -169,7 +160,7 @@ def lowrank_regression_task(
 
 
 @dataclass(eq=False)
-class LogisticTask:
+class LogisticTask(_Task):
     """Cross-entropy classification with logits ``(w0 + b a) x``.
 
     ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
@@ -183,7 +174,6 @@ class LogisticTask:
     n_classes: int
     shards: list[np.ndarray]
     w0: np.ndarray = field(default=None)
-    kind: TaskKind = TaskKind.LOGISTIC
 
     def __post_init__(self):
         if self.w0 is None:
@@ -193,10 +183,6 @@ class LogisticTask:
     @property
     def n_clients(self) -> int:
         return len(self.shards)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.n_classes, self.features.shape[1])
 
     def set_shards(self, shards: list[np.ndarray]) -> None:
         if any(len(s) == 0 for s in shards):
@@ -236,9 +222,6 @@ class LogisticTask:
         gw = np.dot(p.T, x)
         gw /= len(rows)
         return np.dot(gw, a.T), np.dot(b.T, gw)
-
-    def global_loss(self, b, a) -> float:
-        return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
 
     def sample_count(self, i: int) -> int:
         return len(self.shards[i])

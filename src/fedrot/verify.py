@@ -95,7 +95,7 @@ def _check_lagrange_identity() -> CheckResult:
                         rng.standard_normal((rank, d_in)), rank)
             for _ in range(n)
         ]
-        direct = aggregation_error(adapters).frobenius
+        direct = aggregation_error(adapters)
         oracle = frobenius_norm(lagrange_error_oracle(adapters))
         worst = max(worst, abs(direct - oracle))
     return CheckResult(

@@ -31,6 +31,35 @@ experiment:
     heterogeneity: 0.4
 """
 
+LOGISTIC = """\
+experiment:
+  strategy: fedit
+  n_clients: 3
+  rank: 2
+  dims: [4, 8]
+  rounds: 2
+  local_steps: 5
+  learning_rate: 0.05
+  task:
+    kind: logistic
+    n_classes: 4
+    n_features: 8
+"""
+
+SCALAR = """\
+experiment:
+  strategy: fedit
+  n_clients: 3
+  rank: 1
+  dims: [1, 1]
+  rounds: 2
+  local_steps: 5
+  learning_rate: 0.01
+  task:
+    kind: scalar_toy
+    targets: [0.5, 1.0, 1.5]
+"""
+
 SWEEP = MINIMAL + """\
 sweep:
   grid:
@@ -163,6 +192,15 @@ class TestRunCommand:
         assert summary["seed"] == 9
         assert summary["config"]["seed"] == 9
 
+    def test_jobs_is_a_usage_error(self, tmp_path, capsys):
+        # A single run is sequential, so it takes no --jobs.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write(tmp_path, MINIMAL), "--out", str(out), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = write(tmp_path, MINIMAL + "  bogus: 1\n")
         code = main(["run", bad, "--out", str(tmp_path / "out")])
@@ -247,6 +285,22 @@ LOCATED_ERRORS = {
     "grid_rounds": ("sweep", grid("rounds: [3, 2.5]"), "2.5"),
     "grid_lambda": ("sweep", grid("lambda: [1.5]"), "1.5"),
     "grid_rank": ("sweep", grid("rank: [9]"), "9"),
+    # The task's requirements are config errors too, not failed runs.
+    "task.true_rank_too_large": (
+        "run", MINIMAL.replace("true_rank: 2", "true_rank: 9"), "9"
+    ),
+    "task.heterogeneity_negative": (
+        "run", MINIMAL.replace("heterogeneity: 0.4", "heterogeneity: -1.0"), "-1.0"
+    ),
+    "task.n_classes_one": ("run", LOGISTIC.replace("n_classes: 4", "n_classes: 1"), "1"),
+    "n_clients_beyond_samples": (
+        "run", LOGISTIC.replace("n_clients: 3", "n_clients: 9") + "    n_samples: 5\n", "9"
+    ),
+    "n_clients_beyond_targets": (
+        "run", SCALAR.replace("[0.5, 1.0, 1.5]", "[0.5, 1.5]"), "3"
+    ),
+    "grid_heterogeneity": ("sweep", grid("heterogeneity: [-1.0]"), "-1.0"),
+    "grid_true_rank": ("sweep", grid("true_rank: [2, 7]"), "7"),
 }
 
 
@@ -327,17 +381,19 @@ class TestSweepCommand:
         assert main(["sweep", config, "--out", str(parallel), "--jobs", "2"]) == 0
         assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
 
-    def test_threads_env_used_when_jobs_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDROT_THREADS", "2")
-        out = tmp_path / "env"
-        assert main(["sweep", write(tmp_path, SWEEP), "--out", str(out)]) == 0
-        assert (out / "sweep.csv").exists()
-
-    def test_invalid_threads_env_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FEDROT_THREADS", "many")
-        code = main(["sweep", write(tmp_path, SWEEP), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "FEDROT_THREADS" in capsys.readouterr().err
+    def test_row_metrics_are_cell_summary_metrics(self, tmp_path):
+        text = MINIMAL + "sweep:\n  grid:\n    lambda: [0.0, 0.7]\n  seeds: [0, 1]\n"
+        out = tmp_path / "sweep"
+        assert main(["sweep", write(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        cell_dirs = sorted(p for p in out.iterdir() if p.is_dir())
+        assert len(rows) == len(cell_dirs) == 4
+        for row, cell_dir in zip(rows, cell_dirs):
+            summary = json.loads((cell_dir / "summary.json").read_text(encoding="utf-8"))
+            final_loss, mean_agg_error, status = row.split(",")[-3:]
+            assert status == "ok"
+            assert final_loss == f"{summary['metrics']['final_loss']:.17g}"
+            assert mean_agg_error == f"{summary['metrics']['mean_agg_error']:.17g}"
 
 
 class TestVerifyCommand:

@@ -73,19 +73,21 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             regression_config(align_from_round=0)
 
+    # The task's requirements are checked with the config, before any run,
+    # and name the file key to blame.
     def test_scalar_task_dims(self):
-        config = regression_config(
-            task=TaskSpec(kind=TaskKind.SCALAR_TOY, targets=(0.5, 1.0, 1.5))
-        )
-        with pytest.raises(UsageError):
-            build_task(config)
+        with pytest.raises(UsageError) as exc:
+            regression_config(
+                task=TaskSpec(kind=TaskKind.SCALAR_TOY, targets=(0.5, 1.0, 1.5))
+            )
+        assert exc.value.key == "dims"
 
     def test_logistic_dims_must_match(self):
-        config = regression_config(
-            task=TaskSpec(kind=TaskKind.LOGISTIC, n_features=8, n_classes=4)
-        )
-        with pytest.raises(UsageError):
-            build_task(config)
+        with pytest.raises(UsageError) as exc:
+            regression_config(
+                task=TaskSpec(kind=TaskKind.LOGISTIC, n_features=8, n_classes=4)
+            )
+        assert exc.value.key == "dims"
 
 
 class TestLocalTrain:
