@@ -27,7 +27,6 @@ from .errors import (
     FedRotError,
     NumericError,
     PartitionError,
-    ProtocolError,
     UsageError,
 )
 from .federation import (
@@ -37,7 +36,7 @@ from .federation import (
     run_federation,
     run_sweep,
 )
-from .lora import GlobalModel, LoraAdapter, init_adapter, semantic_update
+from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import (
     TheoryConstants,
     alignment_gain,
@@ -70,14 +69,12 @@ __all__ = [
     "FedRotError",
     "NumericError",
     "PartitionError",
-    "ProtocolError",
     "UsageError",
     "FederationConfig",
     "RunResult",
     "TaskSpec",
     "run_federation",
     "run_sweep",
-    "GlobalModel",
     "LoraAdapter",
     "init_adapter",
     "semantic_update",

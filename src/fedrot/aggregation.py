@@ -6,8 +6,8 @@ import enum
 
 import numpy as np
 
-from .errors import ProtocolError, UsageError
-from .lora import GlobalModel, LoraAdapter, semantic_update
+from .errors import UsageError
+from .lora import LoraAdapter, semantic_update
 from .numerics import frobenius_norm
 
 __all__ = [
@@ -101,33 +101,26 @@ def frozen_factors(strategy: Strategy, round_index: int) -> tuple[bool, bool]:
 
 
 def server_step(
+    adapters: list[LoraAdapter],
+    prev: LoraAdapter,
     strategy: Strategy,
-    reports,
     round_index: int,
-    config,
-    history: list[GlobalModel],
-) -> tuple[GlobalModel, float]:
-    """Aggregate one round of client reports into the next global model.
+) -> tuple[LoraAdapter, float]:
+    """Aggregate one round of client adapters into the next global adapter.
 
     The incoming adapters are already transformed client-side, so all
     rotational strategies reduce to factor-wise averaging here.  A factor
     that :func:`frozen_factors` freezes this round (FFA-LoRA's A, RoLoRA's
-    alternating factor) is kept from the previous global bit-for-bit.
-    Returns the new model along with the aggregation error of the incoming
-    adapters.
+    alternating factor) is kept from the previous global ``prev``
+    bit-for-bit.  Returns the new adapter along with the aggregation error
+    of the incoming adapters.
     """
-    if len(reports) != config.n_clients:
-        raise ProtocolError(
-            f"expected {config.n_clients} client reports, got {len(reports)}"
-        )
-    adapters = [r.adapter for r in reports]
     err = aggregation_error(adapters)
-    prev = history[-1]
     averaged = aggregate_factorwise(adapters)
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
     new_adapter = LoraAdapter(
-        prev.adapter.b if freeze_b else averaged.b,
-        prev.adapter.a if freeze_a else averaged.a,
+        prev.b if freeze_b else averaged.b,
+        prev.a if freeze_a else averaged.a,
         averaged.rank,
     )
-    return GlobalModel(new_adapter), err
+    return new_adapter, err

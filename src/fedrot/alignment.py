@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, NumericError, UsageError
-from .lora import GlobalModel, LoraAdapter
+from .lora import LoraAdapter
 from .numerics import as_matrix, determinant, frobenius_norm, qr_orthonormal, svd
 
 __all__ = [
@@ -41,6 +41,10 @@ _ORTHO_TOL = 1e-10
 class AlignmentTarget(enum.Enum):
     FACTOR_A = "factor_a"
     FACTOR_B = "factor_b"
+
+    def factor(self, adapter: LoraAdapter) -> np.ndarray:
+        """The factor of ``adapter`` this target aligns: ``a`` or ``b``."""
+        return adapter.a if self is AlignmentTarget.FACTOR_A else adapter.b
 
 
 class ScheduleAblation(enum.Enum):
@@ -124,7 +128,9 @@ def procrustes_rotation(local, reference, target: AlignmentTarget) -> Rotation:
                 f"factor B must be d x rank with rank <= d, got {local.shape}"
             )
         m = reference.T @ local
-    if frobenius_norm(m) == 0.0:
+    # Exact zero only: the squared norm of tiny nonzero entries underflows
+    # to 0, yet those entries still determine the rotation.
+    if not m.any():
         log.warning(
             "degenerate correlation matrix in Procrustes alignment; using identity"
         )
@@ -237,30 +243,29 @@ class ReferenceMode:
 
 
 def select_reference(
-    history: list[GlobalModel],
+    history: list[LoraAdapter],
     mode: ReferenceMode,
-    round_index: int,
     client_snapshots: list[LoraAdapter],
     seed,
 ) -> LoraAdapter:
     """Pick the adapter clients align against this round.
 
-    ``history`` holds global models up to and including the broadcast for
-    this round; ``client_snapshots`` holds the previous round's client
+    ``history`` holds the global adapters up to and including the broadcast
+    for this round; ``client_snapshots`` holds the previous round's client
     reports (may be empty in round one, in which case the random-client
-    mode falls back to the previous global model).
+    mode falls back to the previous global adapter).
     """
     if not history:
         raise UsageError("reference selection requires a non-empty history")
     if mode.kind is ReferenceKind.PREV_GLOBAL:
-        return history[-1].adapter
+        return history[-1]
     if mode.kind is ReferenceKind.OLDER_GLOBAL:
-        # history[-1] is the previous round's model (lag 1); until ``lag``
-        # rounds exist, clamp to the earliest recorded model.
+        # history[-1] is the previous round's adapter (lag 1); until ``lag``
+        # rounds exist, clamp to the earliest recorded adapter.
         idx = max(len(history) - mode.lag, 0)
-        return history[idx].adapter
+        return history[idx]
     if not client_snapshots:
-        return history[-1].adapter
+        return history[-1]
     rng = np.random.default_rng(seed)
     return client_snapshots[int(rng.integers(len(client_snapshots)))]
 

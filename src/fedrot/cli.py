@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (single experiment), ``sweep`` (parameter grid),
 ``verify`` (built-in self-checks).  Exit codes: 0 success, 1 check or
-whole-sweep failure, 2 usage/config error, 3 divergence.
+whole-sweep failure, 2 usage/config or output-directory error, 3
+divergence.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
     if seed is not None:
         experiment = replace(experiment, seed=seed)
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_federation(experiment)
     except DivergenceError as exc:
@@ -193,7 +195,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FedRotError as exc:
+    except (FedRotError, OSError) as exc:
+        # OSError: the output directory cannot be created or written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import functools
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import yaml
 
@@ -193,9 +193,15 @@ def _sweep(node, experiment: FederationConfig) -> SweepSpec:
         _fail(items["grid"][1], "sweep grid must contain at least one parameter")
     seeds = (0,)
     if "seeds" in items:
-        seeds = _typed(items["seeds"][1], tuple[int, ...], "sweep.seeds")
+        seeds_node = items["seeds"][1]
+        seeds = _typed(seeds_node, tuple[int, ...], "sweep.seeds")
         if not seeds:
-            _fail(items["seeds"][1], "sweep.seeds must be a non-empty list")
+            _fail(seeds_node, "sweep.seeds must be a non-empty list")
+        for seed, seed_node in zip(seeds, seeds_node.value):
+            try:
+                replace(experiment, seed=seed)
+            except UsageError as exc:
+                _fail(seed_node, str(exc))
     return SweepSpec(grid=grid, seeds=seeds)
 
 

@@ -25,10 +25,6 @@ class DegenerateInputError(FedRotError):
     """Input is degenerate for the requested diagnostic (e.g. zero-norm factor)."""
 
 
-class ProtocolError(FedRotError):
-    """Federation protocol violation (e.g. report count mismatch)."""
-
-
 class PartitionError(FedRotError):
     """No admissible non-empty client assignment exists."""
 

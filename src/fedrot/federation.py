@@ -23,7 +23,6 @@ from .alignment import (
     AlignmentTarget,
     ReferenceKind,
     ReferenceMode,
-    Rotation,
     ScheduleAblation,
     alignment_schedule,
     apply_alignment,
@@ -34,7 +33,7 @@ from .alignment import (
     soft_rotation,
 )
 from .errors import DegenerateInputError, DivergenceError, UsageError
-from .lora import GlobalModel, LoraAdapter, init_adapter, semantic_update
+from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion
 from .numerics import frobenius_norm
 from .tasks import (
@@ -141,6 +140,8 @@ class FederationConfig:
             raise UsageError("dirichlet_alpha must be positive", key="dirichlet_alpha")
         if self.batch_size is not None and self.batch_size < 1:
             raise UsageError("batch_size must be >= 1 when set", key="batch_size")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}", key="seed")
         # The task's requirements on the fields around it.
         task = self.task
         if task.kind is TaskKind.SCALAR_TOY:
@@ -178,13 +179,13 @@ class ClientReport:
     adapter: LoraAdapter  # post-alignment factors
     rotation_deviation: float  # |R_soft - I|_F, 0 for non-rotational strategies
     # Diagnostics beyond the wire payload:
-    raw_adapter: LoraAdapter = None
-    procrustes_deviation: float = float("nan")  # |R* - I|_F
-    dist_a_raw: float = float("nan")  # |A_i - A_ref|_F before alignment
-    dist_b_raw: float = float("nan")
-    tau: float = 0.0  # |B|_F * |A|_F of the reported factors
-    grad_norm_max: float = 0.0
-    semantic_drift: float = 0.0  # |b~a~ - ba|_F / max(1, |ba|_F)
+    raw_adapter: LoraAdapter  # the trained factors before alignment
+    procrustes_deviation: float  # |R* - I|_F, nan when not aligned
+    dist_a_raw: float  # |A_i - A_ref|_F before alignment
+    dist_b_raw: float
+    tau: float  # |B|_F * |A|_F of the reported factors
+    grad_norm_max: float
+    semantic_drift: float  # |b~a~ - ba|_F / max(1, |ba|_F)
 
 
 @dataclass
@@ -210,10 +211,10 @@ class RoundRecord:
 @dataclass(eq=False)
 class RunResult:
     rounds: list[RoundRecord]
-    final_model: GlobalModel
     config: FederationConfig
     wall_time: float
-    history: list[GlobalModel] = field(default_factory=list)
+    # The global adapters: the initial one, then one per completed round.
+    history: list[LoraAdapter]
 
 
 def build_task(config: FederationConfig):
@@ -234,10 +235,10 @@ def build_task(config: FederationConfig):
     task = logistic_task(
         spec.n_features, spec.n_classes, spec.n_samples, seed=[config.seed, 102]
     )
-    part = dirichlet_partition(
+    shards = dirichlet_partition(
         task.labels, config.n_clients, config.dirichlet_alpha, seed=[config.seed, 103]
     )
-    task.set_shards(part.assignment)
+    task.set_shards(shards)
     return task
 
 
@@ -359,16 +360,21 @@ def client_round(
         config.seed,
         batch_size=config.batch_size,
     )
+    raw_update = semantic_update(trained)
+    if not np.isfinite(raw_update).all():
+        # Finite factors whose product overflows: the run has diverged.
+        raise DivergenceError(
+            f"non-finite update on client {client}", round_index=round_index
+        )
     target = alignment_schedule(round_index, config.schedule)
     reported = trained
     rotation_deviation = 0.0
     procrustes_deviation = float("nan")
     strategy = config.strategy
     if strategy is Strategy.FEDROT and round_index >= config.align_from_round:
-        if target is AlignmentTarget.FACTOR_A:
-            hard = procrustes_rotation(trained.a, reference.a, target)
-        else:
-            hard = procrustes_rotation(trained.b, reference.b, target)
+        hard = procrustes_rotation(
+            target.factor(trained), target.factor(reference), target
+        )
         soft = soft_rotation(hard, config.lam)
         reported = apply_alignment(trained, soft)
         eye = np.eye(config.rank)
@@ -376,11 +382,10 @@ def client_round(
         procrustes_deviation = frobenius_norm(hard.r - eye)
     elif strategy is Strategy.SCALAR_RESCALE:
         try:
+            c = scalar_rescale_align(target.factor(trained), target.factor(reference))
             if target is AlignmentTarget.FACTOR_A:
-                c = scalar_rescale_align(trained.a, reference.a)
                 reported = LoraAdapter(trained.b / c, trained.a * c, trained.rank)
             else:
-                c = scalar_rescale_align(trained.b, reference.b)
                 reported = LoraAdapter(trained.b * c, trained.a / c, trained.rank)
         except DegenerateInputError:
             log.warning(
@@ -396,7 +401,6 @@ def client_round(
         reported = apply_alignment(trained, rot)
         rotation_deviation = frobenius_norm(rot.r - np.eye(config.rank))
 
-    raw_update = semantic_update(trained)
     drift = frobenius_norm(semantic_update(reported) - raw_update)
     drift /= max(1.0, frobenius_norm(raw_update))
     return ClientReport(
@@ -410,11 +414,6 @@ def client_round(
         grad_norm_max=grad_norm_max,
         semantic_drift=drift,
     )
-
-
-def _payload_scalars(config: FederationConfig) -> int:
-    d_out, d_in = config.dims
-    return d_out * config.rank + config.rank * d_in
 
 
 def run_federation(config: FederationConfig) -> RunResult:
@@ -432,15 +431,15 @@ def run_federation(config: FederationConfig) -> RunResult:
         adapter0 = LoraAdapter(
             adapter0.b, np.full((config.rank, d_in), config.init_a_value), config.rank
         )
-    history = [GlobalModel(adapter0)]
+    history = [adapter0]
     records: list[RoundRecord] = []
     prev_snapshots: list[LoraAdapter] = []
-    payload = _payload_scalars(config)
+    payload = d_out * config.rank + config.rank * d_in
 
     for t in range(1, config.rounds + 1):
         t_round = time.perf_counter()
         reference = select_reference(
-            history, config.reference_mode, t, prev_snapshots, seed=[config.seed, 211, t]
+            history, config.reference_mode, prev_snapshots, seed=[config.seed, 211, t]
         )
         download = payload
         if (
@@ -450,7 +449,7 @@ def run_federation(config: FederationConfig) -> RunResult:
             download += payload
             log.debug("round %d: charging one extra adapter download for the "
                       "random-client reference", t)
-        broadcast = history[-1].adapter
+        broadcast = history[-1]
         try:
             reports = [
                 client_round(i, broadcast, task, config, t, reference)
@@ -460,8 +459,10 @@ def run_federation(config: FederationConfig) -> RunResult:
             if exc.partial is None:
                 exc.partial = _result(config, records, history, t_start)
             raise
-        model, err = server_step(config.strategy, reports, t, config, history)
-        loss = task.global_loss(model.adapter.b, model.adapter.a)
+        model, err = server_step(
+            [r.adapter for r in reports], broadcast, config.strategy, t
+        )
+        loss = task.global_loss(model.b, model.a)
         target = alignment_schedule(t, config.schedule)
         phi_raw = dispersion([r.raw_adapter for r in reports], reference, target)
         phi_aligned = dispersion([r.adapter for r in reports], reference, target)
@@ -505,10 +506,9 @@ def run_federation(config: FederationConfig) -> RunResult:
 
 
 def _result(config, records, history, t_start) -> RunResult:
-    """The run so far: its completed rounds and the latest global model."""
+    """The run so far: its completed rounds and global adapters."""
     return RunResult(
         rounds=records,
-        final_model=history[-1],
         config=config,
         wall_time=time.perf_counter() - t_start,
         history=history,
@@ -575,6 +575,7 @@ def run_sweep(
         for seed in seeds
     ]
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A forked pool starts all of its workers at once, busy or not.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             return list(pool.map(_run_cell, cells))
     return [_run_cell(c) for c in cells]

@@ -11,7 +11,6 @@ from .numerics import as_matrix, matmul
 
 __all__ = [
     "LoraAdapter",
-    "GlobalModel",
     "semantic_update",
     "init_adapter",
 ]
@@ -44,13 +43,6 @@ class LoraAdapter:
 
     def copy(self) -> "LoraAdapter":
         return LoraAdapter(self.b.copy(), self.a.copy(), self.rank)
-
-
-@dataclass(eq=False)
-class GlobalModel:
-    """One round's global model: the adapter on the frozen base weights."""
-
-    adapter: LoraAdapter
 
 
 def semantic_update(ad: LoraAdapter) -> np.ndarray:

@@ -55,10 +55,8 @@ def dispersion(
     reference factor: ``(1/N) sum |A_i - A_ref|^2`` (or the B analogue)."""
     if not adapters:
         raise UsageError("dispersion requires at least one adapter")
-    if target is AlignmentTarget.FACTOR_A:
-        dists = [frobenius_norm(ad.a - reference.a) ** 2 for ad in adapters]
-    else:
-        dists = [frobenius_norm(ad.b - reference.b) ** 2 for ad in adapters]
+    ref = target.factor(reference)
+    dists = [frobenius_norm(target.factor(ad) - ref) ** 2 for ad in adapters]
     return float(np.mean(dists))
 
 

@@ -22,7 +22,6 @@ from .errors import PartitionError, UsageError
 
 __all__ = [
     "TaskKind",
-    "DirichletPartition",
     "ScalarToyTask",
     "LowRankRegressionTask",
     "LogisticTask",
@@ -250,21 +249,12 @@ def logistic_task(n_features: int, n_classes: int, n_samples: int, seed) -> Logi
     return LogisticTask(features, labels, n_classes, shards)
 
 
-@dataclass
-class DirichletPartition:
-    """Per-class Dirichlet client proportions and the resulting assignment."""
-
-    alpha: float
-    proportions: np.ndarray  # n_classes x n_clients, rows sum to 1
-    assignment: list[np.ndarray]  # per-client sample indices
-
-
-def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> DirichletPartition:
+def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> list[np.ndarray]:
     """Assign labeled samples to clients with Dirichlet(alpha) class skew.
 
-    Deterministic under ``seed``.  Resamples up to 100 times to give every
-    client at least one sample; as a last resort moves single samples from
-    the largest shard.
+    Returns each client's sorted sample indices.  Deterministic under
+    ``seed``.  Resamples up to 100 times to give every client at least one
+    sample; as a last resort moves single samples from the largest shard.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if not (math.isfinite(alpha) and alpha > 0):
@@ -289,7 +279,7 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> Dirichlet
                 shards[client].append(part)
         assignment = [np.sort(np.concatenate(s)) for s in shards]
         if all(len(s) > 0 for s in assignment):
-            return DirichletPartition(alpha, proportions, assignment)
+            return assignment
     # Could not avoid empty shards by resampling: move one sample per empty
     # client out of the currently largest shard.
     for client in range(n_clients):
@@ -299,5 +289,5 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> Dirichlet
                 raise PartitionError("no admissible non-empty assignment exists")
             assignment[client] = assignment[donor][-1:]
             assignment[donor] = assignment[donor][:-1]
-    return DirichletPartition(alpha, proportions, assignment)
+    return assignment
 

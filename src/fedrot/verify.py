@@ -61,7 +61,7 @@ def scalar_toy_config(strategy: Strategy, rounds: int = 200, lam: float = 1.0,
 def scalar_rounds_to_threshold(result, threshold: float = 0.05) -> int | None:
     """First round whose global product satisfies ``|b a - 1| < threshold``."""
     for t, model in enumerate(result.history[1:], start=1):
-        product = float(model.adapter.b[0, 0] * model.adapter.a[0, 0])
+        product = float(model.b[0, 0] * model.a[0, 0])
         if abs(product - 1.0) < threshold:
             return t
     return None

@@ -263,7 +263,7 @@ def test_criterion_08_lambda_zero_is_fedit():
     fedrot = run_federation(config)
     fedit = run_federation(replace(config, strategy=Strategy.FEDIT))
     identical = all(
-        (x.adapter.b == y.adapter.b).all() and (x.adapter.a == y.adapter.a).all()
+        (x.b == y.b).all() and (x.a == y.a).all()
         for x, y in zip(fedrot.history, fedit.history)
     ) and all(
         x.loss == y.loss and x.agg_error == y.agg_error

@@ -11,11 +11,9 @@ from fedrot.aggregation import (
     lagrange_error_oracle,
     server_step,
 )
-from fedrot.errors import ProtocolError, UsageError
-from fedrot.federation import FederationConfig, TaskSpec
-from fedrot.lora import GlobalModel, LoraAdapter, semantic_update
+from fedrot.errors import UsageError
+from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
-from fedrot.tasks import TaskKind
 
 
 def random_adapters(rng, n, d_out=5, d_in=4, rank=2):
@@ -116,62 +114,31 @@ class TestAggregationError:
         np.testing.assert_allclose(direct, lagrange_error_oracle(ads), atol=1e-10)
 
 
-
-def make_config(strategy, n_clients=3, rank=2):
-    return FederationConfig(
-        strategy=strategy,
-        n_clients=n_clients,
-        rank=rank,
-        dims=(5, 4),
-        rounds=4,
-        local_steps=1,
-        learning_rate=0.1,
-        task=TaskSpec(kind=TaskKind.LOWRANK_REGRESSION),
-    )
-
-
-class FakeReport:
-    def __init__(self, adapter):
-        self.adapter = adapter
-
-
 class TestServerStep:
-    def _history(self, rng):
-        ad = LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 4)), 2)
-        return [GlobalModel(ad)]
+    def _prev(self, rng):
+        return LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 4)), 2)
 
     def test_fedit_factorwise(self):
         rng = np.random.default_rng(8)
-        history = self._history(rng)
-        reports = [FakeReport(ad) for ad in random_adapters(rng, 3)]
-        model, err = server_step(Strategy.FEDIT, reports, 1, make_config(Strategy.FEDIT), history)
-        expected = aggregate_factorwise([r.adapter for r in reports])
-        np.testing.assert_array_equal(model.adapter.b, expected.b)
-        np.testing.assert_array_equal(model.adapter.a, expected.a)
-        assert err >= 0.0
+        prev = self._prev(rng)
+        adapters = random_adapters(rng, 3)
+        model, err = server_step(adapters, prev, Strategy.FEDIT, 1)
+        expected = aggregate_factorwise(adapters)
+        np.testing.assert_array_equal(model.b, expected.b)
+        np.testing.assert_array_equal(model.a, expected.a)
+        assert err == aggregation_error(adapters)
 
     def test_ffa_keeps_global_a_bitwise(self):
         rng = np.random.default_rng(9)
-        history = self._history(rng)
-        reports = [FakeReport(ad) for ad in random_adapters(rng, 3)]
-        model, _ = server_step(
-            Strategy.FFA_LORA, reports, 1, make_config(Strategy.FFA_LORA), history
-        )
-        assert (model.adapter.a == history[0].adapter.a).all()
+        prev = self._prev(rng)
+        model, _ = server_step(random_adapters(rng, 3), prev, Strategy.FFA_LORA, 1)
+        assert (model.a == prev.a).all()
 
     def test_rolora_alternates_frozen_factor(self):
         rng = np.random.default_rng(10)
-        history = self._history(rng)
-        reports = [FakeReport(ad) for ad in random_adapters(rng, 3)]
-        config = make_config(Strategy.ROLORA)
-        odd, _ = server_step(Strategy.ROLORA, reports, 1, config, history)
-        assert (odd.adapter.a == history[0].adapter.a).all()
-        even, _ = server_step(Strategy.ROLORA, reports, 2, config, history)
-        assert (even.adapter.b == history[0].adapter.b).all()
-
-    def test_report_count_mismatch(self):
-        rng = np.random.default_rng(12)
-        history = self._history(rng)
-        reports = [FakeReport(ad) for ad in random_adapters(rng, 2)]
-        with pytest.raises(ProtocolError):
-            server_step(Strategy.FEDIT, reports, 1, make_config(Strategy.FEDIT), history)
+        prev = self._prev(rng)
+        adapters = random_adapters(rng, 3)
+        odd, _ = server_step(adapters, prev, Strategy.ROLORA, 1)
+        assert (odd.a == prev.a).all()
+        even, _ = server_step(adapters, prev, Strategy.ROLORA, 2)
+        assert (even.b == prev.b).all()

@@ -21,7 +21,7 @@ from fedrot.alignment import (
     soft_rotation,
 )
 from fedrot.errors import DegenerateInputError, NumericError, UsageError
-from fedrot.lora import GlobalModel, LoraAdapter, semantic_update
+from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 
 
@@ -45,6 +45,31 @@ class TestRotation:
     def test_identity(self):
         assert Rotation.identity(3).is_identity()
         assert not Rotation(rotation_2d(0.1)).is_identity()
+
+
+# Factor-A inputs with r = 4, d = 16: a local factor scaled far from an O(1)
+# reference, or a correlation matrix M = reference @ local.T with a planted
+# rank-deficient or repeated spectrum.
+LOCAL_SCALES = {
+    "gaussian": 1.0,
+    "scale_1e150": 1e150,
+    "scale_1e-150": 1e-150,
+    "scale_1e-200": 1e-200,
+}
+PLANTED_SPECTRA = {
+    "rank_deficient": (3.0, 1.0, 0.0, 0.0),
+    "repeated_sigma": (2.0, 2.0, 1.0, 1.0),
+}
+
+
+def procrustes_inputs(case, rng):
+    if case in LOCAL_SCALES:
+        local = LOCAL_SCALES[case] * rng.standard_normal((4, 16))
+        return local, rng.standard_normal((4, 16))
+    # Orthonormal rows make M = u diag(sigma) v up to rounding.
+    local = np.linalg.qr(rng.standard_normal((16, 4)))[0].T
+    u, v = (haar_random_rotation(4, seed=rng.integers(1 << 30)).r for _ in range(2))
+    return local, u @ np.diag(PLANTED_SPECTRA[case]) @ v @ local
 
 
 class TestProcrustes:
@@ -74,17 +99,32 @@ class TestProcrustes:
         assert frobenius_norm(rot.r - np.eye(4)) <= 1e-10
 
     def test_beats_random_rotations(self):
-        # Closed form is optimal: no Haar sample achieves a smaller
-        # alignment residual.
+        # Closed form is optimal: no Haar sample achieves a larger
+        # tr(R M), i.e. a smaller alignment residual |R^T local - reference|.
+        # The rotation is special orthogonal and leaves b a unchanged.
         rng = np.random.default_rng(3)
-        for trial in range(10):
-            local = rng.standard_normal((3, 7))
-            reference = rng.standard_normal((3, 7))
-            rot = procrustes_rotation(local, reference, AlignmentTarget.FACTOR_A)
-            best = frobenius_norm(rot.r.T @ local - reference)
-            for k in range(200):
-                q = haar_random_rotation(3, seed=[3, trial, k]).r
-                assert frobenius_norm(q.T @ local - reference) >= best - 1e-9
+        haar = [haar_random_rotation(4, seed=[3, k]).r for k in range(200)]
+        for case in [*LOCAL_SCALES, *PLANTED_SPECTRA]:
+            for _ in range(10):
+                local, reference = procrustes_inputs(case, rng)
+                rot = procrustes_rotation(local, reference, AlignmentTarget.FACTOR_A)
+                np.testing.assert_allclose(
+                    rot.r.T @ rot.r, np.eye(4), atol=1e-12, err_msg=case
+                )
+                assert np.linalg.det(rot.r) == pytest.approx(1.0, abs=1e-12), case
+                m = reference @ local.T
+                tol = 1e-9 * np.abs(m).sum()
+                best = np.trace(rot.r @ m)
+                assert all(np.trace(q @ m) <= best + tol for q in haar), case
+                ad = LoraAdapter(rng.standard_normal((8, 4)), local, 4)
+                update = semantic_update(ad)
+                np.testing.assert_allclose(
+                    semantic_update(apply_alignment(ad, rot)),
+                    update,
+                    rtol=0,
+                    atol=1e-12 * np.abs(update).max(),
+                    err_msg=case,
+                )
 
     def test_reflection_case_stays_special_orthogonal(self):
         # A correlation matrix with negative determinant forces the
@@ -264,35 +304,32 @@ class TestHaarRandomRotation:
 
 class TestReferenceSelection:
     def _history(self, rng, n):
-        models = []
-        for _ in range(n):
-            ad = LoraAdapter(
-                rng.standard_normal((4, 2)), rng.standard_normal((2, 4)), 2
-            )
-            models.append(GlobalModel(ad))
-        return models
+        return [
+            LoraAdapter(rng.standard_normal((4, 2)), rng.standard_normal((2, 4)), 2)
+            for _ in range(n)
+        ]
 
     def test_prev_global(self):
         rng = np.random.default_rng(16)
         history = self._history(rng, 3)
-        ref = select_reference(history, ReferenceMode(), 3, [], seed=0)
-        assert ref is history[-1].adapter
+        ref = select_reference(history, ReferenceMode(), [], seed=0)
+        assert ref is history[-1]
 
     def test_older_global_lag(self):
         rng = np.random.default_rng(17)
         history = self._history(rng, 5)
         mode = ReferenceMode(kind=ReferenceKind.OLDER_GLOBAL, lag=3)
-        ref = select_reference(history, mode, 5, [], seed=0)
-        assert ref is history[2].adapter
+        ref = select_reference(history, mode, [], seed=0)
+        assert ref is history[2]
 
     def test_older_global_needs_enough_rounds(self):
-        # Until ``lag`` rounds exist, the oldest model is the reference.
+        # Until ``lag`` rounds exist, the oldest adapter is the reference.
         rng = np.random.default_rng(18)
         mode = ReferenceMode(kind=ReferenceKind.OLDER_GLOBAL, lag=2)
         for rounds in (1, 2):
             history = self._history(rng, rounds)
-            ref = select_reference(history, mode, rounds, [], seed=0)
-            assert ref is history[0].adapter
+            ref = select_reference(history, mode, [], seed=0)
+            assert ref is history[0]
 
     def test_older_global_rejects_small_lag(self):
         with pytest.raises(UsageError):
@@ -301,21 +338,26 @@ class TestReferenceSelection:
     def test_random_client_deterministic(self):
         rng = np.random.default_rng(19)
         history = self._history(rng, 2)
-        snaps = [history[0].adapter, history[1].adapter]
+        snaps = list(history)
         mode = ReferenceMode(kind=ReferenceKind.RANDOM_CLIENT)
-        first = select_reference(history, mode, 2, snaps, seed=[0, 2])
-        second = select_reference(history, mode, 2, snaps, seed=[0, 2])
+        first = select_reference(history, mode, snaps, seed=[0, 2])
+        second = select_reference(history, mode, snaps, seed=[0, 2])
         assert first is second
 
     def test_random_client_round_one_fallback(self):
         rng = np.random.default_rng(20)
         history = self._history(rng, 1)
         mode = ReferenceMode(kind=ReferenceKind.RANDOM_CLIENT)
-        ref = select_reference(history, mode, 1, [], seed=0)
-        assert ref is history[-1].adapter
+        ref = select_reference(history, mode, [], seed=0)
+        assert ref is history[-1]
 
 
 class TestAlignmentSchedule:
+    def test_target_picks_its_factor(self):
+        ad = LoraAdapter(np.ones((3, 2)), np.zeros((2, 4)), 2)
+        assert AlignmentTarget.FACTOR_A.factor(ad) is ad.a
+        assert AlignmentTarget.FACTOR_B.factor(ad) is ad.b
+
     def test_alternation(self):
         assert alignment_schedule(1, ScheduleAblation.ALTERNATE) is AlignmentTarget.FACTOR_A
         assert alignment_schedule(2, ScheduleAblation.ALTERNATE) is AlignmentTarget.FACTOR_B

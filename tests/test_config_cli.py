@@ -1,6 +1,10 @@
+import contextlib
+import copy
+import io
 import json
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedrot.alignment
+import fedrot.federation
 from fedrot.aggregation import Strategy
 from fedrot.cli import main
 from fedrot.config import load_config
 from fedrot.errors import ConfigError
+from fedrot.federation import FederationConfig, TaskSpec, file_key
 
 MINIMAL = """\
 experiment:
@@ -192,6 +198,24 @@ class TestRunCommand:
         assert summary["seed"] == 9
         assert summary["config"]["seed"] == 9
 
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", write(tmp_path, MINIMAL), "--out", str(out), "--seed", "-1"])
+        assert code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unusable_out_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fedrot.federation, "run_federation", calls.append)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["run", write(tmp_path, MINIMAL), "--out", str(blocker / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert calls == []
+
     def test_jobs_is_a_usage_error(self, tmp_path, capsys):
         # A single run is sequential, so it takes no --jobs.
         out = tmp_path / "out"
@@ -239,6 +263,16 @@ class TestRunCommand:
         assert summary["metrics"]["rounds_completed"] == 0
         assert summary["metrics"]["final_loss"] is None
 
+    def test_overflowing_update_exit_3(self, tmp_path, capsys):
+        # Finite trained factors whose product overflows are a divergence,
+        # not a usage error.
+        text = MINIMAL.replace("heterogeneity: 0.4", "heterogeneity: 31")
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, text), "--out", str(out)]) == 3
+        assert "non-finite update" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["status"] == "diverged"
+
     @pytest.mark.parametrize("value", ["2.5", "true"])
     def test_non_integer_rounds_exit_2(self, tmp_path, capsys, value):
         text = MINIMAL.replace("rounds: 4", f"rounds: {value}")
@@ -281,10 +315,12 @@ LOCATED_ERRORS = {
         MINIMAL + "  reference:\n    kind: older_global\n    lag: 0\n",
         "0",
     ),
+    "seed_negative": ("run", MINIMAL + "  seed: -1\n", "-1"),
     "grid_strategy": ("sweep", grid("strategy: [fancy]"), "fancy"),
     "grid_rounds": ("sweep", grid("rounds: [3, 2.5]"), "2.5"),
     "grid_lambda": ("sweep", grid("lambda: [1.5]"), "1.5"),
     "grid_rank": ("sweep", grid("rank: [9]"), "9"),
+    "sweep_seed_negative": ("sweep", grid("lambda: [0.5]") + "  seeds: [0, -2]\n", "-2"),
     # The task's requirements are config errors too, not failed runs.
     "task.true_rank_too_large": (
         "run", MINIMAL.replace("true_rank: 2", "true_rank: 9"), "9"
@@ -341,20 +377,109 @@ FUZZ_VALUES = st.one_of(
 )
 
 
+def assert_clean_exit(command, text):
+    """Run ``command`` on the config ``text``: it must succeed (0), fail as
+    a config error located by line and column (2) or diverge (3), never
+    raise.  A sweep exits 1 only when every cell failed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.yaml", Path(tmp) / "out"
+        config.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(config), "--out", str(out)])
+        if code == 1 and command == "sweep":
+            rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+            assert not any(row.endswith(",ok") for row in rows[1:])
+        else:
+            assert code in (0, 2, 3)
+    if code == 2:
+        assert re.search(r"\(line \d+, column \d+\)", err.getvalue()), err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(MINIMAL_LEAVES), FUZZ_VALUES)
 def test_fuzzed_leaf_exits_cleanly(path, value):
     # Any one scalar of a valid config replaced by an arbitrary value must
-    # run, be rejected as a config error, or diverge -- never raise.
+    # run, be rejected as a located config error, or diverge -- never raise.
     doc = yaml.safe_load(MINIMAL)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.yaml"
-        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        assert main(["run", str(config), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
+    assert_clean_exit("run", yaml.safe_dump(doc))
+
+
+SMALL_SWEEP = MINIMAL + """\
+sweep:
+  grid:
+    lambda: [0.0, 0.7]
+  seeds: [0, 1]
+"""
+SMALL_SWEEP_DOC = yaml.safe_load(SMALL_SWEEP)
+
+
+def entry_paths(node, path=()):
+    """Key paths of every mapping entry in a parsed config."""
+    if not isinstance(node, dict):
+        return []
+    return [
+        p
+        for key, child in node.items()
+        for p in [path + (key,), *entry_paths(child, path + (key,))]
+    ]
+
+
+SCHEMA_KEYS = sorted(
+    {file_key(f) for cls in (FederationConfig, TaskSpec) for f in fields(cls)}
+    | {"experiment", "sweep", "grid", "seeds", "kind", "lag"}
+)
+KEY_NAMES = st.sampled_from(SCHEMA_KEYS) | st.text(max_size=6)
+LIST_OR_VALUE = st.lists(FUZZ_VALUES, max_size=3) | FUZZ_VALUES
+MUTATIONS = ("delete", "rename", "scalar", "list", "nest", "duplicate", "grid", "seeds")
+
+
+def mutated_config(data) -> str:
+    """SMALL_SWEEP with one structural mutation drawn from ``data``."""
+    op = data.draw(st.sampled_from(MUTATIONS))
+    if op == "duplicate":
+        # A key line repeated in place: a mapping header then has two
+        # values, the first of them null.
+        lines = SMALL_SWEEP.splitlines()
+        keyed = [i for i, line in enumerate(lines) if re.match(r" *\w+:", line)]
+        i = data.draw(st.sampled_from(keyed))
+        return "\n".join(lines[: i + 1] + lines[i:]) + "\n"
+    doc = copy.deepcopy(SMALL_SWEEP_DOC)
+    if op in ("grid", "seeds"):
+        parent = doc["sweep"]
+        if op == "grid":
+            parent = parent["grid"]
+        key = data.draw(KEY_NAMES) if op == "grid" else "seeds"
+        parent[key] = data.draw(LIST_OR_VALUE)
+    else:
+        path = data.draw(st.sampled_from(entry_paths(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "delete":
+            del parent[key]
+        elif op == "rename":
+            parent[data.draw(KEY_NAMES)] = parent.pop(key)
+        elif op == "scalar":
+            parent[key] = data.draw(FUZZ_VALUES)
+        elif op == "list":
+            parent[key] = [parent[key]]
+        else:
+            parent[key] = {key: parent[key]}
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_structural_mutation_exits_cleanly(data):
+    # Deleted, duplicated or renamed keys, mappings replaced by scalars or
+    # lists or nested one level deeper, and altered sweep grids and seeds.
+    text = mutated_config(data)
+    assert_clean_exit("sweep" if "\nsweep:" in "\n" + text else "run", text)
 
 
 class TestSweepCommand:
@@ -368,6 +493,13 @@ class TestSweepCommand:
         cell_dirs = sorted(p for p in out.iterdir() if p.is_dir())
         assert len(cell_dirs) == 33
         assert (cell_dirs[0] / "rounds.csv").exists()
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["sweep", write(tmp_path, SWEEP), "--out", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_sweep_without_section_exit_2(self, tmp_path, capsys):
         code = main(["sweep", write(tmp_path, MINIMAL), "--out", str(tmp_path / "o")])

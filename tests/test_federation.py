@@ -56,8 +56,8 @@ def assert_runs_bit_identical(first, second, ignore=("wall_ms",)):
                 assert np.isnan(vy)
             else:
                 assert vx == vy, f"round {x.round} field {f.name}: {vx} != {vy}"
-    assert (first.final_model.adapter.b == second.final_model.adapter.b).all()
-    assert (first.final_model.adapter.a == second.final_model.adapter.a).all()
+    assert (first.history[-1].b == second.history[-1].b).all()
+    assert (first.history[-1].a == second.history[-1].a).all()
 
 
 class TestConfigValidation:
@@ -384,17 +384,17 @@ class TestRunFederation:
 
     def test_ffa_global_a_constant(self):
         run = run_federation(regression_config(strategy=Strategy.FFA_LORA))
-        a0 = run.history[0].adapter.a
+        a0 = run.history[0].a
         for model in run.history[1:]:
-            assert (model.adapter.a == a0).all()
+            assert (model.a == a0).all()
 
     def test_rolora_updates_one_factor_per_round(self):
         run = run_federation(regression_config(strategy=Strategy.ROLORA))
         for t, (prev, cur) in enumerate(zip(run.history, run.history[1:]), start=1):
             if t % 2 == 1:
-                assert (cur.adapter.a == prev.adapter.a).all()
+                assert (cur.a == prev.a).all()
             else:
-                assert (cur.adapter.b == prev.adapter.b).all()
+                assert (cur.b == prev.b).all()
 
     def test_semantic_drift_small_every_round(self):
         run = run_federation(regression_config(lam=0.8))
@@ -458,7 +458,6 @@ class TestRunFederation:
         partial = exc.value.partial
         assert [r.round for r in partial.rounds] == [1, 2]
         assert exc.value.round_index == 3 and exc.value.step_index == 7
-        assert partial.final_model is partial.history[-1]
         assert len(partial.history) == 3
         full = run_federation(dataclasses.replace(config, rounds=2))
         assert_runs_bit_identical(partial, full)
@@ -538,3 +537,25 @@ class TestRunSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):
             run_sweep(regression_config(), {}, seeds=[0])
+
+    def test_pool_no_larger_than_grid(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(fedrot.federation, "ProcessPoolExecutor", SerialPool)
+        base = regression_config(rounds=1, local_steps=1)
+        cells = run_sweep(base, {"lambda": [0.0, 1.0]}, seeds=[0], jobs=64)
+        assert sizes == [2]
+        assert all(c.result is not None for c in cells)

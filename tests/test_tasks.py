@@ -205,7 +205,7 @@ class TestGradientBits:
 
     def test_logistic_matches_formula(self):
         task = logistic_task(8, 4, 300, seed=9)
-        task.set_shards(dirichlet_partition(task.labels, 5, 0.5, seed=9).assignment)
+        task.set_shards(dirichlet_partition(task.labels, 5, 0.5, seed=9))
         rng = np.random.default_rng(9)
         for trial in range(40):
             client = trial % 5
@@ -228,22 +228,22 @@ class TestDirichletPartition:
     def test_conserves_samples(self):
         rng = np.random.default_rng(9)
         labels = rng.integers(0, 4, size=200)
-        part = dirichlet_partition(labels, 5, 0.5, seed=9)
-        merged = np.sort(np.concatenate(part.assignment))
+        shards = dirichlet_partition(labels, 5, 0.5, seed=9)
+        merged = np.sort(np.concatenate(shards))
         np.testing.assert_array_equal(merged, np.arange(200))
 
     def test_every_client_nonempty(self):
         rng = np.random.default_rng(10)
         labels = rng.integers(0, 3, size=60)
         for seed in range(20):
-            part = dirichlet_partition(labels, 6, 0.1, seed=seed)
-            assert all(len(s) > 0 for s in part.assignment)
+            shards = dirichlet_partition(labels, 6, 0.1, seed=seed)
+            assert all(len(s) > 0 for s in shards)
 
     def test_deterministic(self):
         labels = np.random.default_rng(11).integers(0, 4, size=100)
         first = dirichlet_partition(labels, 4, 0.5, seed=3)
         second = dirichlet_partition(labels, 4, 0.5, seed=3)
-        for x, y in zip(first.assignment, second.assignment):
+        for x, y in zip(first, second, strict=True):
             np.testing.assert_array_equal(x, y)
 
     def test_near_iid_limit(self):
@@ -251,9 +251,9 @@ class TestDirichletPartition:
         # global histogram.
         rng = np.random.default_rng(12)
         labels = rng.integers(0, 4, size=4000)
-        part = dirichlet_partition(labels, 4, 1e6, seed=12)
+        shards = dirichlet_partition(labels, 4, 1e6, seed=12)
         global_hist = np.bincount(labels, minlength=4) / len(labels)
-        for shard in part.assignment:
+        for shard in shards:
             hist = np.bincount(labels[shard], minlength=4) / len(shard)
             assert np.abs(hist - global_hist).max() <= 0.05
 
@@ -265,8 +265,7 @@ class TestDirichletPartition:
         skewed = 0
         trials = 200
         for seed in range(trials):
-            part = dirichlet_partition(labels, 3, 0.1, seed=seed)
-            for shard in part.assignment:
+            for shard in dirichlet_partition(labels, 3, 0.1, seed=seed):
                 hist = np.bincount(labels[shard], minlength=2) / len(shard)
                 if hist.max() > 0.8:
                     skewed += 1
