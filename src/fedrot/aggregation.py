@@ -48,13 +48,17 @@ def _check_adapters(adapters: list[LoraAdapter]) -> None:
             )
 
 
-def aggregate_ideal(adapters: list[LoraAdapter]) -> np.ndarray:
-    """Exact mean of client updates ``(1/N) sum b_i a_i``; rank may exceed r."""
-    _check_adapters(adapters)
+def _ideal_mean(adapters: list[LoraAdapter]) -> np.ndarray:
     total = np.zeros(adapters[0].dims)
     for ad in adapters:
         total += semantic_update(ad)
     return total / len(adapters)
+
+
+def aggregate_ideal(adapters: list[LoraAdapter]) -> np.ndarray:
+    """Exact mean of client updates ``(1/N) sum b_i a_i``; rank may exceed r."""
+    _check_adapters(adapters)
+    return _ideal_mean(adapters)
 
 
 def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
@@ -66,10 +70,17 @@ def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
     return LoraAdapter(b, a, adapters[0].rank)
 
 
-def aggregation_error(adapters: list[LoraAdapter]) -> float:
-    """``|factorwise product - ideal mean|_F`` for one LoRA layer."""
-    diff = semantic_update(aggregate_factorwise(adapters)) - aggregate_ideal(adapters)
-    return frobenius_norm(diff)
+def aggregation_error(
+    adapters: list[LoraAdapter], factorwise: LoraAdapter | None = None
+) -> float:
+    """``|factorwise product - ideal mean|_F`` for one LoRA layer.
+
+    ``factorwise`` is :func:`aggregate_factorwise` of ``adapters`` when the
+    caller has already computed it, which also checked the adapters.
+    """
+    if factorwise is None:
+        factorwise = aggregate_factorwise(adapters)
+    return frobenius_norm(semantic_update(factorwise) - _ideal_mean(adapters))
 
 
 def lagrange_error_oracle(adapters: list[LoraAdapter]) -> np.ndarray:
@@ -115,8 +126,8 @@ def server_step(
     bit-for-bit.  Returns the new adapter along with the aggregation error
     of the incoming adapters.
     """
-    err = aggregation_error(adapters)
     averaged = aggregate_factorwise(adapters)
+    err = aggregation_error(adapters, averaged)
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
     new_adapter = LoraAdapter(
         prev.b if freeze_b else averaged.b,

@@ -104,9 +104,7 @@ def _cell_dir_name(index: int, params: dict, seed: int) -> str:
 
 
 def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
-    parsed = load_config(config_path)
-    if parsed.sweep is None:
-        raise ConfigError("sweep command requires a 'sweep' section in the config")
+    parsed = load_config(config_path, need_sweep=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = run_sweep(

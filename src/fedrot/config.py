@@ -205,8 +205,9 @@ def _sweep(node, experiment: FederationConfig) -> SweepSpec:
     return SweepSpec(grid=grid, seeds=seeds)
 
 
-def load_config(path) -> ExperimentFile:
-    """Parse and validate an experiment file."""
+def load_config(path, need_sweep: bool = False) -> ExperimentFile:
+    """Parse and validate an experiment file; with ``need_sweep``, a file
+    without a ``sweep`` section is an error located at its top level."""
     try:
         with open(path, encoding="utf-8") as fh:
             root = yaml.compose(fh)
@@ -223,6 +224,8 @@ def load_config(path) -> ExperimentFile:
     _check_keys(items, {"experiment", "sweep"}, "config file")
     if "experiment" not in items:
         _fail(root, "config file requires an 'experiment' section")
+    if need_sweep and "sweep" not in items:
+        _fail(root, "sweep command requires a 'sweep' section in the config")
     experiment = _dataclass(items["experiment"][1], FederationConfig, "")
     sweep = _sweep(items["sweep"][1], experiment) if "sweep" in items else None
     return ExperimentFile(experiment=experiment, sweep=sweep)

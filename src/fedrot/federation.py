@@ -276,25 +276,42 @@ def local_train(
     """Deterministic (full-batch) gradient descent on the client's shard.
 
     Returns the trained adapter and the largest gradient norm observed.
-    The gradient arrays ``task.client_grads`` returns are scaled in place,
-    so it must return fresh arrays.  Mini-batching, when enabled, draws
-    seeded batches from ``(seed, client, round)`` so results never depend
-    on scheduling.
+    The client-round allocates its state once: one packed parameter array
+    (B's entries, then A's) with ``b`` and ``a`` as views into it, and a
+    packed gradient array of the same layout.  Each step calls
+    ``task.client_grads(client, b, a, sample_idx, out=(gb, ga))``, which
+    writes the gradients into the views ``gb`` and ``ga``.  Mini-batching,
+    when enabled, draws seeded batches from ``(seed, client, round)`` so
+    results never depend on scheduling.
     """
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    b = start.b.copy()
-    a = start.a.copy()
+    nb = start.b.size
+    params = np.concatenate((start.b.ravel(), start.a.ravel()))
+    grads = np.empty_like(params)
+    b = params[:nb].reshape(start.b.shape)
+    a = params[nb:].reshape(start.a.shape)
+    gb_flat, ga_flat = grads[:nb], grads[nb:]
+    out = (gb_flat.reshape(b.shape), ga_flat.reshape(a.shape))
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
+    # The update runs on the factors the strategy trains this round.
+    if freeze_b:
+        updated, update = params[nb:], ga_flat
+    elif freeze_a:
+        updated, update = params[:nb], gb_flat
+    else:
+        updated, update = params, grads
     n_samples = task.sample_count(client)
     rng = None
     if batch_size is not None and batch_size < n_samples:
         rng = np.random.default_rng([seed, client, round_index])
+    client_grads = task.client_grads
+    isfinite, sqrt = math.isfinite, math.sqrt
     # |b|_F <= bound_b after every step, since |b - eta g| <= |b| + |eta| |g|;
     # a non-finite start gives an infinite or NaN bound, which is checked.
     step_scale = abs(eta)
-    bound_b = math.sqrt(_sq_norm(b))
-    bound_a = math.sqrt(_sq_norm(a))
+    bound_b = sqrt(_sq_norm(b))
+    bound_a = sqrt(_sq_norm(a))
     # sqrt is monotone and correctly rounded, so the square root of the
     # largest squared norm is the largest norm.
     sq_max = 0.0
@@ -302,29 +319,23 @@ def local_train(
         idx = None
         if rng is not None:
             idx = rng.choice(n_samples, size=batch_size, replace=False)
-        gb, ga = task.client_grads(client, b, a, sample_idx=idx)
-        sq_b, sq_a = _sq_norm(gb), _sq_norm(ga)
+        client_grads(client, b, a, idx, out=out)
+        sq_b, sq_a = gb_flat.dot(gb_flat), ga_flat.dot(ga_flat)
         # A finite norm proves every entry finite; a non-finite one may
         # only be an overflowing sum of squares of finite entries.
-        if not (math.isfinite(sq_b) and math.isfinite(sq_a)) and not (
-            np.isfinite(gb).all() and np.isfinite(ga).all()
-        ):
+        if not (isfinite(sq_b) and isfinite(sq_a)) and not np.isfinite(grads).all():
             raise DivergenceError(
                 f"non-finite gradient on client {client}",
                 round_index=round_index,
                 step_index=step,
             )
         sq_max = max(sq_max, sq_b, sq_a)
+        update *= eta
+        updated -= update
         # A frozen factor keeps its start value, so only the updated
-        # factors need the check.
-        if not freeze_b:
-            gb *= eta
-            b -= gb
-            bound_b += step_scale * math.sqrt(sq_b)
-        if not freeze_a:
-            ga *= eta
-            a -= ga
-            bound_a += step_scale * math.sqrt(sq_a)
+        # factors need the check, and only their bounds are read.
+        bound_b += step_scale * sqrt(sq_b)
+        bound_a += step_scale * sqrt(sq_a)
         if not (
             (freeze_b or bound_b < _PARAM_BOUND or _all_finite(b))
             and (freeze_a or bound_a < _PARAM_BOUND or _all_finite(a))
@@ -334,7 +345,7 @@ def local_train(
                 round_index=round_index,
                 step_index=step,
             )
-    return LoraAdapter(b, a, start.rank), math.sqrt(sq_max)
+    return LoraAdapter(b, a, start.rank), sqrt(sq_max)
 
 
 def client_round(

@@ -5,9 +5,16 @@ and Dirichlet-partitioned logistic classification.  Every task exposes
 per-client loss and gradients in the LoRA factor parameterization, and a
 global loss (mean over clients) for trajectory records.
 
+``client_grads(i, b, a, sample_idx=None, out=None)`` writes the gradients
+with respect to ``b`` and ``a`` into the caller's arrays ``out = (gb, ga)``
+and returns them; without ``out`` it writes into fresh arrays.  Local
+training passes views into one packed buffer per client-round.
+
 The gradient kernels call ``np.dot`` where their formulas read ``@``: for
 these 2-D products both reach the same BLAS call, so they give the same
-bits, and ``np.dot`` skips the ufunc dispatch.
+bits, and ``np.dot`` skips the ufunc dispatch.  Its ``out=`` changes only
+where that call writes, and ``take`` gathers the same rows as fancy
+indexing.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ class _Task:
         return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
 
 
+def _grad_buffers(b, a, out):
+    """The gradient arrays a task writes: ``out``, or fresh ones."""
+    return (np.empty(b.shape), np.empty(a.shape)) if out is None else out
+
+
 @dataclass(eq=False)
 class ScalarToyTask(_Task):
     """Client i minimizes ``(B A - target_i)^2`` with scalar factors."""
@@ -61,10 +73,13 @@ class ScalarToyTask(_Task):
         p = float(b[0, 0] * a[0, 0])
         return (p - self.targets[i]) ** 2
 
-    def client_grads(self, i, b, a, sample_idx=None):
+    def client_grads(self, i, b, a, sample_idx=None, out=None):
+        gb, ga = out = _grad_buffers(b, a, out)
         p = float(b[0, 0] * a[0, 0])
         resid = 2.0 * (p - self.targets[i])
-        return resid * a.T.copy(), resid * b.T.copy()
+        np.multiply(resid, a.T, out=gb)
+        np.multiply(resid, b.T, out=ga)
+        return out
 
     def sample_count(self, i: int) -> int:
         return 1
@@ -97,26 +112,29 @@ class LowRankRegressionTask(_Task):
         resid = b @ a - self.client_targets[i]
         return float(np.sum(resid * resid))
 
-    def client_grads(self, i, b, a, sample_idx=None):
+    def client_grads(self, i, b, a, sample_idx=None, out=None):
+        gb, ga = out = _grad_buffers(b, a, out)
         resid = np.dot(b, a)
         resid -= self.client_targets[i]
         if sample_idx is None:
             # Doubling is exact short of overflow or subnormal results, so
             # doubling the small r x d products gives the bits of
             # ``2.0 * resid @ a.T`` without scaling the d x d residual.
-            gb = np.dot(resid, a.T)
+            np.dot(resid, a.T, out=gb)
             gb *= 2.0
-            ga = np.dot(b.T, resid)
+            np.dot(b.T, resid, out=ga)
             ga *= 2.0
-            return gb, ga
+            return out
         # Mini-batch gradient through a probe subset: the per-sample loss is
         # |(b a - W_i) x|^2, whose mean over isotropic probes is unbiased
         # for the full Frobenius objective.
-        x = self.probes[sample_idx]
+        x = self.probes.take(sample_idx, axis=0)
         grad_w = np.dot(resid, np.dot(x.T, x))
         grad_w *= 2.0
         grad_w /= len(x)
-        return np.dot(grad_w, a.T), np.dot(b.T, grad_w)
+        np.dot(grad_w, a.T, out=gb)
+        np.dot(b.T, grad_w, out=ga)
+        return out
 
     def sample_count(self, i: int) -> int:
         return 1 if self.probes is None else len(self.probes)
@@ -160,7 +178,7 @@ def lowrank_regression_task(
 
 @dataclass(eq=False)
 class LogisticTask(_Task):
-    """Cross-entropy classification with logits ``(w0 + b a) x``.
+    """Cross-entropy classification with logits ``(b a) x``.
 
     ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
     holds per-client sample index arrays; until partitioned, every client
@@ -172,11 +190,8 @@ class LogisticTask(_Task):
     labels: np.ndarray
     n_classes: int
     shards: list[np.ndarray]
-    w0: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.w0 is None:
-            self.w0 = np.zeros((self.n_classes, self.features.shape[1]))
         self._cache_shards()
 
     @property
@@ -190,37 +205,41 @@ class LogisticTask(_Task):
         self._cache_shards()
 
     def _cache_shards(self) -> None:
-        """Gather each client's features and labels once, with the row
-        indices ``0..n-1`` that pick each sample's label logit."""
+        """Gather each client's features and labels once, with the flat
+        offsets ``row * n_classes`` of each row of an n x n_classes array;
+        a row's offset plus its label picks its label logit."""
         self._shard_data = [
-            (self.features[s], self.labels[s], np.arange(len(s))) for s in self.shards
+            (self.features[s], self.labels[s], np.arange(len(s)) * self.n_classes)
+            for s in self.shards
         ]
 
     def _shifted_logits(self, x, b, a):
-        """Logits ``x (w0 + b a)^T`` minus each row's maximum."""
-        w = np.dot(b, a)
-        w += self.w0
-        z = np.dot(x, w.T)
+        """Logits ``x (b a)^T`` minus each row's maximum."""
+        z = np.dot(x, np.dot(b, a).T)
         z -= np.maximum.reduce(z, axis=1, keepdims=True)
         return z
 
     def client_loss(self, i, b, a) -> float:
-        x, y, rows = self._shard_data[i]
+        x, y, offsets = self._shard_data[i]
         z = self._shifted_logits(x, b, a)
         logp = z - np.log(np.exp(z).sum(axis=1))[:, None]
-        return float(-logp[rows, y].mean())
+        return float(-logp.reshape(-1)[offsets + y].mean())
 
-    def client_grads(self, i, b, a, sample_idx=None):
-        x, y, rows = self._shard_data[i]
+    def client_grads(self, i, b, a, sample_idx=None, out=None):
+        gb, ga = out = _grad_buffers(b, a, out)
+        x, y, offsets = self._shard_data[i]
         if sample_idx is not None:
-            x, y, rows = x[sample_idx], y[sample_idx], rows[: len(sample_idx)]
+            x, y = x.take(sample_idx, axis=0), y.take(sample_idx)
+        n = len(y)
         p = self._shifted_logits(x, b, a)
         np.exp(p, out=p)
         p /= np.add.reduce(p, axis=1)[:, None]
-        p[rows, y] -= 1.0
+        p.reshape(-1)[offsets[:n] + y] -= 1.0
         gw = np.dot(p.T, x)
-        gw /= len(rows)
-        return np.dot(gw, a.T), np.dot(b.T, gw)
+        gw /= n
+        np.dot(gw, a.T, out=gb)
+        np.dot(b.T, gw, out=ga)
+        return out
 
     def sample_count(self, i: int) -> int:
         return len(self.shards[i])

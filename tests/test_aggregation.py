@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedrot.aggregation
 from fedrot.aggregation import (
     Strategy,
     aggregate_factorwise,
@@ -127,6 +128,31 @@ class TestServerStep:
         np.testing.assert_array_equal(model.b, expected.b)
         np.testing.assert_array_equal(model.a, expected.a)
         assert err == aggregation_error(adapters)
+
+    def test_checks_and_averages_once(self, monkeypatch):
+        # One factor-wise mean per round serves both the new global model
+        # and the aggregation error.
+        calls = {"_check_adapters": 0, "aggregate_factorwise": 0,
+                 "aggregation_error": 0}
+        for name in calls:
+            real = getattr(fedrot.aggregation, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(fedrot.aggregation, name, counted)
+        rng = np.random.default_rng(11)
+        adapters = random_adapters(rng, 3)
+        server_step(adapters, self._prev(rng), Strategy.FEDIT, 1)
+        assert calls == {"_check_adapters": 1, "aggregate_factorwise": 1,
+                         "aggregation_error": 1}
+
+    def test_rejects_inconsistent_adapters(self):
+        rng = np.random.default_rng(12)
+        adapters = random_adapters(rng, 2) + random_adapters(rng, 1, rank=1)
+        with pytest.raises(UsageError, match="inconsistent"):
+            server_step(adapters, self._prev(rng), Strategy.FEDIT, 1)
 
     def test_ffa_keeps_global_a_bitwise(self):
         rng = np.random.default_rng(9)

@@ -478,8 +478,12 @@ def mutated_config(data) -> str:
 def test_structural_mutation_exits_cleanly(data):
     # Deleted, duplicated or renamed keys, mappings replaced by scalars or
     # lists or nested one level deeper, and altered sweep grids and seeds.
+    # A config that lost its sweep section must run, and fail as a located
+    # config error under ``sweep``.
     text = mutated_config(data)
-    assert_clean_exit("sweep" if "\nsweep:" in "\n" + text else "run", text)
+    if "\nsweep:" not in "\n" + text:
+        assert_clean_exit("run", text)
+    assert_clean_exit("sweep", text)
 
 
 class TestSweepCommand:
@@ -504,7 +508,9 @@ class TestSweepCommand:
     def test_sweep_without_section_exit_2(self, tmp_path, capsys):
         code = main(["sweep", write(tmp_path, MINIMAL), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "sweep" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"\(line \d+, column \d+\)", err), err
+        assert "'sweep' section" in err
 
     def test_parallel_jobs_matches_serial(self, tmp_path):
         config = write(tmp_path, SWEEP)
@@ -548,3 +554,69 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  det_correction" in out
+
+
+def sweep_outputs(out: Path) -> dict:
+    """Every file a sweep wrote, with the wall-clock fields dropped."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_dir():
+            continue
+        name = str(path.relative_to(out))
+        if path.name == "rounds.csv":
+            files[name] = rounds_csv_without_wall_ms(path)
+        elif path.name == "summary.json":
+            summary = json.loads(path.read_text(encoding="utf-8"))
+            del summary["metrics"]["wall_time_s"]
+            files[name] = summary
+        else:
+            files[name] = path.read_text(encoding="utf-8")
+    return files
+
+
+# Small grids over the sweepable keys; a learning rate of 50 makes a cell
+# diverge, so failed cells are compared too.
+JOBS_GRID = {
+    "lambda": st.sampled_from([0.0, 0.3, 1.0]),
+    "strategy": st.sampled_from([s.value for s in Strategy]),
+    "learning_rate": st.sampled_from([0.02, 0.1, 50.0]),
+    "local_steps": st.integers(1, 4),
+    "rank": st.integers(1, 2),
+    "batch_size": st.integers(2, 40),
+    "align_from_round": st.integers(1, 3),
+    "schedule": st.sampled_from(["alternate", "a_only", "b_only"]),
+    "heterogeneity": st.sampled_from([0.0, 0.5]),
+    "dirichlet_alpha": st.sampled_from([0.1, 1.0]),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_sweep_jobs_outputs_identical(data):
+    # The pool's scheduling must not reach the outputs: a sweep writes the
+    # same files at --jobs 1 and --jobs 2, wall-clock fields excepted.
+    doc = yaml.safe_load(data.draw(st.sampled_from([MINIMAL, LOGISTIC, SCALAR])))
+    doc["experiment"].update(rounds=data.draw(st.integers(1, 3)), local_steps=3)
+    keys = data.draw(
+        st.lists(st.sampled_from(sorted(JOBS_GRID)), min_size=1, max_size=2,
+                 unique=True)
+    )
+    if doc["experiment"]["task"]["kind"] == "scalar_toy":
+        keys = [k for k in keys if k != "rank"] or ["lambda"]
+    grid = {
+        key: data.draw(st.lists(JOBS_GRID[key], min_size=1, max_size=2, unique=True))
+        for key in keys
+    }
+    seeds = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True))
+    doc["sweep"] = {"grid": grid, "seeds": seeds}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write(Path(tmp), yaml.safe_dump(doc))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = Path(tmp) / f"jobs{jobs}"
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["sweep", config, "--out", str(out), "--jobs", jobs])
+            assert code in (0, 1)
+            outputs.append(sweep_outputs(out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

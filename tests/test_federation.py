@@ -156,10 +156,12 @@ class ScriptedTask:
     def sample_count(self, i):
         return 1
 
-    def client_grads(self, i, b, a, sample_idx=None):
+    def client_grads(self, i, b, a, sample_idx=None, *, out):
         gb, ga = self.steps[min(self.calls, len(self.steps) - 1)]
         self.calls += 1
-        return np.full(b.shape, gb), np.full(a.shape, ga)
+        out[0].fill(gb)
+        out[1].fill(ga)
+        return out
 
 
 class GrowingTask:
@@ -171,8 +173,10 @@ class GrowingTask:
     def sample_count(self, i):
         return 1
 
-    def client_grads(self, i, b, a, sample_idx=None):
-        return b * -self.scale, a * -self.scale
+    def client_grads(self, i, b, a, sample_idx=None, *, out):
+        np.multiply(b, -self.scale, out=out[0])
+        np.multiply(a, -self.scale, out=out[1])
+        return out
 
 
 def local_train_reference(client, start, task, steps, eta, strategy, round_index,
@@ -189,7 +193,9 @@ def local_train_reference(client, start, task, steps, eta, strategy, round_index
         idx = None
         if rng is not None:
             idx = rng.choice(n_samples, size=batch_size, replace=False)
-        gb, ga = task.client_grads(client, b, a, sample_idx=idx)
+        gb, ga = task.client_grads(
+            client, b, a, idx, out=(np.empty(b.shape), np.empty(a.shape))
+        )
         if not (np.isfinite(gb).all() and np.isfinite(ga).all()):
             raise DivergenceError("non-finite gradient", step_index=step)
         grad_norm_max = max(

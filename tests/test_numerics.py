@@ -200,27 +200,47 @@ class TestMatmul:
 def test_dot_matches_matmul_bits(d_out, d_in, rank):
     # The training kernels call ``np.dot`` where their formulas read ``@``;
     # the goldens hold only while both reach the same BLAS call, for every
-    # operand layout the kernels use.
+    # operand layout the kernels use.  Local training packs each factor
+    # pair and each gradient pair into one buffer (B's entries, then A's),
+    # so the factors are views into one array and the gradients are
+    # written through ``out=`` into views of another; ``out=`` must only
+    # change where the result is written.
     rng = np.random.default_rng([d_out, d_in, rank])
+    nb = d_out * rank
+    params = np.empty(nb + rank * d_in)
+    grads = np.empty_like(params)
+    b, a = params[:nb].reshape(d_out, rank), params[nb:].reshape(rank, d_in)
+    gb, ga = grads[:nb].reshape(d_out, rank), grads[nb:].reshape(rank, d_in)
 
-    def same(x, y):
-        assert np.array_equal(np.dot(x, y), x @ y)
+    def same(x, y, out=None):
+        want = np.dot(x, y)
+        assert np.array_equal(want, x @ y)
+        if out is not None:
+            out.fill(np.nan)
+            assert np.dot(x, y, out=out) is out
+            assert out.tobytes() == want.tobytes()
 
     for _ in range(10):
         scale = 10.0 ** rng.uniform(-3, 3)
-        b = scale * rng.standard_normal((d_out, rank))
-        a = rng.standard_normal((rank, d_in)) / scale
+        b[...] = scale * rng.standard_normal((d_out, rank))
+        a[...] = rng.standard_normal((rank, d_in)) / scale
         same(b, a)  # the product b a; 1x1 takes numpy's scalar path
         resid = b @ a - rng.standard_normal((d_out, d_in))
-        same(resid, a.T)  # regression gradient of b
-        same(b.T, resid)  # regression gradient of a; gemv at rank 1
+        same(resid, a.T, gb)  # regression gradient of b
+        same(b.T, resid, ga)  # regression gradient of a; gemv at rank 1
         w = rng.standard_normal((d_out, d_in))
         for n in (1, 16, 32, 200):
             x = rng.standard_normal((n, d_in))
             same(x.T, x)  # regression probe Gram matrix
             same(resid, x.T @ x)
+            grad_w = resid @ (x.T @ x)
+            same(grad_w, a.T, gb)  # regression mini-batch gradients
+            same(b.T, grad_w, ga)
             same(x, w.T)  # logistic logits
             same(rng.standard_normal((n, d_out)).T, x)  # logistic gradient
-            gathered = x[rng.choice(n, size=max(1, n // 2), replace=False)]
+            gw = rng.standard_normal((n, d_out)).T @ x
+            same(gw, a.T, gb)  # logistic factor gradients
+            same(b.T, gw, ga)
+            gathered = x.take(rng.choice(n, size=max(1, n // 2), replace=False), axis=0)
             same(gathered, w.T)
             same(rng.standard_normal((len(gathered), d_out)).T, gathered)

@@ -139,7 +139,7 @@ class TestLogistic:
 
     def test_centralized_training_reaches_high_accuracy(self):
         def accuracy(task, b, a):
-            w = task.w0 + b @ a
+            w = b @ a
             pred = (task.features @ w.T).argmax(axis=1)
             return float((pred == task.labels).mean())
 
@@ -172,7 +172,7 @@ def logistic_loss_grads_reference(task, idx, b, a):
     """Softmax cross-entropy loss and gradient, written as their formulas."""
     x = task.features[idx]
     y = task.labels[idx]
-    w = task.w0 + b @ a
+    w = b @ a
     z = x @ w.T
     z -= z.max(axis=1, keepdims=True)
     expz = np.exp(z)
@@ -183,6 +183,22 @@ def logistic_loss_grads_reference(task, idx, b, a):
     p[np.arange(len(y)), y] -= 1.0
     gw = p.T @ x / len(y)
     return loss, gw @ a.T, b.T @ gw
+
+
+def packed(b, a):
+    """``b`` and ``a`` copied into one buffer, B's entries first, as views."""
+    buf = np.concatenate((b.ravel(), a.ravel()))
+    return buf[: b.size].reshape(b.shape), buf[b.size :].reshape(a.shape)
+
+
+def assert_out_writes_same_bits(task, client, b, a, idx, want):
+    """With factors and gradient buffers packed as local training packs
+    them, ``client_grads`` writes ``want``'s bits into ``out`` and returns it."""
+    b, a = packed(b, a)
+    out = packed(np.full(b.shape, np.nan), np.full(a.shape, np.nan))
+    assert task.client_grads(client, b, a, idx, out=out) is out
+    for g, w in zip(out, want):
+        assert g.tobytes() == w.tobytes()
 
 
 class TestGradientBits:
@@ -202,6 +218,7 @@ class TestGradientBits:
             want = regression_grads_reference(task, trial % 3, b, a, sample_idx=idx)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+            assert_out_writes_same_bits(task, trial % 3, b, a, idx, got)
 
     def test_logistic_matches_formula(self):
         task = logistic_task(8, 4, 300, seed=9)
@@ -220,8 +237,44 @@ class TestGradientBits:
             gb, ga = task.client_grads(client, b, a, sample_idx=idx)
             assert np.array_equal(gb, gb_want)
             assert np.array_equal(ga, ga_want)
+            assert_out_writes_same_bits(task, client, b, a, idx, (gb, ga))
             if idx is None:
                 assert task.client_loss(client, b, a) == loss
+
+
+class TestGatherBits:
+    """The logistic kernel gathers batches with ``take`` and subtracts the
+    label term at flat offsets ``row * n_classes + label``; both must give
+    the bits of fancy indexing, for full shards and for batches."""
+
+    @pytest.mark.parametrize("n_classes", [2, 4, 7])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_take_and_flat_labels_match_fancy_indexing(self, n_classes, n):
+        rng = np.random.default_rng([n_classes, n])
+        x = rng.standard_normal((n, 8))
+        y = rng.integers(0, n_classes, size=n)
+        offsets = np.arange(n) * n_classes
+        batches = [None] + [
+            rng.choice(n, size=m, replace=False) for m in sorted({1, max(1, n // 2), n})
+        ]
+        for idx in batches:
+            if idx is None:
+                xs, ys, x_fancy, y_fancy = x, y, x, y
+            else:
+                xs, ys = x.take(idx, axis=0), y.take(idx)
+                x_fancy, y_fancy = x[idx], y[idx]
+                assert xs.flags.c_contiguous
+            assert xs.tobytes() == x_fancy.tobytes()
+            assert np.array_equal(ys, y_fancy)
+            m = len(ys)
+            p = rng.standard_normal((m, n_classes)) * 10.0 ** rng.uniform(-3, 3, m)[:, None]
+            flat, fancy = p.copy(), p.copy()
+            flat.reshape(-1)[offsets[:m] + ys] -= 1.0
+            fancy[np.arange(m), y_fancy] -= 1.0
+            assert flat.tobytes() == fancy.tobytes()
+            assert flat.reshape(-1)[offsets[:m] + ys].tobytes() == (
+                fancy[np.arange(m), y_fancy].tobytes()
+            )
 
 
 class TestDirichletPartition:
