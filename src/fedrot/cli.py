@@ -177,7 +177,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         if args.command == "run":
             return cmd_run(args.config, args.out, seed=args.seed)

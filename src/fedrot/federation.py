@@ -85,6 +85,8 @@ class TaskSpec:
     n_samples: int = 200
 
     def __post_init__(self):
+        if self.n_samples < 0:
+            raise UsageError("n_samples must be >= 0", key="n_samples")
         if self.kind is TaskKind.LOWRANK_REGRESSION and self.heterogeneity < 0:
             raise UsageError("heterogeneity must be nonnegative", key="heterogeneity")
         if self.kind is TaskKind.LOGISTIC:

@@ -1,20 +1,21 @@
 """Desk-scale training objectives with analytic gradients.
 
 Three task families: the scalar toy problem, low-rank matrix regression,
-and Dirichlet-partitioned logistic classification.  Every task exposes
-per-client loss and gradients in the LoRA factor parameterization, and a
-global loss (mean over clients) for trajectory records.
+and Dirichlet-partitioned logistic classification.  A client's objective
+sees its LoRA factors only through their product ``w = b a``, so a task
+defines ``product_loss(i, w)`` and ``product_grad(i, w, sample_idx)``, the
+gradient in ``w``, which may overwrite ``w`` and return it.  The base class
+``_Task`` holds the chain rule once: ``client_grads(i, b, a,
+sample_idx=None, out=None)`` writes ``g a^T`` and ``b^T g`` into the
+caller's arrays ``out = (gb, ga)`` and returns them; without ``out`` it
+writes into fresh arrays.  Local training passes views into one packed
+buffer per client-round.  ``client_loss`` and the mean over clients,
+``global_loss``, are the product loss of ``b a``.
 
-``client_grads(i, b, a, sample_idx=None, out=None)`` writes the gradients
-with respect to ``b`` and ``a`` into the caller's arrays ``out = (gb, ga)``
-and returns them; without ``out`` it writes into fresh arrays.  Local
-training passes views into one packed buffer per client-round.
-
-The gradient kernels call ``np.dot`` where their formulas read ``@``: for
-these 2-D products both reach the same BLAS call, so they give the same
-bits, and ``np.dot`` skips the ufunc dispatch.  Its ``out=`` changes only
-where that call writes, and ``take`` gathers the same rows as fancy
-indexing.
+The kernels call ``np.dot`` where their formulas read ``@``: for these 2-D
+products both reach the same BLAS call, so they give the same bits, and
+``np.dot`` skips the ufunc dispatch.  Its ``out=`` changes only where that
+call writes, and ``take`` gathers the same rows as fancy indexing.
 """
 
 from __future__ import annotations
@@ -48,15 +49,21 @@ class TaskKind(enum.Enum):
 
 
 class _Task:
-    """The global loss of every task family: the mean client loss."""
+    """The factor-level losses and gradients of every task family, from
+    the task's ``product_loss`` and ``product_grad``."""
+
+    def client_loss(self, i, b, a) -> float:
+        return self.product_loss(i, np.dot(b, a))
+
+    def client_grads(self, i, b, a, sample_idx=None, out=None):
+        gb, ga = out = (np.empty(b.shape), np.empty(a.shape)) if out is None else out
+        g = self.product_grad(i, np.dot(b, a), sample_idx)
+        np.dot(g, a.T, out=gb)
+        np.dot(b.T, g, out=ga)
+        return out
 
     def global_loss(self, b, a) -> float:
         return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
-
-
-def _grad_buffers(b, a, out):
-    """The gradient arrays a task writes: ``out``, or fresh ones."""
-    return (np.empty(b.shape), np.empty(a.shape)) if out is None else out
 
 
 @dataclass(eq=False)
@@ -69,17 +76,14 @@ class ScalarToyTask(_Task):
     def n_clients(self) -> int:
         return len(self.targets)
 
-    def client_loss(self, i: int, b: np.ndarray, a: np.ndarray) -> float:
-        p = float(b[0, 0] * a[0, 0])
-        return (p - self.targets[i]) ** 2
+    def product_loss(self, i, w) -> float:
+        return (float(w[0, 0]) - self.targets[i]) ** 2
 
-    def client_grads(self, i, b, a, sample_idx=None, out=None):
-        gb, ga = out = _grad_buffers(b, a, out)
-        p = float(b[0, 0] * a[0, 0])
-        resid = 2.0 * (p - self.targets[i])
-        np.multiply(resid, a.T, out=gb)
-        np.multiply(resid, b.T, out=ga)
-        return out
+    def product_grad(self, i, w, sample_idx):
+        # In Python floats: two in-place ufuncs on a 1x1 array would cost
+        # more than the step's three products.
+        w[0, 0] = 2.0 * (float(w[0, 0]) - self.targets[i])
+        return w
 
     def sample_count(self, i: int) -> int:
         return 1
@@ -108,33 +112,23 @@ class LowRankRegressionTask(_Task):
     def n_clients(self) -> int:
         return len(self.client_targets)
 
-    def client_loss(self, i, b, a) -> float:
-        resid = b @ a - self.client_targets[i]
+    def product_loss(self, i, w) -> float:
+        resid = w - self.client_targets[i]
         return float(np.sum(resid * resid))
 
-    def client_grads(self, i, b, a, sample_idx=None, out=None):
-        gb, ga = out = _grad_buffers(b, a, out)
-        resid = np.dot(b, a)
-        resid -= self.client_targets[i]
+    def product_grad(self, i, w, sample_idx):
+        w -= self.client_targets[i]
         if sample_idx is None:
-            # Doubling is exact short of overflow or subnormal results, so
-            # doubling the small r x d products gives the bits of
-            # ``2.0 * resid @ a.T`` without scaling the d x d residual.
-            np.dot(resid, a.T, out=gb)
-            gb *= 2.0
-            np.dot(b.T, resid, out=ga)
-            ga *= 2.0
-            return out
+            w *= 2.0
+            return w
         # Mini-batch gradient through a probe subset: the per-sample loss is
-        # |(b a - W_i) x|^2, whose mean over isotropic probes is unbiased
-        # for the full Frobenius objective.
+        # |(w - W_i) x|^2, whose mean over isotropic probes is unbiased for
+        # the full Frobenius objective.
         x = self.probes.take(sample_idx, axis=0)
-        grad_w = np.dot(resid, np.dot(x.T, x))
+        grad_w = np.dot(w, np.dot(x.T, x))
         grad_w *= 2.0
         grad_w /= len(x)
-        np.dot(grad_w, a.T, out=gb)
-        np.dot(b.T, grad_w, out=ga)
-        return out
+        return grad_w
 
     def sample_count(self, i: int) -> int:
         return 1 if self.probes is None else len(self.probes)
@@ -178,7 +172,7 @@ def lowrank_regression_task(
 
 @dataclass(eq=False)
 class LogisticTask(_Task):
-    """Cross-entropy classification with logits ``(b a) x``.
+    """Cross-entropy classification with logits ``w x``.
 
     ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
     holds per-client sample index arrays; until partitioned, every client
@@ -213,33 +207,30 @@ class LogisticTask(_Task):
             for s in self.shards
         ]
 
-    def _shifted_logits(self, x, b, a):
-        """Logits ``x (b a)^T`` minus each row's maximum."""
-        z = np.dot(x, np.dot(b, a).T)
+    def _shifted_logits(self, x, w):
+        """Logits ``x w^T`` minus each row's maximum."""
+        z = np.dot(x, w.T)
         z -= np.maximum.reduce(z, axis=1, keepdims=True)
         return z
 
-    def client_loss(self, i, b, a) -> float:
+    def product_loss(self, i, w) -> float:
         x, y, offsets = self._shard_data[i]
-        z = self._shifted_logits(x, b, a)
+        z = self._shifted_logits(x, w)
         logp = z - np.log(np.exp(z).sum(axis=1))[:, None]
         return float(-logp.reshape(-1)[offsets + y].mean())
 
-    def client_grads(self, i, b, a, sample_idx=None, out=None):
-        gb, ga = out = _grad_buffers(b, a, out)
+    def product_grad(self, i, w, sample_idx):
         x, y, offsets = self._shard_data[i]
         if sample_idx is not None:
             x, y = x.take(sample_idx, axis=0), y.take(sample_idx)
         n = len(y)
-        p = self._shifted_logits(x, b, a)
+        p = self._shifted_logits(x, w)
         np.exp(p, out=p)
         p /= np.add.reduce(p, axis=1)[:, None]
         p.reshape(-1)[offsets[:n] + y] -= 1.0
         gw = np.dot(p.T, x)
         gw /= n
-        np.dot(gw, a.T, out=gb)
-        np.dot(b.T, gw, out=ga)
-        return out
+        return gw
 
     def sample_count(self, i: int) -> int:
         return len(self.shards[i])

@@ -225,6 +225,20 @@ class TestRunCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        calls = []
+        monkeypatch.setattr(fedrot.federation, "run_federation", calls.append)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", write(tmp_path, SWEEP), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = write(tmp_path, MINIMAL + "  bogus: 1\n")
         code = main(["run", bad, "--out", str(tmp_path / "out")])
@@ -328,6 +342,8 @@ LOCATED_ERRORS = {
     "task.heterogeneity_negative": (
         "run", MINIMAL.replace("heterogeneity: 0.4", "heterogeneity: -1.0"), "-1.0"
     ),
+    # A negative probe count would silently turn off mini-batches.
+    "task.n_samples_negative": ("run", MINIMAL + "    n_samples: -5\n", "-5"),
     "task.n_classes_one": ("run", LOGISTIC.replace("n_classes: 4", "n_classes: 1"), "1"),
     "n_clients_beyond_samples": (
         "run", LOGISTIC.replace("n_clients: 3", "n_clients: 9") + "    n_samples: 5\n", "9"

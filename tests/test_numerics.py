@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,7 +206,10 @@ def test_dot_matches_matmul_bits(d_out, d_in, rank):
     # pair and each gradient pair into one buffer (B's entries, then A's),
     # so the factors are views into one array and the gradients are
     # written through ``out=`` into views of another; ``out=`` must only
-    # change where the result is written.
+    # change where the result is written.  The chain rule doubles the
+    # full-batch regression residual before its two products, which must
+    # give the bits of doubling the products; the scalar toy's 1x1 products
+    # must give the bits of a scalar multiply, signed zeros included.
     rng = np.random.default_rng([d_out, d_in, rank])
     nb = d_out * rank
     params = np.empty(nb + rank * d_in)
@@ -228,6 +233,11 @@ def test_dot_matches_matmul_bits(d_out, d_in, rank):
         resid = b @ a - rng.standard_normal((d_out, d_in))
         same(resid, a.T, gb)  # regression gradient of b
         same(b.T, resid, ga)  # regression gradient of a; gemv at rank 1
+        twice = 2.0 * resid
+        same(twice, a.T, gb)
+        same(b.T, twice, ga)
+        assert gb.tobytes() == (np.dot(resid, a.T) * 2.0).tobytes()
+        assert ga.tobytes() == (np.dot(b.T, resid) * 2.0).tobytes()
         w = rng.standard_normal((d_out, d_in))
         for n in (1, 16, 32, 200):
             x = rng.standard_normal((n, d_in))
@@ -244,3 +254,13 @@ def test_dot_matches_matmul_bits(d_out, d_in, rank):
             gathered = x.take(rng.choice(n, size=max(1, n // 2), replace=False), axis=0)
             same(gathered, w.T)
             same(rng.standard_normal((len(gathered), d_out)).T, gathered)
+    if (d_out, d_in) == (1, 1):
+        for g, x in itertools.product([0.0, -0.0, 1.5, -3.0e-7], repeat=2):
+            g, x = np.array([[g]]), np.array([[x]])
+            assert np.dot(g, x).tobytes() == np.multiply(g, x).tobytes()
+            gb.fill(np.nan)
+            np.dot(g, x.T, out=gb)
+            assert gb.tobytes() == np.multiply(g, x.T).tobytes()
+            ga.fill(np.nan)
+            np.dot(x.T, g, out=ga)
+            assert ga.tobytes() == np.multiply(x.T, g).tobytes()
