@@ -48,17 +48,10 @@ def _check_adapters(adapters: list[LoraAdapter]) -> None:
             )
 
 
-def _ideal_mean(adapters: list[LoraAdapter]) -> np.ndarray:
-    total = np.zeros(adapters[0].dims)
-    for ad in adapters:
-        total += semantic_update(ad)
-    return total / len(adapters)
-
-
 def aggregate_ideal(adapters: list[LoraAdapter]) -> np.ndarray:
     """Exact mean of client updates ``(1/N) sum b_i a_i``; rank may exceed r."""
     _check_adapters(adapters)
-    return _ideal_mean(adapters)
+    return sum(map(semantic_update, adapters)) / len(adapters)
 
 
 def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
@@ -70,17 +63,13 @@ def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
     return LoraAdapter(b, a, adapters[0].rank)
 
 
-def aggregation_error(
-    adapters: list[LoraAdapter], factorwise: LoraAdapter | None = None
-) -> float:
-    """``|factorwise product - ideal mean|_F`` for one LoRA layer.
+def aggregation_error(updates: list[np.ndarray], factorwise: LoraAdapter) -> float:
+    """``|mean(b_i) mean(a_i) - (1/N) sum b_i a_i|_F`` for one LoRA layer.
 
-    ``factorwise`` is :func:`aggregate_factorwise` of ``adapters`` when the
-    caller has already computed it, which also checked the adapters.
+    ``updates`` are the clients' products ``b_i a_i`` and ``factorwise`` is
+    :func:`aggregate_factorwise` of their adapters.
     """
-    if factorwise is None:
-        factorwise = aggregate_factorwise(adapters)
-    return frobenius_norm(semantic_update(factorwise) - _ideal_mean(adapters))
+    return frobenius_norm(semantic_update(factorwise) - sum(updates) / len(updates))
 
 
 def lagrange_error_oracle(adapters: list[LoraAdapter]) -> np.ndarray:
@@ -113,6 +102,7 @@ def frozen_factors(strategy: Strategy, round_index: int) -> tuple[bool, bool]:
 
 def server_step(
     adapters: list[LoraAdapter],
+    updates: list[np.ndarray],
     prev: LoraAdapter,
     strategy: Strategy,
     round_index: int,
@@ -123,11 +113,11 @@ def server_step(
     rotational strategies reduce to factor-wise averaging here.  A factor
     that :func:`frozen_factors` freezes this round (FFA-LoRA's A, RoLoRA's
     alternating factor) is kept from the previous global ``prev``
-    bit-for-bit.  Returns the new adapter along with the aggregation error
-    of the incoming adapters.
+    bit-for-bit.  Returns the new adapter and the aggregation error of the
+    incoming adapters, from their products ``updates`` formed client-side.
     """
     averaged = aggregate_factorwise(adapters)
-    err = aggregation_error(adapters, averaged)
+    err = aggregation_error(updates, averaged)
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
     new_adapter = LoraAdapter(
         prev.b if freeze_b else averaged.b,

@@ -179,6 +179,7 @@ class FederationConfig:
 @dataclass(eq=False)
 class ClientReport:
     adapter: LoraAdapter  # post-alignment factors
+    update: np.ndarray  # their product b a, formed once for the server
     rotation_deviation: float  # |R_soft - I|_F, 0 for non-rotational strategies
     # Diagnostics beyond the wire payload:
     raw_adapter: LoraAdapter  # the trained factors before alignment
@@ -406,7 +407,6 @@ def client_round(
                 client,
                 round_index,
             )
-            reported = trained
     elif strategy is Strategy.RANDOM_ROTATION:
         rot = haar_random_rotation(
             config.rank, seed=[config.seed, 7901, round_index, client]
@@ -414,10 +414,11 @@ def client_round(
         reported = apply_alignment(trained, rot)
         rotation_deviation = frobenius_norm(rot.r - np.eye(config.rank))
 
-    drift = frobenius_norm(semantic_update(reported) - raw_update)
-    drift /= max(1.0, frobenius_norm(raw_update))
+    update = raw_update if reported is trained else semantic_update(reported)
+    drift = frobenius_norm(update - raw_update) / max(1.0, frobenius_norm(raw_update))
     return ClientReport(
         adapter=reported,
+        update=update,
         rotation_deviation=rotation_deviation,
         raw_adapter=trained,
         procrustes_deviation=procrustes_deviation,
@@ -429,12 +430,13 @@ def client_round(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_federation(config: FederationConfig) -> RunResult:
     """Run the full protocol for ``config.rounds`` rounds.
 
     Deterministic for a fixed config; raises :class:`DivergenceError`
     carrying the completed rounds as ``partial`` if any loss, gradient or
-    parameter blows up.
+    parameter blows up, as read from the values, not from numpy warnings.
     """
     t_start = time.perf_counter()
     task = build_task(config)
@@ -446,19 +448,16 @@ def run_federation(config: FederationConfig) -> RunResult:
         )
     history = [adapter0]
     records: list[RoundRecord] = []
-    prev_snapshots: list[LoraAdapter] = []
+    snapshots: list[LoraAdapter] = []  # the last round's client adapters
     payload = d_out * config.rank + config.rank * d_in
 
     for t in range(1, config.rounds + 1):
         t_round = time.perf_counter()
         reference = select_reference(
-            history, config.reference_mode, prev_snapshots, seed=[config.seed, 211, t]
+            history, config.reference_mode, snapshots, seed=[config.seed, 211, t]
         )
         download = payload
-        if (
-            config.reference_mode.kind is ReferenceKind.RANDOM_CLIENT
-            and prev_snapshots
-        ):
+        if config.reference_mode.kind is ReferenceKind.RANDOM_CLIENT and snapshots:
             download += payload
             log.debug("round %d: charging one extra adapter download for the "
                       "random-client reference", t)
@@ -472,13 +471,14 @@ def run_federation(config: FederationConfig) -> RunResult:
             if exc.partial is None:
                 exc.partial = _result(config, records, history, t_start)
             raise
+        snapshots = [r.adapter for r in reports]
         model, err = server_step(
-            [r.adapter for r in reports], broadcast, config.strategy, t
+            snapshots, [r.update for r in reports], broadcast, config.strategy, t
         )
         loss = task.global_loss(model.b, model.a)
         target = alignment_schedule(t, config.schedule)
         phi_raw = dispersion([r.raw_adapter for r in reports], reference, target)
-        phi_aligned = dispersion([r.adapter for r in reports], reference, target)
+        phi_aligned = dispersion(snapshots, reference, target)
         aligned = (
             config.strategy in ROTATIONAL_STRATEGIES
             and (config.strategy is not Strategy.FEDROT or t >= config.align_from_round)
@@ -508,7 +508,6 @@ def run_federation(config: FederationConfig) -> RunResult:
         )
         records.append(record)
         history.append(model)
-        prev_snapshots = [r.adapter for r in reports]
         if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"global loss diverged at round {t} (loss={loss!r})",

@@ -9,8 +9,8 @@ gradient in ``w``, which may overwrite ``w`` and return it.  The base class
 sample_idx=None, out=None)`` writes ``g a^T`` and ``b^T g`` into the
 caller's arrays ``out = (gb, ga)`` and returns them; without ``out`` it
 writes into fresh arrays.  Local training passes views into one packed
-buffer per client-round.  ``client_loss`` and the mean over clients,
-``global_loss``, are the product loss of ``b a``.
+buffer per client-round.  ``global_loss`` forms ``b a`` once for every
+client's ``product_loss``, which only reads ``w``.
 
 The kernels call ``np.dot`` where their formulas read ``@``: for these 2-D
 products both reach the same BLAS call, so they give the same bits, and
@@ -63,7 +63,8 @@ class _Task:
         return out
 
     def global_loss(self, b, a) -> float:
-        return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
+        w = np.dot(b, a)
+        return float(np.mean([self.product_loss(i, w) for i in range(self.n_clients)]))
 
 
 @dataclass(eq=False)

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import Strategy, aggregation_error, lagrange_error_oracle
+from .aggregation import (
+    Strategy,
+    aggregate_factorwise,
+    aggregation_error,
+    lagrange_error_oracle,
+)
 from .alignment import (
     AlignmentTarget,
     haar_random_rotation,
@@ -20,7 +25,7 @@ from .alignment import (
     soft_rotation,
 )
 from .federation import FederationConfig, TaskSpec, run_federation
-from .lora import LoraAdapter
+from .lora import LoraAdapter, semantic_update
 from .numerics import frobenius_norm
 from .tasks import TaskKind
 
@@ -95,7 +100,8 @@ def _check_lagrange_identity() -> CheckResult:
                         rng.standard_normal((rank, d_in)), rank)
             for _ in range(n)
         ]
-        direct = aggregation_error(adapters)
+        updates = [semantic_update(ad) for ad in adapters]
+        direct = aggregation_error(updates, aggregate_factorwise(adapters))
         oracle = frobenius_norm(lagrange_error_oracle(adapters))
         worst = max(worst, abs(direct - oracle))
     return CheckResult(

@@ -17,6 +17,15 @@ from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 
 
+def updates_of(adapters):
+    return [semantic_update(ad) for ad in adapters]
+
+
+def error_of(adapters):
+    """The aggregation error, with the client products formed here."""
+    return aggregation_error(updates_of(adapters), aggregate_factorwise(adapters))
+
+
 def random_adapters(rng, n, d_out=5, d_in=4, rank=2):
     return [
         LoraAdapter(
@@ -70,7 +79,7 @@ class TestAggregationError:
             LoraAdapter(np.array([[2.0]]), np.array([[0.25]]), 1),
             LoraAdapter(np.array([[1.5]]), np.array([[1.0]]), 1),
         ]
-        err = aggregation_error(ads)
+        err = error_of(ads)
         assert err == pytest.approx(abs(1.75 * 0.625 - 1.0), rel=1e-12)
 
     def test_two_scalar_lagrange_value(self):
@@ -80,16 +89,29 @@ class TestAggregationError:
             LoraAdapter(np.array([[2.0]]), np.array([[2.0 / 3.0]]), 1),
         ]
         expected = abs(-(1.0 - 2.0) * (0.5 - 2.0 / 3.0) / 4.0)
-        assert aggregation_error(ads) == pytest.approx(expected, rel=1e-12)
+        assert error_of(ads) == pytest.approx(expected, rel=1e-12)
 
     def test_identical_clients_zero_error(self):
         rng = np.random.default_rng(5)
         (ad,) = random_adapters(rng, 1)
-        assert aggregation_error([ad.copy() for _ in range(4)]) == 0.0
+        assert error_of([ad.copy() for _ in range(4)]) == 0.0
 
     def test_single_client_zero_error(self):
         rng = np.random.default_rng(6)
-        assert aggregation_error(random_adapters(rng, 1)) == 0.0
+        assert error_of(random_adapters(rng, 1)) == 0.0
+
+    def test_averages_the_given_updates_in_client_order(self):
+        # The server does not form the client products again: it averages
+        # the ones it is given, in client order starting from zeros.
+        rng = np.random.default_rng(13)
+        ads = random_adapters(rng, 5)
+        updates = [rng.standard_normal((5, 4)) for _ in ads]
+        total = np.zeros((5, 4))
+        for update in updates:
+            total += update
+        factorwise = aggregate_factorwise(ads)
+        want = frobenius_norm(semantic_update(factorwise) - total / 5)
+        assert aggregation_error(updates, factorwise) == want
 
     def test_matches_lagrange_oracle(self):
         rng = np.random.default_rng(7)
@@ -102,7 +124,7 @@ class TestAggregationError:
                 d_in=int(rng.integers(2, 7)),
                 rank=1,
             )
-            direct = aggregation_error(ads)
+            direct = error_of(ads)
             oracle = frobenius_norm(lagrange_error_oracle(ads))
             assert abs(direct - oracle) <= 1e-10
 
@@ -123,11 +145,12 @@ class TestServerStep:
         rng = np.random.default_rng(8)
         prev = self._prev(rng)
         adapters = random_adapters(rng, 3)
-        model, err = server_step(adapters, prev, Strategy.FEDIT, 1)
+        model, err = server_step(adapters, updates_of(adapters), prev,
+                                 Strategy.FEDIT, 1)
         expected = aggregate_factorwise(adapters)
         np.testing.assert_array_equal(model.b, expected.b)
         np.testing.assert_array_equal(model.a, expected.a)
-        assert err == aggregation_error(adapters)
+        assert err == error_of(adapters)
 
     def test_checks_and_averages_once(self, monkeypatch):
         # One factor-wise mean per round serves both the new global model
@@ -144,7 +167,7 @@ class TestServerStep:
             monkeypatch.setattr(fedrot.aggregation, name, counted)
         rng = np.random.default_rng(11)
         adapters = random_adapters(rng, 3)
-        server_step(adapters, self._prev(rng), Strategy.FEDIT, 1)
+        server_step(adapters, updates_of(adapters), self._prev(rng), Strategy.FEDIT, 1)
         assert calls == {"_check_adapters": 1, "aggregate_factorwise": 1,
                          "aggregation_error": 1}
 
@@ -152,19 +175,22 @@ class TestServerStep:
         rng = np.random.default_rng(12)
         adapters = random_adapters(rng, 2) + random_adapters(rng, 1, rank=1)
         with pytest.raises(UsageError, match="inconsistent"):
-            server_step(adapters, self._prev(rng), Strategy.FEDIT, 1)
+            server_step(adapters, updates_of(adapters), self._prev(rng),
+                        Strategy.FEDIT, 1)
 
     def test_ffa_keeps_global_a_bitwise(self):
         rng = np.random.default_rng(9)
         prev = self._prev(rng)
-        model, _ = server_step(random_adapters(rng, 3), prev, Strategy.FFA_LORA, 1)
+        adapters = random_adapters(rng, 3)
+        model, _ = server_step(adapters, updates_of(adapters), prev, Strategy.FFA_LORA, 1)
         assert (model.a == prev.a).all()
 
     def test_rolora_alternates_frozen_factor(self):
         rng = np.random.default_rng(10)
         prev = self._prev(rng)
         adapters = random_adapters(rng, 3)
-        odd, _ = server_step(adapters, prev, Strategy.ROLORA, 1)
+        updates = updates_of(adapters)
+        odd, _ = server_step(adapters, updates, prev, Strategy.ROLORA, 1)
         assert (odd.a == prev.a).all()
-        even, _ = server_step(adapters, prev, Strategy.ROLORA, 2)
+        even, _ = server_step(adapters, updates, prev, Strategy.ROLORA, 2)
         assert (even.b == prev.b).all()

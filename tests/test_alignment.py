@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrot import alignment
+from fedrot import alignment, numerics
 from fedrot.alignment import (
     AlignmentTarget,
     ReferenceKind,
@@ -193,6 +193,94 @@ class TestSoftRotation:
         half_turn = Rotation(rotation_2d(math.pi))
         soft = soft_rotation(half_turn, 0.5)
         assert np.linalg.det(soft.r) == pytest.approx(1.0, abs=1e-9)
+
+
+def count_svds(monkeypatch) -> list:
+    """Record the matrices ``alignment`` passes to ``numerics.svd``."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return numerics.svd(m)
+
+    monkeypatch.setattr(alignment, "svd", counted)
+    return calls
+
+
+class TestSoftRotationAdversarial:
+    """Soft rotations of the hard rotations that Procrustes returns for
+    the adversarial inputs above, and of blends that are singular."""
+
+    @pytest.mark.parametrize("case", [*LOCAL_SCALES, *PLANTED_SPECTRA])
+    @pytest.mark.parametrize("lam", [0.3, 0.7])
+    def test_stays_special_orthogonal_and_shrinks(self, case, lam):
+        rng = np.random.default_rng(40)
+        eye = np.eye(4)
+        for _ in range(10):
+            local, reference = procrustes_inputs(case, rng)
+            hard = procrustes_rotation(local, reference, AlignmentTarget.FACTOR_A)
+            soft = soft_rotation(hard, lam)
+            np.testing.assert_allclose(soft.r.T @ soft.r, eye, atol=1e-12, err_msg=case)
+            assert np.linalg.det(soft.r) == pytest.approx(1.0, abs=1e-12), case
+            bound = 2.0 * lam * frobenius_norm(hard.r - eye)
+            assert frobenius_norm(soft.r - eye) <= bound + 1e-10, case
+
+    @pytest.mark.parametrize("case", [c for c in LOCAL_SCALES if c != "gaussian"])
+    def test_scale_free(self, case):
+        # The correlation matrix scales with the local factor, and neither
+        # its nearest rotation nor the soft rotation depends on the scale.
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            local, reference = procrustes_inputs(case, rng)
+            unscaled = local / LOCAL_SCALES[case]
+            for lam in (0.3, 1.0):
+                got = soft_rotation(
+                    procrustes_rotation(local, reference, AlignmentTarget.FACTOR_A), lam
+                )
+                want = soft_rotation(
+                    procrustes_rotation(unscaled, reference, AlignmentTarget.FACTOR_A),
+                    lam,
+                )
+                np.testing.assert_allclose(got.r, want.r, atol=1e-12, err_msg=case)
+
+    def test_repeated_blend_spectrum_is_the_geodesic(self):
+        # Two equal plane rotations blend to a multiple of a rotation, whose
+        # four singular values are equal; the projection is still unique.
+        theta, lam = 2.0, 0.4
+        block = np.zeros((4, 4))
+        block[:2, :2] = block[2:, 2:] = rotation_2d(theta)
+        soft = soft_rotation(Rotation(block), lam)
+        phi = math.atan2(lam * math.sin(theta), 1.0 - lam + lam * math.cos(theta))
+        want = np.zeros((4, 4))
+        want[:2, :2] = want[2:, 2:] = rotation_2d(phi)
+        np.testing.assert_allclose(soft.r, want, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    def test_singular_blend_retries_once(self, monkeypatch, rank, offset):
+        # A half turn in one plane blended halfway is singular (or within
+        # the 1e-12 threshold of it): the blend is formed again at
+        # lam + 1e-9, whose SVD is well posed, and projects to the geodesic
+        # point of that lam.
+        calls = count_svds(monkeypatch)
+        theta, lam = math.pi - offset, 0.5 + 1e-9
+        half_turn = np.eye(rank)
+        half_turn[:2, :2] = rotation_2d(theta)
+        soft = soft_rotation(Rotation(half_turn), 0.5)
+        assert len(calls) == 2
+        assert numerics.svd(calls[0]).sigma[-1] <= 1e-12
+        want = np.eye(rank)
+        want[:2, :2] = rotation_2d(
+            math.atan2(lam * math.sin(theta), 1.0 - lam + lam * math.cos(theta))
+        )
+        np.testing.assert_allclose(soft.r, want, atol=1e-6)
+        np.testing.assert_allclose(soft.r.T @ soft.r, np.eye(rank), atol=1e-12)
+        assert np.linalg.det(soft.r) == pytest.approx(1.0, abs=1e-12)
+
+    def test_regular_blend_solves_once(self, monkeypatch):
+        calls = count_svds(monkeypatch)
+        soft_rotation(Rotation(rotation_2d(math.pi - 1e-3)), 0.5)
+        assert len(calls) == 1
 
 
 class TestApplyAlignment:

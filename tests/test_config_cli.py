@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -286,6 +287,18 @@ class TestRunCommand:
         assert "non-finite update" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["status"] == "diverged"
+
+    def test_divergence_prints_no_numpy_warnings(self, tmp_path, capsys):
+        # Divergence is detected from the values: the overflow on the way
+        # there is not reported a second time as numpy warnings.
+        text = MINIMAL.replace("strategy: fedrot", "strategy: fedit")
+        text = text.replace("dims: [8, 6]", "dims: [6, 6]")
+        text = text.replace("learning_rate: 0.05", "learning_rate: 2")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", write(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("value", ["2.5", "true"])
     def test_non_integer_rounds_exit_2(self, tmp_path, capsys, value):

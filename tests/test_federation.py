@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import fedrot.aggregation
 import fedrot.federation
 from fedrot.aggregation import Strategy, frozen_factors
 from fedrot.alignment import (
@@ -364,6 +365,12 @@ class TestClientRound:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_update_is_product_of_reported_factors(self, strategy):
+        config = regression_config(strategy=strategy)
+        report = client_round(0, self.broadcast, self.task, config, 3, self.broadcast)
+        np.testing.assert_array_equal(report.update, semantic_update(report.adapter))
+
 
 class TestRunFederation:
     def test_bitwise_deterministic(self):
@@ -378,6 +385,24 @@ class TestRunFederation:
         assert_runs_bit_identical(
             fedrot, fedit, ignore=("wall_ms", "kappa_max", "aligned")
         )
+
+    @pytest.mark.parametrize(
+        "strategy, per_client", [(Strategy.FEDROT, 2), (Strategy.FEDIT, 1)]
+    )
+    def test_each_product_formed_once_per_round(self, monkeypatch, strategy, per_client):
+        # An aligned client forms its trained and its reported product, a
+        # FedIT client only the trained one; the server forms the product
+        # of the factor-wise mean.
+        calls = []
+
+        def counted(ad):
+            calls.append(ad)
+            return semantic_update(ad)
+
+        for module in (fedrot.federation, fedrot.aggregation):
+            monkeypatch.setattr(module, "semantic_update", counted)
+        run_federation(regression_config(strategy=strategy, rounds=2))
+        assert len(calls) == 2 * (3 * per_client + 1)
 
     def test_single_client_zero_aggregation_error(self):
         config = regression_config(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedrot.errors import NumericError, UsageError
 from fedrot.numerics import (
+    SvdResult,
     as_matrix,
     determinant,
     frobenius_norm,
@@ -133,6 +134,63 @@ class TestSvd:
             self._check_factors(mat, res)
             for col in res.u.T:
                 assert col[np.argmax(np.abs(col))] >= 0.0
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-200])
+    def test_extreme_scales(self, scale):
+        # Far from 1 the squares of the entries overflow or underflow, but
+        # the SVD scales internally: the spectrum scales with the input and
+        # the sign-canonical factors do not move.
+        rng = np.random.default_rng(12)
+        for shape in [(6, 4), (4, 4), (1, 1), (4, 16)]:
+            mat = random_matrix(rng, *shape)
+            base = svd(mat)
+            res = svd(scale * mat)
+            np.testing.assert_allclose(res.sigma / scale, base.sigma, rtol=1e-13)
+            np.testing.assert_allclose(res.u, base.u, atol=1e-13)
+            np.testing.assert_allclose(res.vt, base.vt, atol=1e-13)
+            self._check_factors(mat, SvdResult(res.u, res.sigma / scale, res.vt))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e-200])
+    def test_rank_deficient_at_extreme_scales(self, scale):
+        rng = np.random.default_rng(13)
+        mat = random_matrix(rng, 8, 3) @ random_matrix(rng, 3, 8)
+        res = svd(scale * mat)
+        assert (res.sigma[3:] <= 1e-15 * res.sigma[0]).all()
+        self._check_factors(mat, SvdResult(res.u, res.sigma / scale, res.vt))
+        # The sign rule also fixes the columns of the null space.
+        for col in res.u.T:
+            assert col[np.argmax(np.abs(col))] >= 0.0
+
+    @pytest.mark.parametrize("spectrum", [(2.0, 2.0, 2.0, 1.0, 1.0), (1.0,) * 5])
+    def test_repeated_singular_values(self, spectrum):
+        # Factors of a repeated singular value are unique only up to a
+        # rotation of their block; they must still be orthonormal,
+        # sign-canonical and the same bits on every call.
+        rng = np.random.default_rng(14)
+        q1 = np.linalg.qr(random_matrix(rng, 5, 5))[0]
+        q2 = np.linalg.qr(random_matrix(rng, 5, 5))[0]
+        mat = q1 @ np.diag(spectrum) @ q2.T
+        res = svd(mat)
+        np.testing.assert_allclose(res.sigma, spectrum, rtol=1e-14)
+        self._check_factors(mat, res)
+        for col in res.u.T:
+            assert col[np.argmax(np.abs(col))] >= 0.0
+        again = svd(mat.copy())
+        assert res.u.tobytes() == again.u.tobytes()
+        assert res.vt.tobytes() == again.vt.tobytes()
+
+    def test_sign_rule_takes_first_index_on_ties(self, monkeypatch):
+        # Column 0's largest magnitude is tied between a negative first and
+        # a positive second entry: the first decides, so both the column
+        # and its row of vt flip.  Column 1 ties two positive entries.
+        h = 0.5 ** 0.5
+        u = np.array([[-h, h], [h, h]])
+        sigma = np.array([2.0, 1.0])
+        vt = np.array([[1.0, 0.0], [0.0, 1.0]])
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: (u, sigma, vt))
+        res = svd(np.eye(2))
+        assert res.u.tolist() == [[h, h], [-h, h]]
+        assert res.vt.tolist() == [[-1.0, 0.0], [0.0, 1.0]]
 
     def test_lapack_failure_is_numeric_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -1,0 +1,86 @@
+"""Bit premises of a stacked round: one array of shape ``(n_clients, ...)``
+per quantity in place of a list of per-client arrays.
+
+Stacking the clients keeps the goldens only where each stacked numpy call
+gives, for every client, the bytes of the per-client call it replaces.
+These tests pin that on the numpy build the goldens were made with, and
+pin the one place found where it does not hold.
+"""
+
+import numpy as np
+import pytest
+
+
+def stacked_factors(rng, n, d_out, d_in, rank):
+    scale = 10.0 ** rng.uniform(-3, 3)
+    b = scale * rng.standard_normal((n, d_out, rank))
+    a = rng.standard_normal((n, rank, d_in)) / scale
+    return b, a
+
+
+@pytest.mark.parametrize(
+    "n,d_out,d_in,rank", [(3, 64, 64, 4), (10, 4, 8, 4), (3, 1, 1, 1)]
+)
+def test_stacked_matmul_matches_per_client_dot(n, d_out, d_in, rank):
+    # The three products of the chain rule: w = b a, g a^T and b^T g.
+    rng = np.random.default_rng([n, d_out, d_in, rank])
+    for _ in range(10):
+        b, a = stacked_factors(rng, n, d_out, d_in, rank)
+        g = rng.standard_normal((n, d_out, d_in))
+        w = np.matmul(b, a)
+        gb = np.matmul(g, a.transpose(0, 2, 1))
+        ga = np.matmul(b.transpose(0, 2, 1), g)
+        for i in range(n):
+            assert w[i].tobytes() == np.dot(b[i], a[i]).tobytes()
+            assert gb[i].tobytes() == np.dot(g[i], a[i].T).tobytes()
+            assert ga[i].tobytes() == np.dot(b[i].T, g[i]).tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 4, 16, 64])
+def test_stacked_svd_and_det_match_single_calls(rank):
+    # The alignment solves one r x r SVD per client and checks det(R).
+    rng = np.random.default_rng(rank)
+    stack = rng.standard_normal((10, rank, rank))
+    u, sigma, vt = np.linalg.svd(stack, full_matrices=False)
+    det = np.linalg.det(stack)
+    for i, m in enumerate(stack):
+        ui, sigma_i, vt_i = np.linalg.svd(m, full_matrices=False)
+        assert u[i].tobytes() == ui.tobytes()
+        assert sigma[i].tobytes() == sigma_i.tobytes()
+        assert vt[i].tobytes() == vt_i.tobytes()
+        assert det[i].tobytes() == np.float64(np.linalg.det(m)).tobytes()
+
+
+def client_order_mean(stack):
+    """The server's mean: a sum in client order, then one division."""
+    return sum(stack[i] for i in range(len(stack))) / len(stack)
+
+
+@pytest.mark.parametrize("shape", [(64, 4), (4, 8), (1, 4), (4, 1)])
+@pytest.mark.parametrize("n", [2, 3, 10, 100])
+def test_stacked_mean_matches_client_order_sum(shape, n):
+    rng = np.random.default_rng([n, *shape])
+    for _ in range(20):
+        stack = rng.standard_normal((n, *shape))
+        stack *= 10.0 ** rng.uniform(-8, 8, (n, 1, 1))
+        # Negative zeros in every client, in one client, and mixed signs.
+        stack[:, 0, 0] = -0.0
+        stack[0, -1, -1] = -0.0
+        want = client_order_mean(stack)
+        got = np.add.reduce(stack, axis=0) / n
+        assert got.tobytes() == want.tobytes()
+        # Both sums start from +0.0, so an all -0.0 entry averages to +0.0.
+        assert not np.signbit(got[0, 0])
+
+
+def test_stacked_mean_of_scalars_is_pairwise_from_eight_clients():
+    # With 1x1 factors the reduced axis is the only one, so numpy sums it
+    # pairwise from 8 entries on and the bits leave the client order: a
+    # stacked scalar-toy server with 8 or more clients needs its own loop.
+    stack = np.array([1e16, 1, 1, 1, 1, 1, 1, 1]).reshape(8, 1, 1)
+    assert client_order_mean(stack)[0, 0] == 1e16 / 8
+    assert np.add.reduce(stack, axis=0)[0, 0] / 8 == (1e16 + 6) / 8
+    seven = stack[:7]
+    assert (np.add.reduce(seven, axis=0) / 7).tobytes() == (
+        client_order_mean(seven).tobytes()
+    )

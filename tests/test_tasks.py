@@ -241,6 +241,27 @@ class TestGradientBits:
             if idx is None:
                 assert task.client_loss(client, b, a) == loss
 
+    @pytest.mark.parametrize("kind", ["scalar", "regression", "logistic"])
+    def test_global_loss_is_mean_of_client_losses(self, kind):
+        # global_loss forms b a once; the bits must be those of averaging
+        # client_loss, which forms it once per client.
+        if kind == "scalar":
+            task, dims, rank = scalar_toy_task((0.5, 1.0, 1.5)), (1, 1), 1
+        elif kind == "regression":
+            task = lowrank_regression_task(8, 6, 2, 4, 0.5, seed=[5, 101])
+            dims, rank = (8, 6), 2
+        else:
+            task = logistic_task(8, 4, 300, seed=9)
+            task.set_shards(dirichlet_partition(task.labels, 5, 0.5, seed=9))
+            dims, rank = (4, 8), 3
+        rng = np.random.default_rng(len(kind))
+        for _ in range(10):
+            scale = 10.0 ** rng.uniform(-2, 2)
+            b = scale * rng.standard_normal((dims[0], rank))
+            a = rng.standard_normal((rank, dims[1])) / scale
+            want = np.mean([task.client_loss(i, b, a) for i in range(task.n_clients)])
+            assert np.float64(task.global_loss(b, a)).tobytes() == want.tobytes()
+
 
 class TestGatherBits:
     """The logistic kernel gathers batches with ``take`` and subtracts the
