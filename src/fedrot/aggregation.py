@@ -17,6 +17,7 @@ __all__ = [
     "aggregation_error",
     "lagrange_error_oracle",
     "frozen_factors",
+    "aligns",
     "server_step",
 ]
 
@@ -28,11 +29,6 @@ class Strategy(enum.Enum):
     FEDROT = "fedrot"
     SCALAR_RESCALE = "scalar_rescale"
     RANDOM_ROTATION = "random_rotation"
-
-
-ROTATIONAL_STRATEGIES = frozenset(
-    {Strategy.FEDROT, Strategy.SCALAR_RESCALE, Strategy.RANDOM_ROTATION}
-)
 
 
 def _check_adapters(adapters: list[LoraAdapter]) -> None:
@@ -98,6 +94,13 @@ def frozen_factors(strategy: Strategy, round_index: int) -> tuple[bool, bool]:
             return False, True
         return True, False
     return False, False
+
+
+def aligns(strategy: Strategy, round_index: int, align_from_round: int) -> bool:
+    """Whether clients transform their trained factors in this round."""
+    if strategy is Strategy.FEDROT:
+        return round_index >= align_from_round
+    return strategy in (Strategy.SCALAR_RESCALE, Strategy.RANDOM_ROTATION)
 
 
 def server_step(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericError, UsageError
 from .lora import LoraAdapter
-from .numerics import as_matrix, determinant, frobenius_norm, qr_orthonormal, svd
+from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
 
 __all__ = [
     "Rotation",
@@ -67,7 +67,7 @@ class Rotation:
         dev = frobenius_norm(self.r.T @ self.r - np.eye(n))
         if dev > _ORTHO_TOL:
             raise UsageError(f"matrix is not orthogonal (|R^T R - I| = {dev:.3e})")
-        det = determinant(self.r)
+        det = float(np.linalg.det(self.r))
         if abs(det - 1.0) > _ORTHO_TOL:
             raise UsageError(f"rotation must have det +1, got {det!r}")
 
@@ -86,7 +86,7 @@ class Rotation:
 def _project_so(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """``u @ diag(1, ..., 1, det(u vt)) @ vt`` -- nearest special-orthogonal
     matrix given the SVD factors of the input."""
-    s = determinant(u @ vt)
+    s = np.linalg.det(u @ vt)
     sign = 1.0 if s > 0 else -1.0
     u = u.copy()
     u[:, -1] *= sign
@@ -180,8 +180,9 @@ def scalar_rescale_align(local, reference) -> float:
     """Closed-form scalar minimizing ``|c local - reference|_F``.
 
     ``c = <local, reference> / |local|_F^2``.  The caller applies ``c`` to
-    the aligned factor and ``1/c`` to the complementary one.  A near-zero
-    ``c`` would explode the complementary factor, so it is reported as a
+    the aligned factor and ``1/c`` to the complementary one.  A zero (or
+    underflowing) ``|local|_F^2`` leaves ``c`` undefined, and a near-zero
+    ``c`` would explode the complementary factor; both are reported as a
     degenerate alignment and the caller falls back to ``c = 1``.
     """
     local = as_matrix(local)
@@ -192,7 +193,7 @@ def scalar_rescale_align(local, reference) -> float:
         )
     denom = float(np.sum(local * local))
     if denom == 0.0:
-        raise UsageError("scalar rescaling undefined for a zero local factor")
+        raise DegenerateInputError("scalar rescaling undefined for a zero local factor")
     c = float(np.sum(local * reference)) / denom
     if abs(c) <= 1e-12:
         raise DegenerateInputError(
@@ -217,7 +218,7 @@ def haar_random_rotation(rank: int, seed) -> Rotation:
             q = qr_orthonormal(z)
         except NumericError:
             continue
-        if determinant(q) < 0.0:
+        if np.linalg.det(q) < 0.0:
             q = q.copy()
             q[:, -1] *= -1.0
         return Rotation(q)

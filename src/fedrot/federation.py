@@ -18,11 +18,12 @@ from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
 
-from .aggregation import ROTATIONAL_STRATEGIES, Strategy, frozen_factors, server_step
+from .aggregation import Strategy, aligns, frozen_factors, server_step
 from .alignment import (
     AlignmentTarget,
     ReferenceKind,
     ReferenceMode,
+    Rotation,
     ScheduleAblation,
     alignment_schedule,
     apply_alignment,
@@ -34,7 +35,7 @@ from .alignment import (
 )
 from .errors import DegenerateInputError, DivergenceError, UsageError
 from .lora import LoraAdapter, init_adapter, semantic_update
-from .metrics import alignment_gain, dispersion
+from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
 from .tasks import (
     DEFAULT_SCALAR_TARGETS,
@@ -180,15 +181,11 @@ class FederationConfig:
 class ClientReport:
     adapter: LoraAdapter  # post-alignment factors
     update: np.ndarray  # their product b a, formed once for the server
-    rotation_deviation: float  # |R_soft - I|_F, 0 for non-rotational strategies
-    # Diagnostics beyond the wire payload:
     raw_adapter: LoraAdapter  # the trained factors before alignment
-    procrustes_deviation: float  # |R* - I|_F, nan when not aligned
-    dist_a_raw: float  # |A_i - A_ref|_F before alignment
-    dist_b_raw: float
-    tau: float  # |B|_F * |A|_F of the reported factors
+    raw_update: np.ndarray  # their product
     grad_norm_max: float
-    semantic_drift: float  # |b~a~ - ba|_F / max(1, |ba|_F)
+    rotation: Rotation | None  # applied: FedRot's soft one or the Haar draw
+    procrustes: Rotation | None  # FedRot's hard (Procrustes) rotation
 
 
 @dataclass
@@ -258,8 +255,8 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(_sq_norm(x)) or bool(np.isfinite(x).all())
 
 
-# While a running bound on a factor's Frobenius norm stays below this, the
-# factor is provably finite and its per-step check is skipped.  The gap to
+# While a running bound on the trained factors' Frobenius norm stays below
+# this, they are provably finite and their per-step check is skipped.  The gap to
 # the largest double (~1.8e308) dwarfs the rounding of any feasible number
 # of bound updates.
 _PARAM_BOUND = 1e300
@@ -310,11 +307,11 @@ def local_train(
         rng = np.random.default_rng([seed, client, round_index])
     client_grads = task.client_grads
     isfinite, sqrt = math.isfinite, math.sqrt
-    # |b|_F <= bound_b after every step, since |b - eta g| <= |b| + |eta| |g|;
+    # |updated|_F <= bound after every step, since |p - eta g| <= |p| + |eta| |g|
+    # and |g| <= |gb| + |ga| (Python floats: an overflow is inf, not a warning);
     # a non-finite start gives an infinite or NaN bound, which is checked.
     step_scale = abs(eta)
-    bound_b = sqrt(_sq_norm(b))
-    bound_a = sqrt(_sq_norm(a))
+    bound = sqrt(_sq_norm(updated))
     # sqrt is monotone and correctly rounded, so the square root of the
     # largest squared norm is the largest norm.
     sq_max = 0.0
@@ -336,13 +333,9 @@ def local_train(
         update *= eta
         updated -= update
         # A frozen factor keeps its start value, so only the updated
-        # factors need the check, and only their bounds are read.
-        bound_b += step_scale * sqrt(sq_b)
-        bound_a += step_scale * sqrt(sq_a)
-        if not (
-            (freeze_b or bound_b < _PARAM_BOUND or _all_finite(b))
-            and (freeze_a or bound_a < _PARAM_BOUND or _all_finite(a))
-        ):
+        # factors need the check.
+        bound += step_scale * (sqrt(sq_b) + sqrt(sq_a))
+        if not (bound < _PARAM_BOUND or _all_finite(updated)):
             raise DivergenceError(
                 f"non-finite parameters on client {client}",
                 round_index=round_index,
@@ -361,8 +354,7 @@ def client_round(
 ) -> ClientReport:
     """One client's round: local training followed by the strategy's
     client-side transformation."""
-    if round_index < 1:
-        raise UsageError("rounds are 1-based")
+    target = alignment_schedule(round_index, config.schedule)  # checks round >= 1
     trained, grad_norm_max = local_train(
         client,
         broadcast,
@@ -380,53 +372,39 @@ def client_round(
         raise DivergenceError(
             f"non-finite update on client {client}", round_index=round_index
         )
-    target = alignment_schedule(round_index, config.schedule)
-    reported = trained
-    rotation_deviation = 0.0
-    procrustes_deviation = float("nan")
-    strategy = config.strategy
-    if strategy is Strategy.FEDROT and round_index >= config.align_from_round:
-        hard = procrustes_rotation(
-            target.factor(trained), target.factor(reference), target
-        )
-        soft = soft_rotation(hard, config.lam)
-        reported = apply_alignment(trained, soft)
-        eye = np.eye(config.rank)
-        rotation_deviation = frobenius_norm(soft.r - eye)
-        procrustes_deviation = frobenius_norm(hard.r - eye)
-    elif strategy is Strategy.SCALAR_RESCALE:
-        try:
-            c = scalar_rescale_align(target.factor(trained), target.factor(reference))
-            if target is AlignmentTarget.FACTOR_A:
-                reported = LoraAdapter(trained.b / c, trained.a * c, trained.rank)
-            else:
-                reported = LoraAdapter(trained.b * c, trained.a / c, trained.rank)
-        except DegenerateInputError:
-            log.warning(
-                "degenerate scalar rescaling on client %d round %d; skipping",
-                client,
-                round_index,
+    local, ref = target.factor(trained), target.factor(reference)
+    reported, rotation, procrustes = trained, None, None
+    if aligns(config.strategy, round_index, config.align_from_round):
+        if config.strategy is Strategy.FEDROT:
+            procrustes = procrustes_rotation(local, ref, target)
+            rotation = soft_rotation(procrustes, config.lam)
+        elif config.strategy is Strategy.RANDOM_ROTATION:
+            rotation = haar_random_rotation(
+                config.rank, seed=[config.seed, 7901, round_index, client]
             )
-    elif strategy is Strategy.RANDOM_ROTATION:
-        rot = haar_random_rotation(
-            config.rank, seed=[config.seed, 7901, round_index, client]
-        )
-        reported = apply_alignment(trained, rot)
-        rotation_deviation = frobenius_norm(rot.r - np.eye(config.rank))
-
-    update = raw_update if reported is trained else semantic_update(reported)
-    drift = frobenius_norm(update - raw_update) / max(1.0, frobenius_norm(raw_update))
+        else:
+            try:
+                c = scalar_rescale_align(local, ref)
+                if target is AlignmentTarget.FACTOR_A:
+                    reported = LoraAdapter(trained.b / c, trained.a * c, trained.rank)
+                else:
+                    reported = LoraAdapter(trained.b * c, trained.a / c, trained.rank)
+            except DegenerateInputError:
+                log.warning(
+                    "degenerate scalar rescaling on client %d round %d; skipping",
+                    client,
+                    round_index,
+                )
+    if rotation is not None:
+        reported = apply_alignment(trained, rotation)
     return ClientReport(
         adapter=reported,
-        update=update,
-        rotation_deviation=rotation_deviation,
+        update=raw_update if reported is trained else semantic_update(reported),
         raw_adapter=trained,
-        procrustes_deviation=procrustes_deviation,
-        dist_a_raw=frobenius_norm(trained.a - reference.a),
-        dist_b_raw=frobenius_norm(trained.b - reference.b),
-        tau=frobenius_norm(reported.b) * frobenius_norm(reported.a),
+        raw_update=raw_update,
         grad_norm_max=grad_norm_max,
-        semantic_drift=drift,
+        rotation=rotation,
+        procrustes=procrustes,
     )
 
 
@@ -477,31 +455,39 @@ def run_federation(config: FederationConfig) -> RunResult:
         )
         loss = task.global_loss(model.b, model.a)
         target = alignment_schedule(t, config.schedule)
-        phi_raw = dispersion([r.raw_adapter for r in reports], reference, target)
-        phi_aligned = dispersion(snapshots, reference, target)
-        aligned = (
-            config.strategy in ROTATIONAL_STRATEGIES
-            and (config.strategy is not Strategy.FEDROT or t >= config.align_from_round)
-        )
-        kappa_vals = []
-        for r in reports:
-            dist = r.dist_a_raw if target is AlignmentTarget.FACTOR_A else r.dist_b_raw
-            if np.isfinite(r.procrustes_deviation) and dist > 0:
-                kappa_vals.append(r.procrustes_deviation / dist)
+        raw = [r.raw_adapter for r in reports]
+        dist = {f: factor_distances(raw, reference, f) for f in AlignmentTarget}
+        phi_aligned = dispersion(factor_distances(snapshots, reference, target))
+        eye = np.eye(config.rank)
+        kappa = [
+            frobenius_norm(r.procrustes.r - eye) / d
+            for r, d in zip(reports, dist[target])
+            if r.procrustes is not None and d > 0
+        ]
         record = RoundRecord(
             round=t,
             loss=loss,
             agg_error=err,
             dispersion=phi_aligned,
-            alignment_gain=alignment_gain(phi_aligned, phi_raw),
-            rotation_deviation=float(np.mean([r.rotation_deviation for r in reports])),
-            tau_diag=max(r.tau for r in reports),
+            alignment_gain=alignment_gain(phi_aligned, dispersion(dist[target])),
+            rotation_deviation=float(np.mean([
+                0.0 if r.rotation is None else frobenius_norm(r.rotation.r - eye)
+                for r in reports
+            ])),
+            tau_diag=max(
+                frobenius_norm(r.adapter.b) * frobenius_norm(r.adapter.a)
+                for r in reports
+            ),
             grad_norm_max=max(r.grad_norm_max for r in reports),
-            dist_a_min=min(r.dist_a_raw for r in reports),
-            dist_b_min=min(r.dist_b_raw for r in reports),
-            kappa_max=max(kappa_vals) if kappa_vals else float("nan"),
-            semantic_drift_max=max(r.semantic_drift for r in reports),
-            aligned=aligned,
+            dist_a_min=min(dist[AlignmentTarget.FACTOR_A]),
+            dist_b_min=min(dist[AlignmentTarget.FACTOR_B]),
+            kappa_max=max(kappa, default=float("nan")),
+            semantic_drift_max=max(
+                frobenius_norm(r.update - r.raw_update)
+                / max(1.0, frobenius_norm(r.raw_update))
+                for r in reports
+            ),
+            aligned=aligns(config.strategy, t, config.align_from_round),
             upload_scalars=payload,
             download_scalars=download,
             wall_ms=(time.perf_counter() - t_round) * 1e3,

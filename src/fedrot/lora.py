@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .numerics import as_matrix, matmul
+from .numerics import as_matrix
 
 __all__ = [
     "LoraAdapter",
@@ -47,7 +47,7 @@ class LoraAdapter:
 
 def semantic_update(ad: LoraAdapter) -> np.ndarray:
     """The update the adapter represents: ``b @ a``."""
-    return matmul(ad.b, ad.a)
+    return ad.b @ ad.a
 
 
 def init_adapter(d_out: int, d_in: int, rank: int, seed) -> LoraAdapter:

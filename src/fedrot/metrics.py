@@ -20,6 +20,7 @@ from .numerics import frobenius_norm
 
 __all__ = [
     "TheoryConstants",
+    "factor_distances",
     "dispersion",
     "alignment_gain",
     "gamma",
@@ -46,18 +47,20 @@ class TheoryConstants:
                 raise UsageError(f"theory constant {name} must be strictly positive")
 
 
-def dispersion(
-    adapters: list[LoraAdapter],
-    reference: LoraAdapter,
-    target: AlignmentTarget,
-) -> float:
-    """Mean squared Frobenius distance of the aligned factor from the
-    reference factor: ``(1/N) sum |A_i - A_ref|^2`` (or the B analogue)."""
-    if not adapters:
-        raise UsageError("dispersion requires at least one adapter")
+def factor_distances(
+    adapters: list[LoraAdapter], reference: LoraAdapter, target: AlignmentTarget
+) -> list[float]:
+    """Each adapter's ``|A_i - A_ref|_F`` (or the B analogue)."""
     ref = target.factor(reference)
-    dists = [frobenius_norm(target.factor(ad) - ref) ** 2 for ad in adapters]
-    return float(np.mean(dists))
+    return [frobenius_norm(target.factor(ad) - ref) for ad in adapters]
+
+
+def dispersion(distances: list[float]) -> float:
+    """Mean squared factor distance ``(1/N) sum |A_i - A_ref|^2`` (or the B
+    analogue), from the distances :func:`factor_distances` gives."""
+    if not distances:
+        raise UsageError("dispersion requires at least one adapter")
+    return float(np.mean([d**2 for d in distances]))
 
 
 def alignment_gain(phi_lambda: float, phi_zero: float) -> float:

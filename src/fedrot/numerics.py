@@ -9,6 +9,7 @@ values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,9 @@ from .errors import NumericError, UsageError
 __all__ = [
     "SvdResult",
     "as_matrix",
-    "matmul",
     "frobenius_norm",
     "svd",
     "qr_orthonormal",
-    "determinant",
 ]
 
 def as_matrix(a) -> np.ndarray:
@@ -37,19 +36,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise UsageError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
+@np.errstate(over="ignore")
 def frobenius_norm(a) -> float:
+    """``sqrt(sum(a * a))``.  When the squares underflow to zero or their
+    sum overflows, the sum runs on ``a / max|a|`` and is scaled back."""
     a = as_matrix(a)
-    return float(np.sqrt(np.sum(a * a)))
+    sq = np.sum(a * a)
+    if 0.0 < sq < math.inf or not a.any():
+        return float(np.sqrt(sq))
+    scale = np.abs(a).max()
+    a = a / scale
+    return float(scale * np.sqrt(np.sum(a * a)))
 
 
 @dataclass
@@ -109,10 +106,3 @@ def qr_orthonormal(a) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     return q * signs
-
-
-def determinant(a) -> float:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise UsageError(f"determinant expects a square matrix, got {a.shape}")
-    return float(np.linalg.det(a))

@@ -176,8 +176,8 @@ class LogisticTask(_Task):
     """Cross-entropy classification with logits ``w x``.
 
     ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
-    holds per-client sample index arrays; until partitioned, every client
-    sees the full dataset split round-robin.  Replace them with
+    holds per-client sample index arrays; :func:`logistic_task` builds a
+    single shard that holds every sample.  Replace them with
     :meth:`set_shards`, which also gathers each client's samples once.
     """
 

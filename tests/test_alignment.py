@@ -333,9 +333,11 @@ class TestScalarRescale:
         for delta in (-1e-3, 1e-3):
             assert frobenius_norm((c + delta) * local - reference) >= best
 
-    def test_zero_local_rejected(self):
-        with pytest.raises(UsageError):
-            scalar_rescale_align(np.zeros((2, 2)), np.ones((2, 2)))
+    @pytest.mark.parametrize("scale", [0.0, 1e-170])
+    def test_zero_local_rejected(self, scale):
+        # 1e-170 squared underflows, so the local factor's norm reads 0 too.
+        with pytest.raises(DegenerateInputError):
+            scalar_rescale_align(np.full((2, 2), scale), np.ones((2, 2)))
 
     def test_orthogonal_reference_degenerate(self):
         with pytest.raises(DegenerateInputError):

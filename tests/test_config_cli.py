@@ -288,6 +288,18 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["status"] == "diverged"
 
+    @pytest.mark.parametrize("strategy", ["scalar_rescale", "fedrot"])
+    @pytest.mark.parametrize("init_a", ["0.0", "1.0e-170"])
+    def test_zero_or_underflowing_factor_runs(self, tmp_path, strategy, init_a):
+        # A local factor whose squared norm is 0 leaves the alignment
+        # undefined: the client reports its trained factors, as FedRot does.
+        text = MINIMAL.replace("strategy: fedrot", f"strategy: {strategy}")
+        text += f"  init_a_value: {init_a}\n"
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, text), "--out", str(out)]) == 0
+        lines = (out / "rounds.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+
     def test_divergence_prints_no_numpy_warnings(self, tmp_path, capsys):
         # Divergence is detected from the values: the overflow on the way
         # there is not reported a second time as numpy warnings.

@@ -331,9 +331,13 @@ class TestClientRound:
 
     def test_no_alignment_before_align_from_round(self):
         report = client_round(0, self.broadcast, self.task, self.config, 1, self.broadcast)
-        assert report.rotation_deviation == 0.0
+        assert report.rotation is None and report.procrustes is None
         assert (report.adapter.b == report.raw_adapter.b).all()
         assert (report.adapter.a == report.raw_adapter.a).all()
+
+    def test_rejects_round_zero(self):
+        with pytest.raises(UsageError, match="1-based"):
+            client_round(0, self.broadcast, self.task, self.config, 0, self.broadcast)
 
     def test_fedit_reports_raw_factors(self):
         config = regression_config(strategy=Strategy.FEDIT)
@@ -370,6 +374,9 @@ class TestClientRound:
         config = regression_config(strategy=strategy)
         report = client_round(0, self.broadcast, self.task, config, 3, self.broadcast)
         np.testing.assert_array_equal(report.update, semantic_update(report.adapter))
+        np.testing.assert_array_equal(
+            report.raw_update, semantic_update(report.raw_adapter)
+        )
 
 
 class TestRunFederation:

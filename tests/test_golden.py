@@ -3,7 +3,9 @@
 Each ``tests/golden/<name>.yaml`` is run with ``fedrot run``; its
 ``rounds.csv`` and ``summary.json`` must equal ``tests/golden/<name>/``
 byte for byte once the wall-clock fields (the ``wall_ms`` column and
-``metrics.wall_time_s``) are dropped.  The configs cover every strategy,
+``metrics.wall_time_s``) are dropped.  ``records.json`` pins every
+``RoundRecord`` field but ``wall_ms``, floats as ``float.hex``, since
+``rounds.csv`` holds only some of them.  The configs cover every strategy,
 all three tasks, mini-batching, the random-client and older-global
 references, and a run that trips the global-loss divergence guard.
 
@@ -13,11 +15,15 @@ To rewrite the golden files after a deliberate change of the numbers::
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fedrot.cli import main
+from fedrot.config import load_config
+from fedrot.errors import DivergenceError
+from fedrot.federation import RoundRecord, run_federation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIGS = sorted(GOLDEN_DIR.glob("*.yaml"))
@@ -44,6 +50,24 @@ def run_golden(config: Path, out_dir: Path) -> tuple[int, dict[str, str]]:
     return code, without_wall_clock(out_dir)
 
 
+def records_json(config: Path) -> str:
+    """Every ``RoundRecord`` field of the run but ``wall_ms``, as JSON text."""
+    try:
+        records = run_federation(load_config(config).experiment).rounds
+    except DivergenceError as exc:
+        records = exc.partial.rounds
+    pinned = [f for f in fields(RoundRecord) if f.name != "wall_ms"]
+    rows = [
+        {
+            f.name: float(getattr(r, f.name)).hex() if f.type == "float"
+            else getattr(r, f.name)
+            for f in pinned
+        }
+        for r in records
+    ]
+    return json.dumps(rows, indent=1) + "\n"
+
+
 def test_configs_cover_the_protocol():
     assert len(CONFIGS) >= 6
     text = "".join(c.read_text(encoding="utf-8") for c in CONFIGS)
@@ -67,6 +91,12 @@ def test_outputs_match_golden(config, tmp_path):
         assert text == golden, f"{config.stem}/{name} differs from the golden file"
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_records_match_golden(config):
+    golden = (GOLDEN_DIR / config.stem / "records.json").read_text(encoding="utf-8")
+    assert records_json(config) == golden, f"{config.stem}/records.json differs"
+
+
 def test_golden_set_has_a_diverged_run():
     statuses = {
         json.loads((GOLDEN_DIR / c.stem / "summary.json").read_text())["status"]
@@ -83,6 +113,7 @@ if __name__ == "__main__":
             code, files = run_golden(config, Path(tmp) / "out")
         target = GOLDEN_DIR / config.stem
         target.mkdir(exist_ok=True)
+        files["records.json"] = records_json(config)
         for name, text in files.items():
             (target / name).write_text(text, encoding="utf-8")
         print(f"{config.stem}: exit {code}")

@@ -12,6 +12,7 @@ from fedrot.metrics import (
     alignment_gain,
     dispersion,
     estimate_constants,
+    factor_distances,
     feasible_lambda_range,
     gamma,
 )
@@ -41,7 +42,9 @@ class TestDispersion:
         rng = np.random.default_rng(0)
         (ref,) = random_adapters(rng, 1)
         ads = [ref.copy() for _ in range(3)]
-        assert dispersion(ads, ref, AlignmentTarget.FACTOR_A) == 0.0
+        dists = factor_distances(ads, ref, AlignmentTarget.FACTOR_A)
+        assert dists == [0.0, 0.0, 0.0]
+        assert dispersion(dists) == 0.0
 
     def test_unit_perturbation(self):
         rng = np.random.default_rng(1)
@@ -49,7 +52,8 @@ class TestDispersion:
         bump = rng.standard_normal(ref.a.shape)
         bump /= np.linalg.norm(bump)
         ad = LoraAdapter(ref.b.copy(), ref.a + bump, ref.rank)
-        assert dispersion([ad], ref, AlignmentTarget.FACTOR_A) == pytest.approx(1.0)
+        dists = factor_distances([ad], ref, AlignmentTarget.FACTOR_A)
+        assert dispersion(dists) == pytest.approx(1.0)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
@@ -62,12 +66,18 @@ class TestDispersion:
             expected = sum(
                 np.linalg.norm(pick(ad) - pick(ref)) ** 2 for ad in ads
             ) / len(ads)
-            assert dispersion(ads, ref, target) == pytest.approx(expected, rel=1e-12)
+            phi = dispersion(factor_distances(ads, ref, target))
+            assert phi == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         ref = random_adapters(rng, 1)[0]
-        assert dispersion(random_adapters(rng, 4), ref, AlignmentTarget.FACTOR_B) >= 0.0
+        dists = factor_distances(random_adapters(rng, 4), ref, AlignmentTarget.FACTOR_B)
+        assert dispersion(dists) >= 0.0
+
+    def test_rejects_no_adapters(self):
+        with pytest.raises(UsageError):
+            dispersion([])
 
 
 class TestAlignmentGain:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from fedrot.errors import NumericError, UsageError
 from fedrot.numerics import (
     SvdResult,
     as_matrix,
-    determinant,
     frobenius_norm,
-    matmul,
     qr_orthonormal,
     svd,
 )
@@ -47,6 +46,16 @@ class TestFrobeniusNorm:
         rng = np.random.default_rng(0)
         m = rng.standard_normal((5, 7))
         assert frobenius_norm(m) == pytest.approx(np.linalg.norm(m), rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160, 5e-324, 1e300])
+    def test_squares_out_of_range(self, scale):
+        # The squares underflow to 0 or their sum overflows; the norm must not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_norm(np.full((4, 4), scale)) == pytest.approx(4 * scale)
+
+    def test_zero(self):
+        assert frobenius_norm(np.zeros((2, 3))) == 0.0
 
 
 class TestSvd:
@@ -231,27 +240,6 @@ class TestQrOrthonormal:
     def test_rejects_non_square(self):
         with pytest.raises(UsageError):
             qr_orthonormal(np.zeros((3, 2)))
-
-
-class TestDeterminant:
-    def test_known(self):
-        assert determinant(np.array([[2.0, 0.0], [0.0, 3.0]])) == pytest.approx(6.0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(UsageError):
-            determinant(np.zeros((2, 3)))
-
-
-class TestMatmul:
-    def test_matches_operator(self):
-        rng = np.random.default_rng(9)
-        a = random_matrix(rng, 3, 4)
-        b = random_matrix(rng, 4, 5)
-        np.testing.assert_array_equal(matmul(a, b), a @ b)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(UsageError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize(
