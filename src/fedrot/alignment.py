@@ -135,17 +135,17 @@ def procrustes_rotation(local, reference, target: AlignmentTarget) -> Rotation:
             "degenerate correlation matrix in Procrustes alignment; using identity"
         )
         return Rotation.identity(rank)
-    res = svd(m)
+    u, _, vt = svd(m)
     # R = V diag(1, ..., det(U V^T)) U^T, the closed-form SO(r) maximizer
     # of tr(R M).
-    return Rotation(_project_so(res.vt.T, res.u.T))
+    return Rotation(_project_so(vt.T, u.T))
 
 
 def soft_rotation(hard: Rotation, lam: float) -> Rotation:
     """Interpolate between identity and ``hard``, then reproject to SO(r).
 
-    ``lam = 0`` returns the identity exactly; ``lam = 1`` returns the hard
-    rotation.  Intermediate values form ``(1 - lam) I + lam hard`` and
+    ``lam = 0`` returns the identity exactly; ``lam = 1`` returns ``hard``
+    itself.  Intermediate values form ``(1 - lam) I + lam hard`` and
     take its nearest special-orthogonal matrix.
     """
     if not 0.0 <= lam <= 1.0:
@@ -153,26 +153,27 @@ def soft_rotation(hard: Rotation, lam: float) -> Rotation:
     if lam == 0.0:
         return Rotation.identity(hard.rank)
     if lam == 1.0:
-        return Rotation(hard.r.copy())
+        return hard
     blended = (1.0 - lam) * np.eye(hard.rank) + lam * hard.r
-    res = svd(blended)
-    if res.sigma[-1] <= 1e-12 * max(res.sigma[0], 1.0):
+    u, sigma, vt = svd(blended)
+    if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
         # Singular blend (measure-zero eigenvalue cancellation): nudge the
         # interpolation point and retry once.
         lam_adj = lam + 1e-9 if lam + 1e-9 <= 1.0 else lam - 1e-9
         blended = (1.0 - lam_adj) * np.eye(hard.rank) + lam_adj * hard.r
-        res = svd(blended)
-    return Rotation(_project_so(res.u, res.vt))
+        u, _, vt = svd(blended)
+    return Rotation(_project_so(u, vt))
 
 
 def apply_alignment(ad: LoraAdapter, rot: Rotation) -> LoraAdapter:
-    """Gauge transformation ``(b R, R^T a)``; the product ``b a`` is unchanged."""
+    """Gauge transformation ``(b R, R^T a)``; the product ``b a`` is unchanged.
+    The identity returns ``ad`` itself."""
     if rot.rank != ad.rank:
         raise UsageError(
             f"rotation rank {rot.rank} does not match adapter rank {ad.rank}"
         )
     if rot.is_identity():
-        return ad.copy()
+        return ad
     return LoraAdapter(ad.b @ rot.r, rot.r.T @ ad.a, ad.rank)
 
 
@@ -240,6 +241,10 @@ class ReferenceMode:
         if self.kind is ReferenceKind.OLDER_GLOBAL and self.lag < 2:
             raise UsageError(
                 f"older-global reference requires lag >= 2, got {self.lag}", key="lag"
+            )
+        if self.kind is not ReferenceKind.OLDER_GLOBAL and self.lag != 0:
+            raise UsageError(
+                f"{self.kind.value} reference takes no lag, got {self.lag}", key="lag"
             )
 
 

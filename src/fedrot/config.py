@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -38,6 +39,19 @@ class SweepSpec:
 class ExperimentFile:
     experiment: FederationConfig
     sweep: SweepSpec | None
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's YAML 1.1 float rule takes an exponent only after a dot and
+    with a sign, so ``1e-3`` or ``json.dumps``'s ``1e-06`` would load as
+    strings; this loader reads every exponent form as a float."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def _mark(node) -> tuple[int, int]:
@@ -210,7 +224,7 @@ def load_config(path, need_sweep: bool = False) -> ExperimentFile:
     without a ``sweep`` section is an error located at its top level."""
     try:
         with open(path, encoding="utf-8") as fh:
-            root = yaml.compose(fh)
+            root = yaml.compose(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     except yaml.YAMLError as exc:

@@ -41,9 +41,6 @@ class LoraAdapter:
     def dims(self) -> tuple[int, int]:
         return self.b.shape[0], self.a.shape[1]
 
-    def copy(self) -> "LoraAdapter":
-        return LoraAdapter(self.b.copy(), self.a.copy(), self.rank)
-
 
 def semantic_update(ad: LoraAdapter) -> np.ndarray:
     """The update the adapter represents: ``b @ a``."""

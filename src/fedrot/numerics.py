@@ -2,22 +2,18 @@
 
 Everything here operates on 2-D ``float64`` numpy arrays and is a pure
 function of its inputs: identical input bits always produce identical
-output bits.  The SVD is LAPACK's (``np.linalg.svd``) followed by a sign
-canonicalization that makes its factors unique for distinct singular
-values.
+output bits.  The SVD is LAPACK's (``np.linalg.svd``), factors unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, UsageError
 
 __all__ = [
-    "SvdResult",
     "as_matrix",
     "frobenius_norm",
     "svd",
@@ -49,27 +45,14 @@ def frobenius_norm(a) -> float:
     return float(scale * np.sqrt(np.sum(a * a)))
 
 
-@dataclass
-class SvdResult:
-    """Thin SVD ``input = u @ diag(sigma) @ vt``.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK thin SVD ``(u, sigma, vt)`` with ``a = u @ diag(sigma) @ vt``.
 
     ``u`` is m x k with orthonormal columns, ``sigma`` nonnegative and
     nonincreasing of length k = min(m, n), ``vt`` is k x n with
-    orthonormal rows.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-
-def svd(a) -> SvdResult:
-    """LAPACK thin SVD with deterministic sign canonicalization.
-
-    The largest-magnitude entry of every column of ``u`` is made
-    nonnegative (the first such entry on ties), and the matching row of
-    ``vt`` is flipped with it, so the factorization is unique for
-    distinct singular values.
+    orthonormal rows.  The sign of each singular pair is LAPACK's: every
+    caller reads only ``sigma`` or products in which a paired flip of a
+    column of ``u`` and its row of ``vt`` cancels exactly.
 
     Raises
     ------
@@ -78,13 +61,9 @@ def svd(a) -> SvdResult:
     """
     a = as_matrix(a)
     try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed for shape {a.shape}: {exc}") from exc
-    cols = np.arange(u.shape[1])
-    peak = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[peak, cols] < 0.0, -1.0, 1.0)
-    return SvdResult(u=u * signs, sigma=sigma, vt=vt * signs[:, None])
 
 
 def qr_orthonormal(a) -> np.ndarray:
@@ -96,7 +75,7 @@ def qr_orthonormal(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise UsageError(f"qr_orthonormal expects a square matrix, got {a.shape}")
-    sigma = svd(a).sigma
+    _, sigma, _ = svd(a)
     if sigma[-1] <= 1e-12 * sigma[0]:
         raise NumericError(
             f"qr_orthonormal: matrix is rank deficient "

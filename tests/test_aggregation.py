@@ -95,7 +95,8 @@ class TestAggregationError:
     def test_identical_clients_zero_error(self):
         rng = np.random.default_rng(5)
         (ad,) = random_adapters(rng, 1)
-        assert error_of([ad.copy() for _ in range(4)]) == 0.0
+        copies = [LoraAdapter(ad.b.copy(), ad.a.copy(), ad.rank) for _ in range(4)]
+        assert error_of(copies) == 0.0
 
     def test_single_client_zero_error(self):
         rng = np.random.default_rng(6)

@@ -160,8 +160,7 @@ class TestSoftRotation:
 
     def test_lambda_one_is_hard_exactly(self):
         hard = haar_random_rotation(4, seed=11)
-        soft = soft_rotation(hard, 1.0)
-        assert (soft.r == hard.r).all()
+        assert soft_rotation(hard, 1.0) is hard
 
     def test_intermediate_2d_is_geodesic(self):
         # In SO(2), projecting (1-lam) I + lam R(theta) lands on R(phi)
@@ -268,7 +267,8 @@ class TestSoftRotationAdversarial:
         half_turn[:2, :2] = rotation_2d(theta)
         soft = soft_rotation(Rotation(half_turn), 0.5)
         assert len(calls) == 2
-        assert numerics.svd(calls[0]).sigma[-1] <= 1e-12
+        _, sigma, _ = numerics.svd(calls[0])
+        assert sigma[-1] <= 1e-12
         want = np.eye(rank)
         want[:2, :2] = rotation_2d(
             math.atan2(lam * math.sin(theta), 1.0 - lam + lam * math.cos(theta))
@@ -281,6 +281,65 @@ class TestSoftRotationAdversarial:
         calls = count_svds(monkeypatch)
         soft_rotation(Rotation(rotation_2d(math.pi - 1e-3)), 0.5)
         assert len(calls) == 1
+
+
+def flip_svd_pairs(monkeypatch, seed) -> list:
+    """Make ``np.linalg.svd`` negate random singular pairs, at least one
+    per call: column k of ``u`` together with row k of ``vt``.  Returns
+    the list of flip signs, one array per call."""
+    lapack = np.linalg.svd
+    rng = np.random.default_rng(seed)
+    flips = []
+
+    def flipped(a, *args, **kwargs):
+        u, sigma, vt = lapack(a, *args, **kwargs)
+        signs = rng.choice([-1.0, 1.0], size=sigma.shape)
+        signs[rng.integers(len(signs))] = -1.0
+        flips.append(signs)
+        return u * signs, sigma, vt * signs[:, None]
+
+    monkeypatch.setattr(np.linalg, "svd", flipped)
+    return flips
+
+
+@pytest.mark.parametrize("rank", [1, 4, 16, 64])
+def test_rotations_blind_to_singular_pair_signs(monkeypatch, rank):
+    # A paired sign flip is the +-1 diagonal case of the gauge freedom
+    # u vt = (u S)(S vt), so LAPACK's sign choice needs no canonical form:
+    # the Procrustes and soft rotations read only det(u vt) and u vt,
+    # where each flipped pair cancels exactly.
+    rng = np.random.default_rng([50, rank])
+    d = rank + 5
+    reflect = haar_random_rotation(rank, seed=[50, rank]).r
+    reflect[:, 0] *= -1.0
+    cases = []
+    for target in AlignmentTarget:
+        for k in range(4):
+            local = rng.standard_normal((rank, d))
+            # The last case maps local onto reference by a reflection, so
+            # the correlation matrix has det < 0.
+            reference = reflect @ local if k == 3 else rng.standard_normal((rank, d))
+            assert k < 3 or np.linalg.det(reference @ local.T) < 0.0
+            if target is AlignmentTarget.FACTOR_B:
+                local, reference = local.T, reference.T
+            cases.append((local, reference, target))
+
+    def rotations():
+        out = []
+        for local, reference, target in cases:
+            hard = procrustes_rotation(local, reference, target)
+            out += [hard, *(soft_rotation(hard, lam) for lam in (0.3, 0.7))]
+        if rank > 1:
+            # The half-turn blend at lam 0.5 is singular and retries once.
+            half_turn = np.eye(rank)
+            half_turn[:2, :2] = rotation_2d(math.pi)
+            out.append(soft_rotation(Rotation(half_turn), 0.5))
+        return [rot.r.tobytes() for rot in out]
+
+    want = rotations()
+    flips = flip_svd_pairs(monkeypatch, rank)
+    assert rotations() == want
+    assert len(flips) == len(cases) * 3 + (rank > 1) * 2
 
 
 class TestApplyAlignment:
@@ -298,8 +357,7 @@ class TestApplyAlignment:
     def test_identity_is_bitwise_noop(self):
         rng = np.random.default_rng(14)
         ad = LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 5)), 2)
-        out = apply_alignment(ad, Rotation.identity(2))
-        assert (out.b == ad.b).all() and (out.a == ad.a).all()
+        assert apply_alignment(ad, Rotation.identity(2)) is ad
 
     def test_rank_mismatch_rejected(self):
         ad = LoraAdapter(np.ones((4, 2)), np.ones((2, 4)), 2)

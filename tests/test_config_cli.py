@@ -148,6 +148,15 @@ class TestLoadConfig:
                     if x.startswith(f"  {key}: "))
         assert (exc.value.line, exc.value.column) == (line, len(key) + 5)
 
+    @pytest.mark.parametrize(
+        "value, want", [("1e-3", 1e-3), ("1e-06", 1e-6), ("2E+1", 20.0), ("1.0e308", 1e308)]
+    )
+    def test_exponent_floats_are_numbers(self, tmp_path, value, want):
+        # YAML 1.1 reads an exponent only after a dot and with a sign;
+        # json.dumps writes 1e-06.
+        text = MINIMAL.replace("learning_rate: 0.05", f"learning_rate: {value}")
+        assert load_config(write(tmp_path, text)).experiment.learning_rate == want
+
     def test_unknown_sweep_parameter(self, tmp_path):
         text = MINIMAL + "sweep:\n  grid:\n    warp: [1]\n"
         with pytest.raises(ConfigError, match="warp"):
@@ -312,7 +321,7 @@ class TestRunCommand:
         assert code == 3
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
-    @pytest.mark.parametrize("value", ["2.5", "true"])
+    @pytest.mark.parametrize("value", ["2.5", "true", "1e3"])
     def test_non_integer_rounds_exit_2(self, tmp_path, capsys, value):
         text = MINIMAL.replace("rounds: 4", f"rounds: {value}")
         out = tmp_path / "out"
@@ -345,6 +354,7 @@ LOCATED_ERRORS = {
     "init_a_value_nan": ("run", MINIMAL + "  init_a_value: .nan\n", ".nan"),
     "learning_rate_nan": ("run", MINIMAL.replace("0.05", ".nan"), ".nan"),
     "learning_rate_inf": ("run", MINIMAL.replace("0.05", ".inf"), ".inf"),
+    "learning_rate_exponent_inf": ("run", MINIMAL.replace("0.05", "1e400"), "1e400"),
     "lambda_out_of_range": ("run", MINIMAL.replace("lambda: 0.7", "lambda: 1.5"), "1.5"),
     "rank_too_large": ("run", MINIMAL.replace("\n  rank: 2", "\n  rank: 9"), "9"),
     "rounds_zero": ("run", MINIMAL.replace("rounds: 4", "rounds: 0"), "0"),
@@ -353,6 +363,18 @@ LOCATED_ERRORS = {
         "run",
         MINIMAL + "  reference:\n    kind: older_global\n    lag: 0\n",
         "0",
+    ),
+    # Only the older-global reference reads a lag.
+    "reference.lag_prev_global": (
+        "run",
+        MINIMAL + "  reference:\n    kind: prev_global\n    lag: 5\n",
+        "5",
+    ),
+    "reference.lag_default_kind": ("run", MINIMAL + "  reference:\n    lag: -3\n", "-3"),
+    "reference.lag_random_client": (
+        "run",
+        MINIMAL + "  reference:\n    kind: random_client\n    lag: 7\n",
+        "7",
     ),
     "seed_negative": ("run", MINIMAL + "  seed: -1\n", "-1"),
     "grid_strategy": ("sweep", grid("strategy: [fancy]"), "fancy"),

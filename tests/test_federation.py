@@ -379,6 +379,19 @@ class TestClientRound:
         )
 
 
+def count_products(monkeypatch) -> list:
+    """Record the adapters whose product federation and aggregation form."""
+    calls = []
+
+    def counted(ad):
+        calls.append(ad)
+        return semantic_update(ad)
+
+    for module in (fedrot.federation, fedrot.aggregation):
+        monkeypatch.setattr(module, "semantic_update", counted)
+    return calls
+
+
 class TestRunFederation:
     def test_bitwise_deterministic(self):
         config = regression_config()
@@ -400,16 +413,17 @@ class TestRunFederation:
         # An aligned client forms its trained and its reported product, a
         # FedIT client only the trained one; the server forms the product
         # of the factor-wise mean.
-        calls = []
-
-        def counted(ad):
-            calls.append(ad)
-            return semantic_update(ad)
-
-        for module in (fedrot.federation, fedrot.aggregation):
-            monkeypatch.setattr(module, "semantic_update", counted)
+        calls = count_products(monkeypatch)
         run_federation(regression_config(strategy=strategy, rounds=2))
         assert len(calls) == 2 * (3 * per_client + 1)
+
+    def test_lambda_zero_reports_the_trained_product(self, monkeypatch):
+        # The soft rotation at lambda 0 is the identity, whose alignment
+        # returns the trained adapter itself: no second product per client.
+        calls = count_products(monkeypatch)
+        run = run_federation(regression_config(lam=0.0, rounds=2))
+        assert len(calls) == 2 * (3 + 1)
+        assert all(r.aligned for r in run.rounds)
 
     def test_single_client_zero_aggregation_error(self):
         config = regression_config(

@@ -41,7 +41,7 @@ class TestDispersion:
     def test_zero_for_equal_factors(self):
         rng = np.random.default_rng(0)
         (ref,) = random_adapters(rng, 1)
-        ads = [ref.copy() for _ in range(3)]
+        ads = [LoraAdapter(ref.b.copy(), ref.a.copy(), ref.rank) for _ in range(3)]
         dists = factor_distances(ads, ref, AlignmentTarget.FACTOR_A)
         assert dists == [0.0, 0.0, 0.0]
         assert dispersion(dists) == 0.0
