@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import config_to_dict, load_config
-from .errors import ConfigError, DivergenceError, FedRotError
+from .errors import ConfigError, FedRotError
 from .federation import RunResult, run_sweep
 from .verify import run_checks
 
@@ -49,7 +49,7 @@ def _write_rounds_csv(path: Path, records) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _summary_payload(result: RunResult, status: str = "ok") -> dict:
+def _summary_payload(result: RunResult) -> dict:
     records = result.rounds
     final = {
         "final_loss": records[-1].loss if records else None,
@@ -60,7 +60,7 @@ def _summary_payload(result: RunResult, status: str = "ok") -> dict:
         "wall_time_s": result.wall_time,
     }
     return {
-        "status": status,
+        "status": "ok" if result.divergence is None else "diverged",
         "version": __version__,
         "seed": result.config.seed,
         "config": config_to_dict(result.config),
@@ -68,11 +68,11 @@ def _summary_payload(result: RunResult, status: str = "ok") -> dict:
     }
 
 
-def _write_run_outputs(out_dir: Path, result: RunResult, status: str = "ok") -> dict:
+def _write_run_outputs(out_dir: Path, result: RunResult) -> dict:
     """Write ``rounds.csv`` and ``summary.json``; return the summary's metrics."""
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_rounds_csv(out_dir / "rounds.csv", result.rounds)
-    payload = _summary_payload(result, status=status)
+    payload = _summary_payload(result)
     (out_dir / "summary.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
@@ -87,14 +87,11 @@ def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
         experiment = replace(experiment, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        result = run_federation(experiment)
-    except DivergenceError as exc:
-        if exc.partial is not None:
-            _write_run_outputs(out, exc.partial, status="diverged")
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    result = run_federation(experiment)
     _write_run_outputs(out, result)
+    if result.divergence is not None:
+        print(f"error: {result.divergence}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -127,6 +124,7 @@ def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
         ]
         if cell.result is not None:
             metrics = _write_run_outputs(cell_dir, cell.result)
+        if cell.error is None:
             row = values + [
                 str(cell.seed),
                 _fmt(metrics["final_loss"]),
@@ -193,9 +191,6 @@ def main(argv=None) -> int:
             where = f" (line {exc.line}, column {exc.column})"
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (FedRotError, OSError) as exc:
         # OSError: the output directory cannot be created or written.
         print(f"error: {exc}", file=sys.stderr)

@@ -47,10 +47,9 @@ class ConfigError(FedRotError):
 
 
 class DivergenceError(FedRotError):
-    """Training diverged.  Carries the location and any partial trajectory."""
+    """Training diverged.  Carries the round and local step it diverged at."""
 
-    def __init__(self, message, round_index=None, step_index=None, partial=None):
+    def __init__(self, message, round_index=None, step_index=None):
         super().__init__(message)
         self.round_index = round_index
         self.step_index = step_index
-        self.partial = partial

@@ -13,7 +13,6 @@ import itertools
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import Field, dataclass, field, fields, replace
 
 import numpy as np
@@ -215,6 +214,8 @@ class RunResult:
     wall_time: float
     # The global adapters: the initial one, then one per completed round.
     history: list[LoraAdapter]
+    # What stopped a diverged run after its completed rounds; None otherwise.
+    divergence: DivergenceError | None = None
 
 
 def build_task(config: FederationConfig):
@@ -412,9 +413,10 @@ def client_round(
 def run_federation(config: FederationConfig) -> RunResult:
     """Run the full protocol for ``config.rounds`` rounds.
 
-    Deterministic for a fixed config; raises :class:`DivergenceError`
-    carrying the completed rounds as ``partial`` if any loss, gradient or
-    parameter blows up, as read from the values, not from numpy warnings.
+    Deterministic for a fixed config.  The run stops when any loss,
+    gradient, parameter or product blows up, as read from the values, not
+    from numpy warnings; its result then holds the completed rounds and, as
+    ``divergence``, the :class:`DivergenceError` that stopped it.
     """
     t_start = time.perf_counter()
     task = build_task(config)
@@ -428,7 +430,7 @@ def run_federation(config: FederationConfig) -> RunResult:
     records: list[RoundRecord] = []
     snapshots: list[LoraAdapter] = []  # the last round's client adapters
     payload = d_out * config.rank + config.rank * d_in
-
+    divergence = None
     for t in range(1, config.rounds + 1):
         t_round = time.perf_counter()
         reference = select_reference(
@@ -446,9 +448,8 @@ def run_federation(config: FederationConfig) -> RunResult:
                 for i in range(config.n_clients)
             ]
         except DivergenceError as exc:
-            if exc.partial is None:
-                exc.partial = _result(config, records, history, t_start)
-            raise
+            divergence = exc.with_traceback(None)  # its frames hold the task
+            break
         snapshots = [r.adapter for r in reports]
         model, err = server_step(
             snapshots, [r.update for r in reports], broadcast, config.strategy, t
@@ -495,22 +496,12 @@ def run_federation(config: FederationConfig) -> RunResult:
         records.append(record)
         history.append(model)
         if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"global loss diverged at round {t} (loss={loss!r})",
-                round_index=t,
-                partial=_result(config, records, history, t_start),
+            divergence = DivergenceError(
+                f"global loss diverged at round {t} (loss={loss!r})", round_index=t
             )
-    return _result(config, records, history, t_start)
-
-
-def _result(config, records, history, t_start) -> RunResult:
-    """The run so far: its completed rounds and global adapters."""
-    return RunResult(
-        rounds=records,
-        config=config,
-        wall_time=time.perf_counter() - t_start,
-        history=history,
-    )
+            break
+    wall_time = time.perf_counter() - t_start
+    return RunResult(records, config, wall_time, history, divergence)
 
 
 def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
@@ -536,8 +527,8 @@ def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
 class SweepCell:
     params: dict
     seed: int
-    result: RunResult | None = None
-    error: str | None = None
+    result: RunResult | None = None  # diverged runs included
+    error: str | None = None  # why the cell failed, divergence included
 
 
 def _run_cell(args) -> SweepCell:
@@ -545,8 +536,11 @@ def _run_cell(args) -> SweepCell:
     cell = SweepCell(params=params, seed=seed)
     try:
         cell.result = run_federation(replace(apply_overrides(config, params), seed=seed))
+        failure = cell.result.divergence
     except Exception as exc:  # individual failures recorded, sweep continues
-        cell.error = f"{type(exc).__name__}: {exc}"
+        failure = exc
+    if failure is not None:
+        cell.error = f"{type(failure).__name__}: {failure}"
     return cell
 
 
@@ -573,6 +567,9 @@ def run_sweep(
         for seed in seeds
     ]
     if jobs > 1 and len(cells) > 1:
+        # Imported here: a serial run need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A forked pool starts all of its workers at once, busy or not.
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             return list(pool.map(_run_cell, cells))

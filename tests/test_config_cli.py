@@ -2,7 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -595,6 +598,50 @@ class TestSweepCommand:
             assert status == "ok"
             assert final_loss == f"{summary['metrics']['final_loss']:.17g}"
             assert mean_agg_error == f"{summary['metrics']['mean_agg_error']:.17g}"
+
+    def test_diverged_cell_writes_its_run_directory(self, tmp_path, capsys):
+        # The second cell trips the global-loss guard after whole rounds:
+        # its directory holds what `fedrot run` writes for its config.
+        text = MINIMAL.replace("local_steps: 10", "local_steps: 1")
+        text = text.replace("rounds: 4", "rounds: 40")
+        grid = "sweep:\n  grid:\n    learning_rate: [0.05, 1.0]\n  seeds: [0]\n"
+        out = tmp_path / "sweep"
+        assert main(["sweep", write(tmp_path, text + grid), "--out", str(out)]) == 0
+        ok_dir, diverged_dir = sorted(p for p in out.iterdir() if p.is_dir())
+        run_out = tmp_path / "run"
+        cell_config = text.replace("learning_rate: 0.05", "learning_rate: 1.0")
+        code = main(["run", write(tmp_path, cell_config, "cell.yaml"),
+                     "--out", str(run_out)])
+        assert code == 3
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert "global loss diverged" in message
+        cell_files, run_files = sweep_outputs(diverged_dir), sweep_outputs(run_out)
+        assert cell_files == run_files
+        assert cell_files["summary.json"]["status"] == "diverged"
+        assert cell_files["summary.json"]["metrics"]["rounds_completed"] >= 1
+        rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].endswith(",ok")
+        assert rows[2] == "1,0,nan,nan,DivergenceError: " + message.replace(",", ";")
+        assert sweep_outputs(ok_dir)["summary.json"]["status"] == "ok"
+
+    def test_setup_imports_neither_multiprocessing_nor_numpy_ma(self, tmp_path):
+        # Start-up of a run loads only what the run uses: the process pool
+        # is imported by a parallel sweep alone, and the logistic task's
+        # partition avoids np.unique, whose first call imports numpy.ma.
+        config = write(tmp_path, LOGISTIC)
+        code = (
+            "import sys; import fedrot; "
+            "from fedrot.config import load_config; "
+            "from fedrot.federation import build_task; "
+            "build_task(load_config(sys.argv[1]).experiment); "
+            "print(sorted(m for m in ('multiprocessing', 'numpy.ma') "
+            "if m in sys.modules))"
+        )
+        src = str(Path(fedrot.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code, config], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:

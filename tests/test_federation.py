@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import time
 
@@ -486,12 +487,10 @@ class TestRunFederation:
         config = regression_config(
             strategy=Strategy.FEDIT, learning_rate=1.0, rounds=40, local_steps=1
         )
-        with pytest.raises(DivergenceError) as exc:
-            run_federation(config)
-        partial = exc.value.partial
-        assert partial is not None
-        assert 1 <= len(partial.rounds) <= 40
-        assert exc.value.round_index == len(partial.rounds)
+        result = run_federation(config)
+        assert isinstance(result.divergence, DivergenceError)
+        assert 1 <= len(result.rounds) <= 40
+        assert result.divergence.round_index == len(result.rounds)
 
     def test_local_divergence_carries_completed_rounds(self, monkeypatch):
         real_local_train = fedrot.federation.local_train
@@ -505,14 +504,15 @@ class TestRunFederation:
         monkeypatch.setattr(fedrot.federation, "local_train",
                             local_train_failing_in_round_3)
         config = regression_config(rounds=5)
-        with pytest.raises(DivergenceError, match="non-finite gradient") as exc:
-            run_federation(config)
-        partial = exc.value.partial
-        assert [r.round for r in partial.rounds] == [1, 2]
-        assert exc.value.round_index == 3 and exc.value.step_index == 7
-        assert len(partial.history) == 3
+        result = run_federation(config)
+        divergence = result.divergence
+        assert str(divergence) == "non-finite gradient on client 0"
+        assert [r.round for r in result.rounds] == [1, 2]
+        assert divergence.round_index == 3 and divergence.step_index == 7
+        assert len(result.history) == 3
         full = run_federation(dataclasses.replace(config, rounds=2))
-        assert_runs_bit_identical(partial, full)
+        assert full.divergence is None
+        assert_runs_bit_identical(result, full)
 
     def test_history_length(self):
         run = run_federation(regression_config(rounds=5))
@@ -577,6 +577,7 @@ class TestRunSweep:
         assert cells[0].error is None
         assert cells[1].error is not None
         assert "DivergenceError" in cells[1].error
+        assert cells[1].error.endswith(str(cells[1].result.divergence))
 
     def test_parallel_matches_serial(self):
         base = regression_config(rounds=2, local_steps=5)
@@ -606,7 +607,7 @@ class TestRunSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(fedrot.federation, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         base = regression_config(rounds=1, local_steps=1)
         cells = run_sweep(base, {"lambda": [0.0, 1.0]}, seeds=[0], jobs=64)
         assert sizes == [2]

@@ -5,6 +5,7 @@ import pytest
 
 from fedrot.errors import PartitionError, UsageError
 from fedrot.tasks import (
+    _distinct_sorted,
     dirichlet_partition,
     logistic_task,
     lowrank_regression_task,
@@ -345,6 +346,15 @@ class TestDirichletPartition:
                     skewed += 1
                     break
         assert skewed >= trials // 2
+
+    def test_classes_are_np_unique(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            high = int(rng.choice([1, 3, 50, 2**62]))
+            labels = rng.integers(-high, high, size=int(rng.integers(1, 40)))
+            got, want = _distinct_sorted(labels), np.unique(labels)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(PartitionError):
