@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .aggregation import (
     Strategy,
     aggregate_factorwise,
-    aggregate_ideal,
     aggregation_error,
 )
 from .alignment import (
@@ -51,7 +50,6 @@ __all__ = [
     "__version__",
     "Strategy",
     "aggregate_factorwise",
-    "aggregate_ideal",
     "aggregation_error",
     "AlignmentTarget",
     "ReferenceKind",

@@ -12,7 +12,6 @@ from .numerics import frobenius_norm
 
 __all__ = [
     "Strategy",
-    "aggregate_ideal",
     "aggregate_factorwise",
     "aggregation_error",
     "lagrange_error_oracle",
@@ -42,12 +41,6 @@ def _check_adapters(adapters: list[LoraAdapter]) -> None:
                 f"inconsistent adapter shapes: {ad.dims} rank {ad.rank} "
                 f"vs {dims} rank {rank}"
             )
-
-
-def aggregate_ideal(adapters: list[LoraAdapter]) -> np.ndarray:
-    """Exact mean of client updates ``(1/N) sum b_i a_i``; rank may exceed r."""
-    _check_adapters(adapters)
-    return sum(map(semantic_update, adapters)) / len(adapters)
 
 
 def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import config_to_dict, load_config
 from .errors import ConfigError, FedRotError
-from .federation import RunResult, run_sweep
+from .federation import RunResult, run_federation, run_sweep
 from .verify import run_checks
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify"]
@@ -80,8 +80,6 @@ def _write_run_outputs(out_dir: Path, result: RunResult) -> dict:
 
 
 def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
-    from .federation import run_federation
-
     experiment = load_config(config_path).experiment
     if seed is not None:
         experiment = replace(experiment, seed=seed)
@@ -118,7 +116,7 @@ def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
         cell_dir = out / _cell_dir_name(index, cell.params, cell.seed)
         values = [
             str(v.value) if hasattr(v, "value") else _fmt(v)
-            if isinstance(v, (int, float, np.integer, np.floating))
+            if isinstance(v, (int, float))
             else str(v)
             for v in (cell.params[name] for name in param_names)
         ]
@@ -133,7 +131,7 @@ def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
             ]
         else:
             n_failed += 1
-            status = (cell.error or "failed").split("\n")[0].replace(",", ";")
+            status = cell.error.split("\n")[0].replace(",", ";")
             row = values + [str(cell.seed), "nan", "nan", status]
         rows.append(",".join(row))
     (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")

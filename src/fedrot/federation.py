@@ -38,11 +38,11 @@ from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
 from .tasks import (
     DEFAULT_SCALAR_TARGETS,
+    ScalarToyTask,
     TaskKind,
     dirichlet_partition,
     logistic_task,
     lowrank_regression_task,
-    scalar_toy_task,
 )
 
 __all__ = [
@@ -87,15 +87,6 @@ class TaskSpec:
     def __post_init__(self):
         if self.n_samples < 0:
             raise UsageError("n_samples must be >= 0", key="n_samples")
-        if self.kind is TaskKind.LOWRANK_REGRESSION and self.heterogeneity < 0:
-            raise UsageError("heterogeneity must be nonnegative", key="heterogeneity")
-        if self.kind is TaskKind.LOGISTIC:
-            if self.n_classes < 2:
-                raise UsageError(
-                    f"need at least 2 classes, got {self.n_classes}", key="n_classes"
-                )
-            if self.n_samples < self.n_classes:
-                raise UsageError("need at least one sample per class", key="n_samples")
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ class FederationConfig:
             raise UsageError("batch_size must be >= 1 when set", key="batch_size")
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}", key="seed")
-        # The task's requirements on the fields around it.
+        # What each task kind requires; the task builders take it as checked.
         task = self.task
         if task.kind is TaskKind.SCALAR_TOY:
             if self.dims != (1, 1):
@@ -161,7 +152,19 @@ class FederationConfig:
                     f"true_rank {task.true_rank} out of range for dims {self.dims}",
                     key="task.true_rank",
                 )
+            if task.heterogeneity < 0:
+                raise UsageError(
+                    "heterogeneity must be nonnegative", key="task.heterogeneity"
+                )
         else:
+            if task.n_classes < 2:
+                raise UsageError(
+                    f"need at least 2 classes, got {task.n_classes}", key="task.n_classes"
+                )
+            if task.n_samples < task.n_classes:
+                raise UsageError(
+                    "need at least one sample per class", key="task.n_samples"
+                )
             if self.dims != (task.n_classes, task.n_features):
                 raise UsageError(
                     "logistic task requires dims (n_classes, n_features) = "
@@ -222,7 +225,7 @@ def build_task(config: FederationConfig):
     """Instantiate the task a config describes, including data partitioning."""
     spec = config.task
     if spec.kind is TaskKind.SCALAR_TOY:
-        return scalar_toy_task(spec.targets)
+        return ScalarToyTask(spec.targets)
     if spec.kind is TaskKind.LOWRANK_REGRESSION:
         return lowrank_regression_task(
             config.dims[0],
@@ -285,8 +288,6 @@ def local_train(
     when enabled, draws seeded batches from ``(seed, client, round)`` so
     results never depend on scheduling.
     """
-    if steps < 1:
-        raise UsageError("steps must be >= 1")
     nb = start.b.size
     params = np.concatenate((start.b.ravel(), start.a.ravel()))
     grads = np.empty_like(params)

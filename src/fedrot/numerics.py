@@ -75,7 +75,7 @@ def qr_orthonormal(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise UsageError(f"qr_orthonormal expects a square matrix, got {a.shape}")
-    _, sigma, _ = svd(a)
+    sigma = np.linalg.svd(a, compute_uv=False)
     if sigma[-1] <= 1e-12 * sigma[0]:
         raise NumericError(
             f"qr_orthonormal: matrix is rank deficient "

@@ -16,6 +16,11 @@ The kernels call ``np.dot`` where their formulas read ``@``: for these 2-D
 products both reach the same BLAS call, so they give the same bits, and
 ``np.dot`` skips the ufunc dispatch.  Its ``out=`` changes only where that
 call writes, and ``take`` gathers the same rows as fancy indexing.
+
+What a task kind requires of its values is checked once, in that kind's
+branch of ``FederationConfig.__post_init__``, and the builders here take
+their arguments as already checked; :func:`dirichlet_partition`, which the
+package exports, checks its own.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ __all__ = [
     "ScalarToyTask",
     "LowRankRegressionTask",
     "LogisticTask",
-    "scalar_toy_task",
     "lowrank_regression_task",
     "logistic_task",
     "dirichlet_partition",
@@ -90,13 +94,6 @@ class ScalarToyTask(_Task):
         return 1
 
 
-def scalar_toy_task(targets=DEFAULT_SCALAR_TARGETS) -> ScalarToyTask:
-    targets = tuple(float(t) for t in targets)
-    if not targets:
-        raise UsageError("scalar toy task requires at least one target")
-    return ScalarToyTask(targets)
-
-
 @dataclass(eq=False)
 class LowRankRegressionTask(_Task):
     """Client i minimizes ``|b a - W_i|_F^2`` for low-rank targets W_i.
@@ -150,12 +147,6 @@ def lowrank_regression_task(
     seed,
     n_probes: int = 200,
 ) -> LowRankRegressionTask:
-    if not 1 <= true_rank <= min(d_out, d_in):
-        raise UsageError(f"true_rank {true_rank} out of range for ({d_out}, {d_in})")
-    if n_clients < 1:
-        raise UsageError("need at least one client")
-    if heterogeneity < 0:
-        raise UsageError("heterogeneity must be nonnegative")
     rng = np.random.default_rng(seed)
     shared = _random_lowrank(rng, d_out, d_in, true_rank)
     shared /= np.linalg.norm(shared)
@@ -243,10 +234,6 @@ def logistic_task(n_features: int, n_classes: int, n_samples: int, seed) -> Logi
     Class means are drawn on a sphere of radius 5, far enough apart that
     a centralized linear model reaches high accuracy.
     """
-    if n_classes < 2:
-        raise UsageError(f"need at least 2 classes, got {n_classes}")
-    if n_samples < n_classes:
-        raise UsageError("need at least one sample per class")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, n_features))
     means *= 5.0 / np.linalg.norm(means, axis=1, keepdims=True)
@@ -299,12 +286,11 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> list[np.n
         if all(len(s) > 0 for s in assignment):
             return assignment
     # Could not avoid empty shards by resampling: move one sample per empty
-    # client out of the currently largest shard.
+    # client out of the currently largest shard.  With at least n_clients
+    # samples, that shard holds two or more while any shard is empty.
     for client in range(n_clients):
         if len(assignment[client]) == 0:
             donor = int(np.argmax([len(s) for s in assignment]))
-            if len(assignment[donor]) <= 1:
-                raise PartitionError("no admissible non-empty assignment exists")
             assignment[client] = assignment[donor][-1:]
             assignment[donor] = assignment[donor][:-1]
     return assignment

@@ -7,7 +7,6 @@ import fedrot.aggregation
 from fedrot.aggregation import (
     Strategy,
     aggregate_factorwise,
-    aggregate_ideal,
     aggregation_error,
     aligns,
     lagrange_error_oracle,
@@ -36,29 +35,6 @@ def random_adapters(rng, n, d_out=5, d_in=4, rank=2):
     ]
 
 
-class TestAggregateIdeal:
-    def test_mean_of_products(self):
-        rng = np.random.default_rng(0)
-        adapters = random_adapters(rng, 3)
-        expected = sum(semantic_update(ad) for ad in adapters) / 3
-        np.testing.assert_allclose(aggregate_ideal(adapters), expected, atol=1e-14)
-
-    def test_single_client(self):
-        rng = np.random.default_rng(1)
-        (ad,) = random_adapters(rng, 1)
-        np.testing.assert_allclose(aggregate_ideal([ad]), semantic_update(ad))
-
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            aggregate_ideal([])
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(2)
-        ads = random_adapters(rng, 1) + random_adapters(rng, 1, d_out=6)
-        with pytest.raises(UsageError):
-            aggregate_ideal(ads)
-
-
 class TestAggregateFactorwise:
     def test_means(self):
         rng = np.random.default_rng(3)
@@ -70,6 +46,16 @@ class TestAggregateFactorwise:
     def test_rank_preserved(self):
         rng = np.random.default_rng(4)
         assert aggregate_factorwise(random_adapters(rng, 3, rank=2)).rank == 2
+
+    def test_empty_rejected(self):
+        with pytest.raises(UsageError):
+            aggregate_factorwise([])
+
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(2)
+        ads = random_adapters(rng, 1) + random_adapters(rng, 1, d_out=6)
+        with pytest.raises(UsageError):
+            aggregate_factorwise(ads)
 
 
 class TestAggregationError:
@@ -135,7 +121,8 @@ class TestAggregationError:
     def test_property_lagrange_identity(self, seed, n):
         rng = np.random.default_rng(seed)
         ads = random_adapters(rng, n, d_out=4, d_in=5, rank=3)
-        direct = semantic_update(aggregate_factorwise(ads)) - aggregate_ideal(ads)
+        ideal = sum(updates_of(ads)) / len(ads)
+        direct = semantic_update(aggregate_factorwise(ads)) - ideal
         np.testing.assert_allclose(direct, lagrange_error_oracle(ads), atol=1e-10)
 
 

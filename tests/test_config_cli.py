@@ -395,12 +395,16 @@ LOCATED_ERRORS = {
     # A negative probe count would silently turn off mini-batches.
     "task.n_samples_negative": ("run", MINIMAL + "    n_samples: -5\n", "-5"),
     "task.n_classes_one": ("run", LOGISTIC.replace("n_classes: 4", "n_classes: 1"), "1"),
+    "task.n_samples_below_classes": (
+        "run", LOGISTIC.replace("n_clients: 3", "n_clients: 2") + "    n_samples: 3\n", "3"
+    ),
     "n_clients_beyond_samples": (
         "run", LOGISTIC.replace("n_clients: 3", "n_clients: 9") + "    n_samples: 5\n", "9"
     ),
     "n_clients_beyond_targets": (
         "run", SCALAR.replace("[0.5, 1.0, 1.5]", "[0.5, 1.5]"), "3"
     ),
+    "n_clients_without_targets": ("run", SCALAR.replace("[0.5, 1.0, 1.5]", "[]"), "3"),
     "grid_heterogeneity": ("sweep", grid("heterogeneity: [-1.0]"), "-1.0"),
     "grid_true_rank": ("sweep", grid("true_rank: [2, 7]"), "7"),
 }

@@ -26,7 +26,7 @@ from fedrot.federation import (
     run_sweep,
 )
 from fedrot.lora import LoraAdapter, init_adapter, semantic_update
-from fedrot.tasks import TaskKind, lowrank_regression_task, scalar_toy_task
+from fedrot.tasks import ScalarToyTask, TaskKind, lowrank_regression_task
 
 
 def regression_config(strategy=Strategy.FEDROT, **kwargs):
@@ -112,7 +112,7 @@ class TestLocalTrain:
         np.testing.assert_allclose(out.a, opt.a, atol=1e-9)
 
     def test_scalar_loss_nonincreasing(self):
-        task = scalar_toy_task((0.5, 1.0, 1.5))
+        task = ScalarToyTask((0.5, 1.0, 1.5))
         b, a = np.array([[0.2]]), np.array([[0.4]])
         prev = task.client_loss(0, b, a)
         ad = LoraAdapter(b, a, 1)

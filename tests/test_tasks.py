@@ -5,11 +5,11 @@ import pytest
 
 from fedrot.errors import PartitionError, UsageError
 from fedrot.tasks import (
+    ScalarToyTask,
     _distinct_sorted,
     dirichlet_partition,
     logistic_task,
     lowrank_regression_task,
-    scalar_toy_task,
 )
 
 
@@ -39,35 +39,31 @@ def assert_grads_match(task, client, b, a, rel=1e-5):
 
 class TestScalarToy:
     def test_losses_at_one(self):
-        task = scalar_toy_task((0.5, 1.0, 1.5))
+        task = ScalarToyTask((0.5, 1.0, 1.5))
         b, a = np.array([[1.0]]), np.array([[1.0]])
         losses = [task.client_loss(i, b, a) for i in range(3)]
         assert losses == pytest.approx([0.25, 0.0, 0.25])
 
     def test_gradient_zero_at_client_optimum(self):
-        task = scalar_toy_task((0.5, 1.0, 1.5))
+        task = ScalarToyTask((0.5, 1.0, 1.5))
         gb, ga = task.client_grads(1, np.array([[2.0]]), np.array([[0.5]]))
         assert gb[0, 0] == 0.0 and ga[0, 0] == 0.0
 
     def test_global_optimum_is_target_mean(self):
         # Grid search over the product confirms the global loss is
         # minimized at the mean of the targets.
-        task = scalar_toy_task((0.5, 1.0, 1.5))
+        task = ScalarToyTask((0.5, 1.0, 1.5))
         grid = np.linspace(-3.0, 3.0, 6001)
         losses = [task.global_loss(np.array([[p]]), np.array([[1.0]])) for p in grid]
         assert grid[int(np.argmin(losses))] == pytest.approx(1.0, abs=1e-3)
 
     def test_gradients_match_finite_differences(self):
-        task = scalar_toy_task((0.5, 1.0, 1.5))
+        task = ScalarToyTask((0.5, 1.0, 1.5))
         rng = np.random.default_rng(0)
         for _ in range(100):
             b = rng.standard_normal((1, 1))
             a = rng.standard_normal((1, 1))
             assert_grads_match(task, int(rng.integers(3)), b, a)
-
-    def test_empty_targets_rejected(self):
-        with pytest.raises(UsageError):
-            scalar_toy_task(())
 
 
 class TestLowRankRegression:
@@ -117,10 +113,6 @@ class TestLowRankRegression:
         second = lowrank_regression_task(6, 6, 2, 3, 0.5, seed=7)
         for x, y in zip(first.client_targets, second.client_targets):
             np.testing.assert_array_equal(x, y)
-
-    def test_invalid_rank_rejected(self):
-        with pytest.raises(UsageError):
-            lowrank_regression_task(4, 4, 5, 2, 0.1, seed=0)
 
 
 class TestLogistic:
@@ -247,7 +239,7 @@ class TestGradientBits:
         # global_loss forms b a once; the bits must be those of averaging
         # client_loss, which forms it once per client.
         if kind == "scalar":
-            task, dims, rank = scalar_toy_task((0.5, 1.0, 1.5)), (1, 1), 1
+            task, dims, rank = ScalarToyTask((0.5, 1.0, 1.5)), (1, 1), 1
         elif kind == "regression":
             task = lowrank_regression_task(8, 6, 2, 4, 0.5, seed=[5, 101])
             dims, rank = (8, 6), 2
@@ -313,6 +305,15 @@ class TestDirichletPartition:
         for seed in range(20):
             shards = dirichlet_partition(labels, 6, 0.1, seed=seed)
             assert all(len(s) > 0 for s in shards)
+
+    def test_one_sample_per_client_when_resampling_fails(self):
+        # At tiny alpha and as many samples as clients, resampling almost
+        # never fills every shard, so the fallback moves samples out of the
+        # largest shard until each client holds exactly one.
+        for seed in range(10):
+            shards = dirichlet_partition([0, 1, 0, 1, 2], 5, 1e-3, seed=seed)
+            assert [len(s) for s in shards] == [1] * 5
+            np.testing.assert_array_equal(np.sort(np.concatenate(shards)), np.arange(5))
 
     def test_deterministic(self):
         labels = np.random.default_rng(11).integers(0, 4, size=100)
