@@ -58,7 +58,10 @@ def aggregation_error(updates: list[np.ndarray], factorwise: LoraAdapter) -> flo
     ``updates`` are the clients' products ``b_i a_i`` and ``factorwise`` is
     :func:`aggregate_factorwise` of their adapters.
     """
-    return frobenius_norm(semantic_update(factorwise) - sum(updates) / len(updates))
+    diff = semantic_update(factorwise) - sum(updates) / len(updates)
+    if diff.ndim != 2 or not np.isfinite(diff).all():
+        raise UsageError("client updates must be finite matrices")
+    return frobenius_norm(diff)
 
 
 def lagrange_error_oracle(adapters: list[LoraAdapter]) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError, UsageError
+from .errors import DegenerateInputError, UsageError
 from .lora import LoraAdapter
 from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
 
@@ -186,12 +186,6 @@ def scalar_rescale_align(local, reference) -> float:
     ``c`` would explode the complementary factor; both are reported as a
     degenerate alignment and the caller falls back to ``c = 1``.
     """
-    local = as_matrix(local)
-    reference = as_matrix(reference)
-    if local.shape != reference.shape:
-        raise UsageError(
-            f"local/reference shape mismatch: {local.shape} vs {reference.shape}"
-        )
     denom = float(np.sum(local * local))
     if denom == 0.0:
         raise DegenerateInputError("scalar rescaling undefined for a zero local factor")
@@ -207,23 +201,14 @@ def haar_random_rotation(rank: int, seed) -> Rotation:
     """Haar-uniform sample from SO(rank).
 
     Gaussian matrix -> sign-canonical QR -> flip one column if the
-    determinant is negative.  Rank-deficient draws (measure zero) are
-    resampled, at most 5 times.
+    determinant is negative.  Any square draw has an orthogonal QR factor.
     """
     if rank < 1:
         raise UsageError(f"rank must be >= 1, got {rank}")
-    rng = np.random.default_rng(seed)
-    for _ in range(5):
-        z = rng.standard_normal((rank, rank))
-        try:
-            q = qr_orthonormal(z)
-        except NumericError:
-            continue
-        if np.linalg.det(q) < 0.0:
-            q = q.copy()
-            q[:, -1] *= -1.0
-        return Rotation(q)
-    raise UsageError("failed to sample a full-rank Gaussian matrix in 5 attempts")
+    q = qr_orthonormal(np.random.default_rng(seed).standard_normal((rank, rank)))
+    if np.linalg.det(q) < 0.0:
+        q[:, -1] *= -1.0
+    return Rotation(q)
 
 
 class ReferenceKind(enum.Enum):
@@ -256,13 +241,11 @@ def select_reference(
 ) -> LoraAdapter:
     """Pick the adapter clients align against this round.
 
-    ``history`` holds the global adapters up to and including the broadcast
-    for this round; ``client_snapshots`` holds the previous round's client
-    reports (may be empty in round one, in which case the random-client
-    mode falls back to the previous global adapter).
+    ``history`` holds the global adapters from the initial one up to the
+    broadcast for this round; ``client_snapshots`` holds the previous
+    round's client reports (may be empty in round one, in which case the
+    random-client mode falls back to the previous global adapter).
     """
-    if not history:
-        raise UsageError("reference selection requires a non-empty history")
     if mode.kind is ReferenceKind.PREV_GLOBAL:
         return history[-1]
     if mode.kind is ReferenceKind.OLDER_GLOBAL:
@@ -278,9 +261,7 @@ def select_reference(
 
 def alignment_schedule(round_index: int, ablation: ScheduleAblation) -> AlignmentTarget:
     """Factor to align this round: A on odd rounds, B on even rounds, unless
-    a single-factor ablation pins the target."""
-    if round_index < 1:
-        raise UsageError(f"rounds are 1-based, got {round_index}")
+    a single-factor ablation pins the target.  Rounds count from 1."""
     if ablation is ScheduleAblation.A_ONLY:
         return AlignmentTarget.FACTOR_A
     if ablation is ScheduleAblation.B_ONLY:

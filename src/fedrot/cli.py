@@ -37,7 +37,7 @@ ROUNDS_COLUMNS = (
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return f"{float(value):.17g}"
 

@@ -6,9 +6,9 @@ nested ``reference`` and ``task`` mappings), plus an optional ``sweep``
 mapping holding a parameter ``grid`` and a ``seeds`` list.  The dataclass
 fields are the schema: their annotations type each value, the fields
 without a default are required, and their metadata names the file keys
-that differ from the field names and the keys a grid may vary.  Unknown
-keys and ill-typed or out-of-range values are rejected with their line and
-column.
+that differ from the field names, the keys a grid may vary and the task
+kinds that read a key.  Unknown keys, keys the task kind does not read, and
+ill-typed or out-of-range values are rejected with their line and column.
 """
 
 from __future__ import annotations
@@ -174,13 +174,26 @@ def _dataclass(node, cls, name: str):
         _fail(node, str(exc))
 
 
+def _check_read(kind, keys) -> None:
+    """Reject each key set in the file, given as ``(name, key node, field)``,
+    whose field tasks of ``kind`` never read."""
+    for name, key_node, f in keys:
+        kinds = f.metadata.get("kinds", (kind,))
+        if kind not in kinds:
+            readers = ", ".join(k.value for k in kinds)
+            _fail(
+                key_node,
+                f"{name} is not read by a {kind.value} task (read by: {readers})",
+            )
+
+
 def _sweep(node, experiment: FederationConfig) -> SweepSpec:
     items = _mapping_items(node, "sweep")
     _check_keys(items, {"grid", "seeds"}, "sweep")
     if "grid" not in items:
         _fail(node, "sweep requires a 'grid' mapping")
     params = {
-        key: tp
+        key: (f, tp)
         for cls in (FederationConfig, TaskSpec)
         for key, (f, tp) in _schema(cls).items()
         if f.metadata.get("sweep")
@@ -195,14 +208,16 @@ def _sweep(node, experiment: FederationConfig) -> SweepSpec:
             )
         if not isinstance(values, yaml.SequenceNode) or not values.value:
             _fail(values, f"sweep parameter {key!r} must be a non-empty list")
+        f, tp = params[key]
         grid[key] = []
         for value_node in values.value:
-            value = _typed(value_node, params[key], key)
+            value = _typed(value_node, tp, key)
             try:
                 apply_overrides(experiment, {key: value})
             except UsageError as exc:
                 _fail(value_node, str(exc))
             grid[key].append(value)
+        _check_read(experiment.task.kind, [(key, key_node, f)])
     if not grid:
         _fail(items["grid"][1], "sweep grid must contain at least one parameter")
     seeds = (0,)
@@ -240,7 +255,16 @@ def load_config(path, need_sweep: bool = False) -> ExperimentFile:
         _fail(root, "config file requires an 'experiment' section")
     if need_sweep and "sweep" not in items:
         _fail(root, "sweep command requires a 'sweep' section in the config")
-    experiment = _dataclass(items["experiment"][1], FederationConfig, "")
+    node = items["experiment"][1]
+    experiment = _dataclass(node, FederationConfig, "")
+    # Once every value is valid, each key must be one the task kind reads.
+    top = _mapping_items(node, "experiment")
+    task = _mapping_items(top["task"][1], "task") if "task" in top else {}
+    _check_read(experiment.task.kind, [
+        (prefix + key, key_node, _schema(cls)[key][0])
+        for cls, prefix, level in ((FederationConfig, "", top), (TaskSpec, "task.", task))
+        for key, (key_node, _) in level.items()
+    ])
     sweep = _sweep(items["sweep"][1], experiment) if "sweep" in items else None
     return ExperimentFile(experiment=experiment, sweep=sweep)
 

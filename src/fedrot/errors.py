@@ -18,7 +18,7 @@ class UsageError(FedRotError):
 
 
 class NumericError(FedRotError):
-    """A numerical routine failed (non-convergence, rank deficiency)."""
+    """A numerical routine failed (an SVD did not converge)."""
 
 
 class DegenerateInputError(FedRotError):

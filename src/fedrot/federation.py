@@ -65,8 +65,13 @@ LOSS_DIVERGENCE_LIMIT = 1e12
 
 # Field metadata of the config dataclasses, which are the experiment-file
 # schema (see ``fedrot.config``): ``key`` is the file key where it differs
-# from the field name, ``sweep`` marks the keys a sweep grid may vary.
+# from the field name, ``sweep`` marks the keys a sweep grid may vary, and
+# ``kinds`` names the task kinds that read a field (every kind, if absent).
 _SWEEP = {"sweep": True}
+_SCALAR = {"kinds": (TaskKind.SCALAR_TOY,)}
+_REGRESSION = {"kinds": (TaskKind.LOWRANK_REGRESSION,)}
+_LOGISTIC = {"kinds": (TaskKind.LOGISTIC,)}
+_SAMPLED = {"kinds": (TaskKind.LOWRANK_REGRESSION, TaskKind.LOGISTIC)}
 
 
 def file_key(f: Field) -> str:
@@ -77,12 +82,12 @@ def file_key(f: Field) -> str:
 @dataclass(frozen=True)
 class TaskSpec:
     kind: TaskKind
-    targets: tuple[float, ...] = DEFAULT_SCALAR_TARGETS  # scalar toy
-    true_rank: int = field(default=1, metadata=_SWEEP)  # low-rank regression
-    heterogeneity: float = field(default=0.0, metadata=_SWEEP)
-    n_features: int = 8  # logistic classification
-    n_classes: int = 4
-    n_samples: int = 200
+    targets: tuple[float, ...] = field(default=DEFAULT_SCALAR_TARGETS, metadata=_SCALAR)
+    true_rank: int = field(default=1, metadata={**_REGRESSION, **_SWEEP})
+    heterogeneity: float = field(default=0.0, metadata={**_REGRESSION, **_SWEEP})
+    n_features: int = field(default=8, metadata=_LOGISTIC)
+    n_classes: int = field(default=4, metadata=_LOGISTIC)
+    n_samples: int = field(default=200, metadata=_SAMPLED)
 
     def __post_init__(self):
         if self.n_samples < 0:
@@ -106,10 +111,10 @@ class FederationConfig:
         default=ScheduleAblation.ALTERNATE, metadata=_SWEEP
     )
     task: TaskSpec = TaskSpec(kind=TaskKind.LOWRANK_REGRESSION)
-    dirichlet_alpha: float = field(default=0.5, metadata=_SWEEP)
+    dirichlet_alpha: float = field(default=0.5, metadata={**_LOGISTIC, **_SWEEP})
     seed: int = 0
     align_from_round: int = field(default=2, metadata=_SWEEP)
-    batch_size: int | None = field(default=None, metadata=_SWEEP)
+    batch_size: int | None = field(default=None, metadata={**_SAMPLED, **_SWEEP})
     init_a_value: float | None = None
 
     def __post_init__(self):
@@ -356,7 +361,7 @@ def client_round(
 ) -> ClientReport:
     """One client's round: local training followed by the strategy's
     client-side transformation."""
-    target = alignment_schedule(round_index, config.schedule)  # checks round >= 1
+    target = alignment_schedule(round_index, config.schedule)
     trained, grad_norm_max = local_train(
         client,
         broadcast,

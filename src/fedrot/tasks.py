@@ -185,8 +185,6 @@ class LogisticTask(_Task):
         return len(self.shards)
 
     def set_shards(self, shards: list[np.ndarray]) -> None:
-        if any(len(s) == 0 for s in shards):
-            raise UsageError("every shard must be non-empty")
         self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
         self._cache_shards()
 

@@ -44,30 +44,29 @@ class CheckResult:
     detail: str
 
 
-def scalar_toy_config(strategy: Strategy, rounds: int = 200, lam: float = 1.0,
-                      seed: int = 0) -> FederationConfig:
-    """The three-client scalar benchmark: targets (0.5, 1.0, 1.5), thirty
-    local steps at rate 0.01, initial factors (0, 0.44)."""
+def scalar_toy_config(strategy: Strategy) -> FederationConfig:
+    """The three-client scalar benchmark: targets (0.5, 1.0, 1.5), 200 rounds
+    of thirty local steps at rate 0.01, lambda 1, initial factors (0, 0.44),
+    seed 0."""
     return FederationConfig(
         strategy=strategy,
         n_clients=3,
         rank=1,
         dims=(1, 1),
-        rounds=rounds,
+        rounds=200,
         local_steps=30,
         learning_rate=0.01,
-        lam=lam,
+        lam=1.0,
         task=TaskSpec(kind=TaskKind.SCALAR_TOY, targets=(0.5, 1.0, 1.5)),
-        seed=seed,
         init_a_value=0.44,
     )
 
 
-def scalar_rounds_to_threshold(result, threshold: float = 0.05) -> int | None:
-    """First round whose global product satisfies ``|b a - 1| < threshold``."""
+def scalar_rounds_to_threshold(result) -> int | None:
+    """First round whose global product satisfies ``|b a - 1| < 0.05``."""
     for t, model in enumerate(result.history[1:], start=1):
         product = float(model.b[0, 0] * model.a[0, 0])
-        if abs(product - 1.0) < threshold:
+        if abs(product - 1.0) < 0.05:
             return t
     return None
 
@@ -110,9 +109,9 @@ def _check_lagrange_identity() -> CheckResult:
     )
 
 
-def _grid_best_r2(m: np.ndarray, n_points: int = 200_000) -> float:
-    """Max of tr(R(theta) m) over SO(2) via a dense angle grid."""
-    theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+def _grid_best_r2(m: np.ndarray) -> float:
+    """Max of tr(R(theta) m) over SO(2) via a grid of 200,000 angles."""
+    theta = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
     trace = (m[0, 0] + m[1, 1]) * np.cos(theta) + (m[0, 1] - m[1, 0]) * np.sin(theta)
     return float(trace.max())
 

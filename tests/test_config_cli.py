@@ -100,6 +100,16 @@ class TestLoadConfig:
         assert exp.lam == 0.7
         assert parsed.sweep is None
 
+    def test_readme_schema_loads(self, tmp_path):
+        # The README's full schema is a file a reader may copy.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        schema = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        parsed = load_config(write(tmp_path, schema))
+        assert parsed.experiment.task.heterogeneity == 0.5
+        assert parsed.sweep.seeds == (0, 1, 2)
+
     def test_sweep_section(self, tmp_path):
         parsed = load_config(write(tmp_path, SWEEP))
         assert list(parsed.sweep.grid) == ["lambda"]
@@ -336,8 +346,8 @@ class TestRunCommand:
         assert not out.exists()
 
 
-def grid(line: str) -> str:
-    return MINIMAL + "sweep:\n  grid:\n    " + line + "\n"
+def grid(line: str, base: str = MINIMAL) -> str:
+    return base + "sweep:\n  grid:\n    " + line + "\n"
 
 
 # (command, config text, the rejected value: a token that occurs once in the text)
@@ -407,6 +417,14 @@ LOCATED_ERRORS = {
     "n_clients_without_targets": ("run", SCALAR.replace("[0.5, 1.0, 1.5]", "[]"), "3"),
     "grid_heterogeneity": ("sweep", grid("heterogeneity: [-1.0]"), "-1.0"),
     "grid_true_rank": ("sweep", grid("true_rank: [2, 7]"), "7"),
+    # A key the task kind never reads would give identical cells or runs.
+    "task.true_rank_unread": ("run", LOGISTIC + "    true_rank: 9\n", "true_rank"),
+    "dirichlet_alpha_unread": (
+        "run", MINIMAL + "  dirichlet_alpha: 0.5\n", "dirichlet_alpha"
+    ),
+    "grid_heterogeneity_unread": (
+        "sweep", grid("heterogeneity: [0.1, 0.9]", LOGISTIC), "heterogeneity"
+    ),
 }
 
 
@@ -702,6 +720,12 @@ JOBS_GRID = {
     "heterogeneity": st.sampled_from([0.0, 0.5]),
     "dirichlet_alpha": st.sampled_from([0.1, 1.0]),
 }
+# The grid keys each base kind does not read, and the scalar toy's fixed rank.
+JOBS_GRID_SKIP = {
+    "lowrank_regression": {"dirichlet_alpha"},
+    "logistic": {"heterogeneity"},
+    "scalar_toy": {"rank", "batch_size", "heterogeneity", "dirichlet_alpha"},
+}
 
 
 @settings(max_examples=15, deadline=None)
@@ -711,12 +735,11 @@ def test_sweep_jobs_outputs_identical(data):
     # same files at --jobs 1 and --jobs 2, wall-clock fields excepted.
     doc = yaml.safe_load(data.draw(st.sampled_from([MINIMAL, LOGISTIC, SCALAR])))
     doc["experiment"].update(rounds=data.draw(st.integers(1, 3)), local_steps=3)
+    skip = JOBS_GRID_SKIP[doc["experiment"]["task"]["kind"]]
     keys = data.draw(
-        st.lists(st.sampled_from(sorted(JOBS_GRID)), min_size=1, max_size=2,
-                 unique=True)
+        st.lists(st.sampled_from(sorted(set(JOBS_GRID) - skip)), min_size=1,
+                 max_size=2, unique=True)
     )
-    if doc["experiment"]["task"]["kind"] == "scalar_toy":
-        keys = [k for k in keys if k != "rank"] or ["lambda"]
     grid = {
         key: data.draw(st.lists(JOBS_GRID[key], min_size=1, max_size=2, unique=True))
         for key in keys

@@ -336,10 +336,6 @@ class TestClientRound:
         assert (report.adapter.b == report.raw_adapter.b).all()
         assert (report.adapter.a == report.raw_adapter.a).all()
 
-    def test_rejects_round_zero(self):
-        with pytest.raises(UsageError, match="1-based"):
-            client_round(0, self.broadcast, self.task, self.config, 0, self.broadcast)
-
     def test_fedit_reports_raw_factors(self):
         config = regression_config(strategy=Strategy.FEDIT)
         report = client_round(0, self.broadcast, self.task, config, 3, self.broadcast)

@@ -145,11 +145,6 @@ class TestLogistic:
             a -= 0.5 * ga
         assert accuracy(task, b, a) >= 0.9
 
-    def test_shard_validation(self):
-        task = logistic_task(4, 2, 20, seed=8)
-        with pytest.raises(UsageError):
-            task.set_shards([np.arange(10), np.array([], dtype=np.int64)])
-
 
 def regression_grads_reference(task, i, b, a, sample_idx=None):
     """The regression gradient written as its formula, one array per step."""
