@@ -20,12 +20,10 @@ from .alignment import (
 )
 from .errors import (
     ConfigError,
-    DegenerateInputError,
     DivergenceError,
     EstimationError,
     FedRotError,
     NumericError,
-    PartitionError,
     UsageError,
 )
 from .federation import (
@@ -61,12 +59,10 @@ __all__ = [
     "procrustes_rotation",
     "soft_rotation",
     "ConfigError",
-    "DegenerateInputError",
     "DivergenceError",
     "EstimationError",
     "FedRotError",
     "NumericError",
-    "PartitionError",
     "UsageError",
     "FederationConfig",
     "RunResult",

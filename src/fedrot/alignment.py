@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, UsageError
+from .errors import UsageError
 from .lora import LoraAdapter
 from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
 
@@ -177,24 +177,20 @@ def apply_alignment(ad: LoraAdapter, rot: Rotation) -> LoraAdapter:
     return LoraAdapter(ad.b @ rot.r, rot.r.T @ ad.a, ad.rank)
 
 
-def scalar_rescale_align(local, reference) -> float:
+def scalar_rescale_align(local, reference) -> float | None:
     """Closed-form scalar minimizing ``|c local - reference|_F``.
 
     ``c = <local, reference> / |local|_F^2``.  The caller applies ``c`` to
     the aligned factor and ``1/c`` to the complementary one.  A zero (or
     underflowing) ``|local|_F^2`` leaves ``c`` undefined, and a near-zero
-    ``c`` would explode the complementary factor; both are reported as a
-    degenerate alignment and the caller falls back to ``c = 1``.
+    ``c`` would explode the complementary factor; for both it returns
+    ``None``, and the caller leaves the factors as they are.
     """
     denom = float(np.sum(local * local))
     if denom == 0.0:
-        raise DegenerateInputError("scalar rescaling undefined for a zero local factor")
+        return None
     c = float(np.sum(local * reference)) / denom
-    if abs(c) <= 1e-12:
-        raise DegenerateInputError(
-            f"scalar rescaling produced a degenerate coefficient c={c!r}"
-        )
-    return c
+    return None if abs(c) <= 1e-12 else c
 
 
 def haar_random_rotation(rank: int, seed) -> Rotation:

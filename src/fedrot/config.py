@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import re
 import types
 import typing
@@ -24,7 +23,9 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 import yaml
 
 from .errors import ConfigError, UsageError
-from .federation import FederationConfig, TaskSpec, apply_overrides, file_key
+from .federation import (
+    FederationConfig, TaskSpec, apply_overrides, check_read, file_key, grid_field
+)
 
 __all__ = ["SweepSpec", "ExperimentFile", "load_config", "config_to_dict"]
 
@@ -62,6 +63,22 @@ def _mark(node) -> tuple[int, int]:
 def _fail(node, message: str):
     line, column = _mark(node)
     raise ConfigError(message, line=line, column=column)
+
+
+def _located(node, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its :class:`UsageError` reported at ``node``."""
+    try:
+        return check(*args, **kwargs)
+    except UsageError as exc:
+        _fail(node, str(exc))
+
+
+def _child(node, key: str):
+    """The value node at index ``key`` of a sequence node, or under ``key``
+    of a mapping node; the mapping itself if it lacks the key."""
+    if isinstance(node, yaml.SequenceNode):
+        return node.value[int(key)]
+    return next((v for k, v in node.value if k.value == key), node)
 
 
 def _mapping_items(node, context: str) -> dict[str, tuple]:
@@ -136,12 +153,9 @@ def _typed(node, tp, name: str):
         kind = "an integer" if tp is int else "a number"
         _fail(node, f"{name} must be {kind}, got {raw!r}")
     try:
-        value = tp(raw)
+        return tp(raw)
     except OverflowError:
         _fail(node, f"{name} is out of range, got {raw!r}")
-    if tp is float and not math.isfinite(value):
-        _fail(node, f"{name} must be finite, got {raw!r}")
-    return value
 
 
 def _dataclass(node, cls, name: str):
@@ -162,29 +176,13 @@ def _dataclass(node, cls, name: str):
     try:
         return cls(**kwargs)
     except UsageError as exc:
-        # A rejected value is located at its own node, which the error's
-        # dotted key path names; a default is not in the file, so it falls
-        # back to the innermost mapping on that path.
+        # A rejected value is located at the node its dotted key path (list
+        # indices included) names.  A default is not in the file, so it falls
+        # back to the innermost mapping on the path; no key on a path repeats
+        # a key of an enclosing mapping, so the walk cannot step off the path.
         for key in exc.key.split(".") if exc.key else ():
-            if key not in items:
-                break
-            node = items[key][1]
-            if isinstance(node, yaml.MappingNode):
-                items = _mapping_items(node, key)
+            node = _child(node, key)
         _fail(node, str(exc))
-
-
-def _check_read(kind, keys) -> None:
-    """Reject each key set in the file, given as ``(name, key node, field)``,
-    whose field tasks of ``kind`` never read."""
-    for name, key_node, f in keys:
-        kinds = f.metadata.get("kinds", (kind,))
-        if kind not in kinds:
-            readers = ", ".join(k.value for k in kinds)
-            _fail(
-                key_node,
-                f"{name} is not read by a {kind.value} task (read by: {readers})",
-            )
 
 
 def _sweep(node, experiment: FederationConfig) -> SweepSpec:
@@ -192,32 +190,16 @@ def _sweep(node, experiment: FederationConfig) -> SweepSpec:
     _check_keys(items, {"grid", "seeds"}, "sweep")
     if "grid" not in items:
         _fail(node, "sweep requires a 'grid' mapping")
-    params = {
-        key: (f, tp)
-        for cls in (FederationConfig, TaskSpec)
-        for key, (f, tp) in _schema(cls).items()
-        if f.metadata.get("sweep")
-    }
     grid = {}
     for key, (key_node, values) in _mapping_items(items["grid"][1], "sweep grid").items():
-        if key not in params:
-            _fail(
-                key_node,
-                f"unknown sweep parameter {key!r} (allowed: "
-                f"{', '.join(sorted(params))}; seeds go in sweep.seeds)",
-            )
+        cls, _ = _located(key_node, grid_field, experiment, key)
         if not isinstance(values, yaml.SequenceNode) or not values.value:
             _fail(values, f"sweep parameter {key!r} must be a non-empty list")
-        f, tp = params[key]
         grid[key] = []
         for value_node in values.value:
-            value = _typed(value_node, tp, key)
-            try:
-                apply_overrides(experiment, {key: value})
-            except UsageError as exc:
-                _fail(value_node, str(exc))
+            value = _typed(value_node, _schema(cls)[key][1], key)
+            _located(value_node, apply_overrides, experiment, {key: value})
             grid[key].append(value)
-        _check_read(experiment.task.kind, [(key, key_node, f)])
     if not grid:
         _fail(items["grid"][1], "sweep grid must contain at least one parameter")
     seeds = (0,)
@@ -227,10 +209,7 @@ def _sweep(node, experiment: FederationConfig) -> SweepSpec:
         if not seeds:
             _fail(seeds_node, "sweep.seeds must be a non-empty list")
         for seed, seed_node in zip(seeds, seeds_node.value):
-            try:
-                replace(experiment, seed=seed)
-            except UsageError as exc:
-                _fail(seed_node, str(exc))
+            _located(seed_node, replace, experiment, seed=seed)
     return SweepSpec(grid=grid, seeds=seeds)
 
 
@@ -260,11 +239,10 @@ def load_config(path, need_sweep: bool = False) -> ExperimentFile:
     # Once every value is valid, each key must be one the task kind reads.
     top = _mapping_items(node, "experiment")
     task = _mapping_items(top["task"][1], "task") if "task" in top else {}
-    _check_read(experiment.task.kind, [
-        (prefix + key, key_node, _schema(cls)[key][0])
-        for cls, prefix, level in ((FederationConfig, "", top), (TaskSpec, "task.", task))
-        for key, (key_node, _) in level.items()
-    ])
+    for cls, prefix, level in ((FederationConfig, "", top), (TaskSpec, "task.", task)):
+        for key, (key_node, _) in level.items():
+            f = _schema(cls)[key][0]
+            _located(key_node, check_read, experiment.task.kind, prefix + key, f)
     sweep = _sweep(items["sweep"][1], experiment) if "sweep" in items else None
     return ExperimentFile(experiment=experiment, sweep=sweep)
 

@@ -21,14 +21,6 @@ class NumericError(FedRotError):
     """A numerical routine failed (an SVD did not converge)."""
 
 
-class DegenerateInputError(FedRotError):
-    """Input is degenerate for the requested diagnostic (e.g. zero-norm factor)."""
-
-
-class PartitionError(FedRotError):
-    """No admissible non-empty client assignment exists."""
-
-
 class EstimationError(FedRotError):
     """A theory-constant estimate is undefined for the given trajectory."""
 

@@ -32,7 +32,7 @@ from .alignment import (
     select_reference,
     soft_rotation,
 )
-from .errors import DegenerateInputError, DivergenceError, UsageError
+from .errors import DivergenceError, UsageError
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
@@ -40,7 +40,6 @@ from .tasks import (
     DEFAULT_SCALAR_TARGETS,
     ScalarToyTask,
     TaskKind,
-    dirichlet_partition,
     logistic_task,
     lowrank_regression_task,
 )
@@ -79,6 +78,34 @@ def file_key(f: Field) -> str:
     return f.metadata.get("key", f.name)
 
 
+def check_read(kind: TaskKind, key: str, f: Field) -> None:
+    """Reject the field ``f``, set as the file key ``key``, unless ``kind`` reads it."""
+    kinds = f.metadata.get("kinds", (kind,))
+    if kind not in kinds:
+        readers = ", ".join(k.value for k in kinds)
+        message = f"{key} is not read by a {kind.value} task (read by: {readers})"
+        raise UsageError(message, key=key)
+
+
+def grid_field(config: FederationConfig, key: str) -> tuple[type, Field]:
+    """The config dataclass and field that the sweep-grid key ``key`` varies;
+    it must be a key a grid may vary and that ``config``'s task kind reads."""
+    grid = {
+        file_key(f): (cls, f)
+        for cls in (FederationConfig, TaskSpec)
+        for f in fields(cls)
+        if f.metadata.get("sweep")
+    }
+    if key not in grid:
+        raise UsageError(
+            f"unknown sweep parameter {key!r} (allowed: {', '.join(sorted(grid))}; "
+            "seeds go in sweep.seeds)",
+            key=key,
+        )
+    check_read(config.task.kind, key, grid[key][1])
+    return grid[key]
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     kind: TaskKind
@@ -88,10 +115,6 @@ class TaskSpec:
     n_features: int = field(default=8, metadata=_LOGISTIC)
     n_classes: int = field(default=4, metadata=_LOGISTIC)
     n_samples: int = field(default=200, metadata=_SAMPLED)
-
-    def __post_init__(self):
-        if self.n_samples < 0:
-            raise UsageError("n_samples must be >= 0", key="n_samples")
 
 
 @dataclass(frozen=True)
@@ -132,16 +155,21 @@ class FederationConfig:
             raise UsageError("local_steps must be >= 1", key="local_steps")
         if self.n_clients < 1:
             raise UsageError("n_clients must be >= 1", key="n_clients")
-        if self.learning_rate < 0:
-            raise UsageError("learning_rate must be nonnegative", key="learning_rate")
-        if self.dirichlet_alpha <= 0:
-            raise UsageError("dirichlet_alpha must be positive", key="dirichlet_alpha")
+        # The float comparisons here fail for NaN too.
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise UsageError("learning_rate must be finite and >= 0", key="learning_rate")
+        if not 0.0 < self.dirichlet_alpha < math.inf:
+            raise UsageError("dirichlet_alpha must be finite and > 0", key="dirichlet_alpha")
+        if self.init_a_value is not None and not math.isfinite(self.init_a_value):
+            raise UsageError("init_a_value must be finite", key="init_a_value")
         if self.batch_size is not None and self.batch_size < 1:
             raise UsageError("batch_size must be >= 1 when set", key="batch_size")
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}", key="seed")
         # What each task kind requires; the task builders take it as checked.
         task = self.task
+        if task.n_samples < 0:
+            raise UsageError("n_samples must be >= 0", key="task.n_samples")
         if task.kind is TaskKind.SCALAR_TOY:
             if self.dims != (1, 1):
                 raise UsageError("scalar toy task requires dims (1, 1)", key="dims")
@@ -151,15 +179,18 @@ class FederationConfig:
                     f"declares {self.n_clients} clients",
                     key="n_clients",
                 )
+            bad = [i for i, t in enumerate(task.targets) if not math.isfinite(t)]
+            if bad:
+                raise UsageError("targets must be finite", key=f"task.targets.{bad[0]}")
         elif task.kind is TaskKind.LOWRANK_REGRESSION:
             if not 1 <= task.true_rank <= min(self.dims):
                 raise UsageError(
                     f"true_rank {task.true_rank} out of range for dims {self.dims}",
                     key="task.true_rank",
                 )
-            if task.heterogeneity < 0:
+            if not 0.0 <= task.heterogeneity < math.inf:
                 raise UsageError(
-                    "heterogeneity must be nonnegative", key="task.heterogeneity"
+                    "heterogeneity must be finite and >= 0", key="task.heterogeneity"
                 )
         else:
             if task.n_classes < 2:
@@ -241,14 +272,10 @@ def build_task(config: FederationConfig):
             seed=[config.seed, 101],
             n_probes=spec.n_samples,
         )
-    task = logistic_task(
-        spec.n_features, spec.n_classes, spec.n_samples, seed=[config.seed, 102]
+    return logistic_task(
+        spec.n_features, spec.n_classes, spec.n_samples, config.n_clients,
+        config.dirichlet_alpha, seed=config.seed,
     )
-    shards = dirichlet_partition(
-        task.labels, config.n_clients, config.dirichlet_alpha, seed=[config.seed, 103]
-    )
-    task.set_shards(shards)
-    return task
 
 
 def _sq_norm(x: np.ndarray) -> float:
@@ -390,18 +417,17 @@ def client_round(
                 config.rank, seed=[config.seed, 7901, round_index, client]
             )
         else:
-            try:
-                c = scalar_rescale_align(local, ref)
-                if target is AlignmentTarget.FACTOR_A:
-                    reported = LoraAdapter(trained.b / c, trained.a * c, trained.rank)
-                else:
-                    reported = LoraAdapter(trained.b * c, trained.a / c, trained.rank)
-            except DegenerateInputError:
+            c = scalar_rescale_align(local, ref)
+            if c is None:
                 log.warning(
                     "degenerate scalar rescaling on client %d round %d; skipping",
                     client,
                     round_index,
                 )
+            elif target is AlignmentTarget.FACTOR_A:
+                reported = LoraAdapter(trained.b / c, trained.a * c, trained.rank)
+            else:
+                reported = LoraAdapter(trained.b * c, trained.a / c, trained.rank)
     if rotation is not None:
         reported = apply_alignment(trained, rotation)
     return ClientReport(
@@ -513,19 +539,13 @@ def run_federation(config: FederationConfig) -> RunResult:
 def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
     """Produce a config with sweep-cell parameter overrides applied.
 
-    ``params`` maps experiment-file keys to values of their fields' types;
-    a key naming a :class:`TaskSpec` field overrides the task.
+    ``params`` maps sweep-grid keys to values of their fields' types; a key
+    naming a :class:`TaskSpec` field overrides the task.
     """
-    names = {file_key(f): f.name for f in fields(FederationConfig)}
-    task_names = {f.name for f in fields(TaskSpec)}
     plain, task = {}, {}
     for key, value in params.items():
-        if key in names:
-            plain[names[key]] = value
-        elif key in task_names:
-            task[key] = value
-        else:
-            raise UsageError(f"unknown sweep parameter {key!r}")
+        cls, f = grid_field(config, key)
+        (task if cls is TaskSpec else plain)[f.name] = value
     return replace(config, task=replace(config.task, **task), **plain)
 
 
@@ -559,10 +579,17 @@ def run_sweep(
     """Cartesian product of the parameter grid and the seed list.
 
     Cells are independent; with ``jobs > 1`` they run in a process pool.
-    Output order matches the grid order regardless of scheduling.
+    Output order matches the grid order regardless of scheduling.  Grid
+    keys and empty value lists are checked before any cell runs.
     """
     if not sweep:
         raise UsageError("sweep grid must be non-empty")
+    for key, values in sweep.items():
+        grid_field(base, key)
+        if not values:
+            raise UsageError(
+                f"sweep parameter {key!r} must be a non-empty list", key=key
+            )
     seeds = list(seeds)
     if not seeds:
         raise UsageError("sweep needs at least one seed")

@@ -17,6 +17,7 @@ products both reach the same BLAS call, so they give the same bits, and
 ``np.dot`` skips the ufunc dispatch.  Its ``out=`` changes only where that
 call writes, and ``take`` gathers the same rows as fancy indexing.
 
+Each builder returns the finished task, which no later step changes.
 What a task kind requires of its values is checked once, in that kind's
 branch of ``FederationConfig.__post_init__``, and the builders here take
 their arguments as already checked; :func:`dirichlet_partition`, which the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PartitionError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "TaskKind",
@@ -167,9 +168,8 @@ class LogisticTask(_Task):
     """Cross-entropy classification with logits ``w x``.
 
     ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
-    holds per-client sample index arrays; :func:`logistic_task` builds a
-    single shard that holds every sample.  Replace them with
-    :meth:`set_shards`, which also gathers each client's samples once.
+    holds each client's sample indices; the constructor gathers each
+    client's samples once.
     """
 
     features: np.ndarray
@@ -178,24 +178,16 @@ class LogisticTask(_Task):
     shards: list[np.ndarray]
 
     def __post_init__(self):
-        self._cache_shards()
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.shards)
-
-    def set_shards(self, shards: list[np.ndarray]) -> None:
-        self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
-        self._cache_shards()
-
-    def _cache_shards(self) -> None:
-        """Gather each client's features and labels once, with the flat
-        offsets ``row * n_classes`` of each row of an n x n_classes array;
-        a row's offset plus its label picks its label logit."""
+        # Each client's features, labels and row offsets ``row * n_classes``
+        # into a flat n x n_classes array: offset plus label is the label logit.
         self._shard_data = [
             (self.features[s], self.labels[s], np.arange(len(s)) * self.n_classes)
             for s in self.shards
         ]
+
+    @property
+    def n_clients(self) -> int:
+        return len(self.shards)
 
     def _shifted_logits(self, x, w):
         """Logits ``x w^T`` minus each row's maximum."""
@@ -226,13 +218,17 @@ class LogisticTask(_Task):
         return len(self.shards[i])
 
 
-def logistic_task(n_features: int, n_classes: int, n_samples: int, seed) -> LogisticTask:
-    """Synthetic Gaussian class clusters with unit within-class covariance.
+def logistic_task(
+    n_features: int, n_classes: int, n_samples: int, n_clients: int, alpha: float, seed
+) -> LogisticTask:
+    """Synthetic Gaussian class clusters with unit within-class covariance,
+    split over ``n_clients`` by :func:`dirichlet_partition` with ``alpha``.
 
     Class means are drawn on a sphere of radius 5, far enough apart that
-    a centralized linear model reaches high accuracy.
+    a centralized linear model reaches high accuracy.  The data come from
+    the stream ``[seed, 102]`` and the partition from ``[seed, 103]``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 102])
     means = rng.standard_normal((n_classes, n_features))
     means *= 5.0 / np.linalg.norm(means, axis=1, keepdims=True)
     labels = np.concatenate(
@@ -241,7 +237,7 @@ def logistic_task(n_features: int, n_classes: int, n_samples: int, seed) -> Logi
     )
     labels = labels[rng.permutation(n_samples)]
     features = means[labels] + rng.standard_normal((n_samples, n_features))
-    shards = [np.arange(n_samples, dtype=np.int64)]
+    shards = dirichlet_partition(labels, n_clients, alpha, seed=[seed, 103])
     return LogisticTask(features, labels, n_classes, shards)
 
 
@@ -265,7 +261,7 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> list[np.n
     if n_clients < 1:
         raise UsageError(f"n_clients must be >= 1, got {n_clients}")
     if len(labels) < n_clients:
-        raise PartitionError(
+        raise UsageError(
             f"cannot give {n_clients} clients non-empty shards from "
             f"{len(labels)} samples"
         )

@@ -347,7 +347,7 @@ def test_criterion_11_gradient_correctness():
         "lowrank_regression": (
             lowrank_regression_task(5, 4, 2, 2, 0.5, seed=11), (5, 2), (2, 4), 2
         ),
-        "logistic": (logistic_task(5, 3, 60, seed=11), (3, 2), (2, 5), 1),
+        "logistic": (logistic_task(5, 3, 60, 1, 1.0, seed=11), (3, 2), (2, 5), 1),
     }
     worst = {}
     for name, (task, b_shape, a_shape, n_clients) in tasks.items():

@@ -20,7 +20,7 @@ from fedrot.alignment import (
     select_reference,
     soft_rotation,
 )
-from fedrot.errors import DegenerateInputError, UsageError
+from fedrot.errors import UsageError
 from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 
@@ -394,12 +394,10 @@ class TestScalarRescale:
     @pytest.mark.parametrize("scale", [0.0, 1e-170])
     def test_zero_local_rejected(self, scale):
         # 1e-170 squared underflows, so the local factor's norm reads 0 too.
-        with pytest.raises(DegenerateInputError):
-            scalar_rescale_align(np.full((2, 2), scale), np.ones((2, 2)))
+        assert scalar_rescale_align(np.full((2, 2), scale), np.ones((2, 2))) is None
 
     def test_orthogonal_reference_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            scalar_rescale_align(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        assert scalar_rescale_align(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) is None
 
 
 class TestHaarRandomRotation:

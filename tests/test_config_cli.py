@@ -21,8 +21,8 @@ import fedrot.federation
 from fedrot.aggregation import Strategy
 from fedrot.cli import main
 from fedrot.config import load_config
-from fedrot.errors import ConfigError
-from fedrot.federation import FederationConfig, TaskSpec, file_key
+from fedrot.errors import ConfigError, UsageError
+from fedrot.federation import FederationConfig, TaskSpec, file_key, run_sweep
 
 MINIMAL = """\
 experiment:
@@ -368,6 +368,11 @@ LOCATED_ERRORS = {
     "learning_rate_nan": ("run", MINIMAL.replace("0.05", ".nan"), ".nan"),
     "learning_rate_inf": ("run", MINIMAL.replace("0.05", ".inf"), ".inf"),
     "learning_rate_exponent_inf": ("run", MINIMAL.replace("0.05", "1e400"), "1e400"),
+    "task.heterogeneity_nan": (
+        "run", MINIMAL.replace("heterogeneity: 0.4", "heterogeneity: .nan"), ".nan"
+    ),
+    # A non-finite target is located at its list element, not at the list.
+    "task.targets_element": ("run", SCALAR.replace("1.0,", ".inf,"), ".inf"),
     "lambda_out_of_range": ("run", MINIMAL.replace("lambda: 0.7", "lambda: 1.5"), "1.5"),
     "rank_too_large": ("run", MINIMAL.replace("\n  rank: 2", "\n  rank: 9"), "9"),
     "rounds_zero": ("run", MINIMAL.replace("rounds: 4", "rounds: 0"), "0"),
@@ -441,6 +446,26 @@ def test_rejected_value_located(tmp_path, capsys, case):
     assert main([command, write(tmp_path, text), "--out", str(out)]) == 2
     assert f"(line {line}, column {column})" in capsys.readouterr().err
     assert not out.exists()
+
+
+# One implementation of the grid rules serves the loader and the library:
+# run_sweep rejects each grid the loader rejects, with the same message.
+@pytest.mark.parametrize(
+    "line, sweep",
+    [
+        ("seed: [1, 2]", {"seed": [1, 2]}),
+        ("n_features: [3, 9]", {"n_features": [3, 9]}),
+        ("dims: [[6, 6], [8, 8]]", {"dims": [(6, 6), (8, 8)]}),
+        ("lambda: []", {"lambda": []}),
+    ],
+)
+def test_run_sweep_rejects_grids_as_the_loader_does(tmp_path, line, sweep):
+    with pytest.raises(ConfigError) as loaded:
+        load_config(write(tmp_path, grid(line)))
+    base = load_config(write(tmp_path, MINIMAL)).experiment
+    with pytest.raises(UsageError) as direct:
+        run_sweep(base, sweep, seeds=[0])
+    assert str(direct.value) == str(loaded.value)
 
 
 def scalar_leaves(node, path=()):

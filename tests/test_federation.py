@@ -1,5 +1,7 @@
 import concurrent.futures
 import dataclasses
+import logging
+import math
 import time
 
 import numpy as np
@@ -90,6 +92,42 @@ class TestConfigValidation:
                 task=TaskSpec(kind=TaskKind.LOGISTIC, n_features=8, n_classes=4)
             )
         assert exc.value.key == "dims"
+
+    # A non-finite float is a config error for library callers too, not a
+    # run that diverges or fails later.
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"learning_rate": math.nan}, "learning_rate"),
+            ({"learning_rate": math.inf}, "learning_rate"),
+            ({"dirichlet_alpha": math.inf}, "dirichlet_alpha"),
+            ({"dirichlet_alpha": math.nan}, "dirichlet_alpha"),
+            ({"init_a_value": math.nan}, "init_a_value"),
+            (
+                {"task": TaskSpec(kind=TaskKind.LOWRANK_REGRESSION, heterogeneity=math.nan)},
+                "task.heterogeneity",
+            ),
+            (
+                {
+                    "rank": 1,
+                    "dims": (1, 1),
+                    "task": TaskSpec(kind=TaskKind.SCALAR_TOY, targets=(0.5, math.nan, 1.5)),
+                },
+                "task.targets.1",
+            ),
+        ],
+    )
+    def test_non_finite_float_rejected(self, overrides, key):
+        with pytest.raises(UsageError) as exc:
+            regression_config(**overrides)
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    def test_negative_n_samples_rejected_for_every_kind(self, kind):
+        with pytest.raises(UsageError) as exc:
+            regression_config(task=TaskSpec(kind=kind, n_samples=-1))
+        assert exc.value.key == "task.n_samples"
+        assert str(exc.value) == "n_samples must be >= 0"
 
 
 class TestLocalTrain:
@@ -366,6 +404,17 @@ class TestClientRound:
             atol=1e-12,
         )
 
+    def test_degenerate_scalar_rescale_reports_trained_factors(self, caplog):
+        # A zero local factor leaves the rescaling undefined: the client
+        # reports its trained factors, and the round logs why.
+        config = regression_config(strategy=Strategy.SCALAR_RESCALE, learning_rate=0.0)
+        start = LoraAdapter(self.broadcast.b, np.zeros((2, 6)), 2)
+        with caplog.at_level(logging.WARNING, logger="fedrot.federation"):
+            report = client_round(0, start, self.task, config, 3, self.broadcast)
+        assert report.adapter is report.raw_adapter
+        assert report.update is report.raw_update
+        assert len(caplog.records) == 1
+
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_update_is_product_of_reported_factors(self, strategy):
         config = regression_config(strategy=strategy)
@@ -548,6 +597,16 @@ class TestApplyOverrides:
         with pytest.raises(UsageError):
             apply_overrides(regression_config(), {"warp_factor": 9})
 
+    def test_key_the_task_kind_does_not_read_rejected(self):
+        with pytest.raises(UsageError) as exc:
+            apply_overrides(logistic_config(), {"heterogeneity": 0.9})
+        assert exc.value.key == "heterogeneity"
+
+
+def logistic_config(**kwargs):
+    task = TaskSpec(kind=TaskKind.LOGISTIC, n_features=8, n_classes=4)
+    return regression_config(dims=(4, 8), task=task, **kwargs)
+
 
 class TestRunSweep:
     def test_grid_size_and_order(self):
@@ -586,6 +645,27 @@ class TestRunSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):
             run_sweep(regression_config(), {}, seeds=[0])
+
+    # Grids the experiment-file loader rejects: a key no grid may vary (the
+    # seed, a task field the regression task never reads, the dims), a key
+    # the task kind does not read, and an empty value list.
+    @pytest.mark.parametrize(
+        "config, grid",
+        [
+            (regression_config, {"lambda": [0.5], "seed": [1, 2]}),
+            (regression_config, {"n_features": [3, 9]}),
+            (regression_config, {"dims": [(6, 6), (8, 8)]}),
+            (logistic_config, {"heterogeneity": [0.1, 0.9]}),
+            (regression_config, {"lambda": [0.5], "rounds": []}),
+        ],
+    )
+    def test_grid_rejected_before_any_cell_runs(self, monkeypatch, config, grid):
+        runs = []
+        monkeypatch.setattr(fedrot.federation, "run_federation", runs.append)
+        with pytest.raises(UsageError) as exc:
+            run_sweep(config(), grid, seeds=[0])
+        assert exc.value.key == list(grid)[-1]
+        assert runs == []
 
     def test_pool_no_larger_than_grid(self, monkeypatch):
         sizes = []

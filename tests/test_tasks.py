@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedrot.errors import PartitionError, UsageError
+from fedrot.errors import UsageError
 from fedrot.tasks import (
     ScalarToyTask,
     _distinct_sorted,
@@ -117,13 +117,13 @@ class TestLowRankRegression:
 
 class TestLogistic:
     def test_uniform_logits_max_entropy(self):
-        task = logistic_task(6, 4, 100, seed=5)
+        task = logistic_task(6, 4, 100, 1, 1.0, seed=5)
         b = np.zeros((4, 2))
         a = np.zeros((2, 6))
         assert task.client_loss(0, b, a) == pytest.approx(math.log(4), rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        task = logistic_task(5, 3, 60, seed=6)
+        task = logistic_task(5, 3, 60, 1, 1.0, seed=6)
         rng = np.random.default_rng(6)
         for _ in range(100):
             b = 0.5 * rng.standard_normal((3, 2))
@@ -136,7 +136,7 @@ class TestLogistic:
             pred = (task.features @ w.T).argmax(axis=1)
             return float((pred == task.labels).mean())
 
-        task = logistic_task(8, 3, 300, seed=7)
+        task = logistic_task(8, 3, 300, 1, 1.0, seed=7)
         b = np.zeros((3, 3))
         a = 0.1 * np.random.default_rng(7).standard_normal((3, 8))
         for _ in range(400):
@@ -209,8 +209,7 @@ class TestGradientBits:
             assert_out_writes_same_bits(task, trial % 3, b, a, idx, got)
 
     def test_logistic_matches_formula(self):
-        task = logistic_task(8, 4, 300, seed=9)
-        task.set_shards(dirichlet_partition(task.labels, 5, 0.5, seed=9))
+        task = logistic_task(8, 4, 300, 5, 0.5, seed=9)
         rng = np.random.default_rng(9)
         for trial in range(40):
             client = trial % 5
@@ -239,8 +238,7 @@ class TestGradientBits:
             task = lowrank_regression_task(8, 6, 2, 4, 0.5, seed=[5, 101])
             dims, rank = (8, 6), 2
         else:
-            task = logistic_task(8, 4, 300, seed=9)
-            task.set_shards(dirichlet_partition(task.labels, 5, 0.5, seed=9))
+            task = logistic_task(8, 4, 300, 5, 0.5, seed=9)
             dims, rank = (4, 8), 3
         rng = np.random.default_rng(len(kind))
         for _ in range(10):
@@ -353,7 +351,7 @@ class TestDirichletPartition:
             np.testing.assert_array_equal(got, want)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(PartitionError):
+        with pytest.raises(UsageError):
             dirichlet_partition([0, 1], 3, 0.5, seed=0)
 
     def test_invalid_alpha_rejected(self):
