@@ -114,20 +114,14 @@ def procrustes_rotation(local, reference, target: AlignmentTarget) -> Rotation:
         raise UsageError(
             f"local/reference shape mismatch: {local.shape} vs {reference.shape}"
         )
-    if target is AlignmentTarget.FACTOR_A:
-        rank = local.shape[0]
-        if local.shape[1] < rank:
-            raise UsageError(
-                f"factor A must be rank x d with rank <= d, got {local.shape}"
-            )
-        m = reference @ local.T
-    else:
-        rank = local.shape[1]
-        if local.shape[0] < rank:
-            raise UsageError(
-                f"factor B must be d x rank with rank <= d, got {local.shape}"
-            )
-        m = reference.T @ local
+    shape, layout = local.shape, "A must be rank x d"
+    if target is AlignmentTarget.FACTOR_B:
+        # B's problem is A's on the transposes; M is the same product.
+        local, reference, layout = local.T, reference.T, "B must be d x rank"
+    rank = local.shape[0]
+    if local.shape[1] < rank:
+        raise UsageError(f"factor {layout} with rank <= d, got {shape}")
+    m = reference @ local.T
     # Exact zero only: the squared norm of tiny nonzero entries underflows
     # to 0, yet those entries still determine the rotation.
     if not m.any():
@@ -219,6 +213,8 @@ class ReferenceMode:
     lag: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kind, ReferenceKind):
+            raise UsageError(f"kind must be a ReferenceKind, got {self.kind!r}", key="kind")
         if self.kind is ReferenceKind.OLDER_GLOBAL and self.lag < 2:
             raise UsageError(
                 f"older-global reference requires lag >= 2, got {self.lag}", key="lag"

@@ -9,6 +9,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
 from dataclasses import replace
@@ -93,8 +94,13 @@ def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
     return 0
 
 
+def _grid_text(value) -> str:
+    """A sweep-grid value as its cell directory name and sweep.csv write it."""
+    return str(value.value if isinstance(value, enum.Enum) else value)
+
+
 def _cell_dir_name(index: int, params: dict, seed: int) -> str:
-    parts = [f"{k}-{v.value if hasattr(v, 'value') else v}" for k, v in params.items()]
+    parts = [f"{k}-{_grid_text(v)}" for k, v in params.items()]
     return f"cell-{index:03d}_" + "_".join(parts + [f"seed-{seed}"])
 
 
@@ -114,12 +120,7 @@ def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
     n_failed = 0
     for index, cell in enumerate(cells):
         cell_dir = out / _cell_dir_name(index, cell.params, cell.seed)
-        values = [
-            str(v.value) if hasattr(v, "value") else _fmt(v)
-            if isinstance(v, (int, float))
-            else str(v)
-            for v in (cell.params[name] for name in param_names)
-        ]
+        values = [_grid_text(cell.params[name]) for name in param_names]
         if cell.result is not None:
             metrics = _write_run_outputs(cell_dir, cell.result)
         if cell.error is None:

@@ -141,6 +141,14 @@ class FederationConfig:
     init_a_value: float | None = None
 
     def __post_init__(self):
+        # Members only: the policy code compares them with ``is``.
+        for key, value, kind in (
+            ("strategy", self.strategy, Strategy),
+            ("schedule", self.schedule, ScheduleAblation),
+            ("task.kind", self.task.kind, TaskKind),
+        ):
+            if not isinstance(value, kind):
+                raise UsageError(f"{key} must be a {kind.__name__}, got {value!r}", key=key)
         if not 0.0 <= self.lam <= 1.0:
             raise UsageError(f"lambda must lie in [0, 1], got {self.lam}", key="lambda")
         if not 1 <= self.rank <= min(self.dims):
@@ -278,19 +286,6 @@ def build_task(config: FederationConfig):
     )
 
 
-def _sq_norm(x: np.ndarray) -> float:
-    """The square of ``np.linalg.norm(x)`` bit for bit, without its
-    dispatch overhead: ``math.sqrt`` of it is that norm."""
-    flat = x.ravel(order="K")
-    return flat.dot(flat)
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is finite; the elementwise test runs
-    only when the norm is not finite."""
-    return math.isfinite(_sq_norm(x)) or bool(np.isfinite(x).all())
-
-
 # While a running bound on the trained factors' Frobenius norm stays below
 # this, they are provably finite and their per-step check is skipped.  The gap to
 # the largest double (~1.8e308) dwarfs the rounding of any feasible number
@@ -345,7 +340,7 @@ def local_train(
     # and |g| <= |gb| + |ga| (Python floats: an overflow is inf, not a warning);
     # a non-finite start gives an infinite or NaN bound, which is checked.
     step_scale = abs(eta)
-    bound = sqrt(_sq_norm(updated))
+    bound = sqrt(updated.dot(updated))  # updated is 1-D
     # sqrt is monotone and correctly rounded, so the square root of the
     # largest squared norm is the largest norm.
     sq_max = 0.0
@@ -369,7 +364,7 @@ def local_train(
         # A frozen factor keeps its start value, so only the updated
         # factors need the check.
         bound += step_scale * (sqrt(sq_b) + sqrt(sq_a))
-        if not (bound < _PARAM_BOUND or _all_finite(updated)):
+        if not (bound < _PARAM_BOUND or np.isfinite(updated).all()):
             raise DivergenceError(
                 f"non-finite parameters on client {client}",
                 round_index=round_index,
@@ -553,15 +548,14 @@ def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
 class SweepCell:
     params: dict
     seed: int
+    config: FederationConfig  # the base config with params and seed applied
     result: RunResult | None = None  # diverged runs included
     error: str | None = None  # why the cell failed, divergence included
 
 
-def _run_cell(args) -> SweepCell:
-    config, params, seed = args
-    cell = SweepCell(params=params, seed=seed)
+def _run_cell(cell: SweepCell) -> SweepCell:
     try:
-        cell.result = run_federation(replace(apply_overrides(config, params), seed=seed))
+        cell.result = run_federation(cell.config)
         failure = cell.result.divergence
     except Exception as exc:  # individual failures recorded, sweep continues
         failure = exc
@@ -579,8 +573,8 @@ def run_sweep(
     """Cartesian product of the parameter grid and the seed list.
 
     Cells are independent; with ``jobs > 1`` they run in a process pool.
-    Output order matches the grid order regardless of scheduling.  Grid
-    keys and empty value lists are checked before any cell runs.
+    Output order matches the grid order regardless of scheduling.  Every
+    cell's config is built, and so checked, before any cell runs.
     """
     if not sweep:
         raise UsageError("sweep grid must be non-empty")
@@ -590,13 +584,14 @@ def run_sweep(
             raise UsageError(
                 f"sweep parameter {key!r} must be a non-empty list", key=key
             )
-    seeds = list(seeds)
+    seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise UsageError("sweep needs at least one seed")
-    names = list(sweep.keys())
+    grid = [dict(zip(sweep, values)) for values in itertools.product(*sweep.values())]
+    configs = [(params, apply_overrides(base, params)) for params in grid]
     cells = [
-        (base, dict(zip(names, values)), int(seed))
-        for values in itertools.product(*(sweep[n] for n in names))
+        SweepCell(params, seed, replace(config, seed=seed))
+        for params, config in configs
         for seed in seeds
     ]
     if jobs > 1 and len(cells) > 1:

@@ -457,6 +457,7 @@ def test_rejected_value_located(tmp_path, capsys, case):
         ("n_features: [3, 9]", {"n_features": [3, 9]}),
         ("dims: [[6, 6], [8, 8]]", {"dims": [(6, 6), (8, 8)]}),
         ("lambda: []", {"lambda": []}),
+        ("lambda: [0.5, 1.5]", {"lambda": [0.5, 1.5]}),
     ],
 )
 def test_run_sweep_rejects_grids_as_the_loader_does(tmp_path, line, sweep):
@@ -610,6 +611,9 @@ class TestSweepCommand:
         cell_dirs = sorted(p for p in out.iterdir() if p.is_dir())
         assert len(cell_dirs) == 33
         assert (cell_dirs[0] / "rounds.csv").exists()
+        # A row's grid value reads as its directory name writes it.
+        for line, cell_dir in zip(lines[1:], cell_dirs):
+            assert cell_dir.name.split("_")[1] == "lambda-" + line.split(",")[0]
 
     def test_out_is_a_file_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -668,7 +672,7 @@ class TestSweepCommand:
         assert cell_files["summary.json"]["metrics"]["rounds_completed"] >= 1
         rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert rows[1].endswith(",ok")
-        assert rows[2] == "1,0,nan,nan,DivergenceError: " + message.replace(",", ";")
+        assert rows[2] == "1.0,0,nan,nan,DivergenceError: " + message.replace(",", ";")
         assert sweep_outputs(ok_dir)["summary.json"]["status"] == "ok"
 
     def test_setup_imports_neither_multiprocessing_nor_numpy_ma(self, tmp_path):

@@ -122,6 +122,25 @@ class TestConfigValidation:
             regression_config(**overrides)
         assert exc.value.key == key
 
+    # An enum field takes a member, never its value's name: the policy code
+    # compares members with ``is``, so a name would run another experiment.
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: regression_config(strategy="fedrot"), "strategy"),
+            (lambda: regression_config(schedule="a_only"), "schedule"),
+            (
+                lambda: regression_config(task=TaskSpec(kind="lowrank_regression")),
+                "task.kind",
+            ),
+            (lambda: ReferenceMode(kind="prev_global"), "kind"),
+        ],
+    )
+    def test_enum_field_rejects_its_value_name(self, build, key):
+        with pytest.raises(UsageError) as exc:
+            build()
+        assert exc.value.key == key
+
     @pytest.mark.parametrize("kind", list(TaskKind))
     def test_negative_n_samples_rejected_for_every_kind(self, kind):
         with pytest.raises(UsageError) as exc:
@@ -648,23 +667,28 @@ class TestRunSweep:
 
     # Grids the experiment-file loader rejects: a key no grid may vary (the
     # seed, a task field the regression task never reads, the dims), a key
-    # the task kind does not read, and an empty value list.
+    # the task kind does not read, an empty value list, a value or seed the
+    # config rejects, even after a valid cell, and an enum value's name.
     @pytest.mark.parametrize(
-        "config, grid",
+        "config, grid, seeds, key",
         [
-            (regression_config, {"lambda": [0.5], "seed": [1, 2]}),
-            (regression_config, {"n_features": [3, 9]}),
-            (regression_config, {"dims": [(6, 6), (8, 8)]}),
-            (logistic_config, {"heterogeneity": [0.1, 0.9]}),
-            (regression_config, {"lambda": [0.5], "rounds": []}),
+            (regression_config, {"lambda": [0.5], "seed": [1, 2]}, [0], "seed"),
+            (regression_config, {"n_features": [3, 9]}, [0], "n_features"),
+            (regression_config, {"dims": [(6, 6), (8, 8)]}, [0], "dims"),
+            (logistic_config, {"heterogeneity": [0.1, 0.9]}, [0], "heterogeneity"),
+            (regression_config, {"lambda": [0.5], "rounds": []}, [0], "rounds"),
+            (regression_config, {"lambda": [0.5, 1.5]}, [0], "lambda"),
+            (regression_config, {"strategy": ["fedrot"]}, [0], "strategy"),
+            (regression_config, {"lambda": [0.5]}, [0, -1], "seed"),
         ],
     )
-    def test_grid_rejected_before_any_cell_runs(self, monkeypatch, config, grid):
+    def test_grid_rejected_before_any_cell_runs(self, monkeypatch, config, grid,
+                                                 seeds, key):
         runs = []
         monkeypatch.setattr(fedrot.federation, "run_federation", runs.append)
         with pytest.raises(UsageError) as exc:
-            run_sweep(config(), grid, seeds=[0])
-        assert exc.value.key == list(grid)[-1]
+            run_sweep(config(), grid, seeds=seeds)
+        assert exc.value.key == key
         assert runs == []
 
     def test_pool_no_larger_than_grid(self, monkeypatch):
