@@ -21,7 +21,6 @@ from .alignment import (
 from .errors import (
     ConfigError,
     DivergenceError,
-    EstimationError,
     FedRotError,
     NumericError,
     UsageError,
@@ -34,14 +33,7 @@ from .federation import (
     run_sweep,
 )
 from .lora import LoraAdapter, init_adapter, semantic_update
-from .metrics import (
-    TheoryConstants,
-    alignment_gain,
-    dispersion,
-    estimate_constants,
-    feasible_lambda_range,
-    gamma,
-)
+from .metrics import alignment_gain, dispersion
 from .tasks import TaskKind, dirichlet_partition
 
 __all__ = [
@@ -60,7 +52,6 @@ __all__ = [
     "soft_rotation",
     "ConfigError",
     "DivergenceError",
-    "EstimationError",
     "FedRotError",
     "NumericError",
     "UsageError",
@@ -72,12 +63,8 @@ __all__ = [
     "LoraAdapter",
     "init_adapter",
     "semantic_update",
-    "TheoryConstants",
     "alignment_gain",
     "dispersion",
-    "estimate_constants",
-    "feasible_lambda_range",
-    "gamma",
     "TaskKind",
     "dirichlet_partition",
 ]

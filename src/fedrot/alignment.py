@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_type
 from .lora import LoraAdapter
 from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
 
@@ -213,8 +214,8 @@ class ReferenceMode:
     lag: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.kind, ReferenceKind):
-            raise UsageError(f"kind must be a ReferenceKind, got {self.kind!r}", key="kind")
+        check_type("kind", self.kind, ReferenceKind)
+        check_type("lag", self.lag, numbers.Integral)
         if self.kind is ReferenceKind.OLDER_GLOBAL and self.lag < 2:
             raise UsageError(
                 f"older-global reference requires lag >= 2, got {self.lag}", key="lag"

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the config value type check."""
+
+import numbers
 
 
 class FedRotError(Exception):
@@ -17,12 +19,18 @@ class UsageError(FedRotError):
         self.key = key
 
 
+def check_type(key: str, value, kind) -> None:
+    """Reject ``value``, set as the file key ``key``, unless it is a ``kind``:
+    an enum, ``numbers.Integral`` or ``numbers.Real``.  A bool is not a
+    number, and no value is converted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        names = {numbers.Integral: "an integer", numbers.Real: "a number"}
+        what = names.get(kind, f"a {kind.__name__}")
+        raise UsageError(f"{key} must be {what}, got {value!r}", key=key)
+
+
 class NumericError(FedRotError):
     """A numerical routine failed (an SVD did not converge)."""
-
-
-class EstimationError(FedRotError):
-    """A theory-constant estimate is undefined for the given trajectory."""
 
 
 class ConfigError(FedRotError):

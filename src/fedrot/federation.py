@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 import time
 from dataclasses import Field, dataclass, field, fields, replace
 
@@ -32,7 +33,7 @@ from .alignment import (
     select_reference,
     soft_rotation,
 )
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, UsageError, check_type
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
@@ -141,14 +142,34 @@ class FederationConfig:
     init_a_value: float | None = None
 
     def __post_init__(self):
-        # Members only: the policy code compares them with ``is``.
-        for key, value, kind in (
+        task = self.task
+        if not (isinstance(self.dims, tuple) and len(self.dims) == 2):
+            raise UsageError(
+                f"dims must be a tuple of 2 integers, got {self.dims!r}", key="dims"
+            )
+        # Enum members (the policy code compares them with ``is``) and numbers.
+        typed = [
             ("strategy", self.strategy, Strategy),
             ("schedule", self.schedule, ScheduleAblation),
-            ("task.kind", self.task.kind, TaskKind),
-        ):
-            if not isinstance(value, kind):
-                raise UsageError(f"{key} must be a {kind.__name__}, got {value!r}", key=key)
+            ("task.kind", task.kind, TaskKind),
+            *((key, getattr(self, key), numbers.Integral) for key in (
+                "n_clients", "rank", "rounds", "local_steps", "seed", "align_from_round"
+            )),
+            *((f"task.{key}", getattr(task, key), numbers.Integral) for key in (
+                "true_rank", "n_features", "n_classes", "n_samples"
+            )),
+            *((f"dims.{i}", d, numbers.Integral) for i, d in enumerate(self.dims)),
+            ("lambda", self.lam, numbers.Real),
+            ("learning_rate", self.learning_rate, numbers.Real),
+            ("dirichlet_alpha", self.dirichlet_alpha, numbers.Real),
+            ("task.heterogeneity", task.heterogeneity, numbers.Real),
+            *((f"task.targets.{i}", t, numbers.Real) for i, t in enumerate(task.targets)),
+        ]
+        for key, kind in (("batch_size", numbers.Integral), ("init_a_value", numbers.Real)):
+            if getattr(self, key) is not None:
+                typed.append((key, getattr(self, key), kind))
+        for key, value, kind in typed:
+            check_type(key, value, kind)
         if not 0.0 <= self.lam <= 1.0:
             raise UsageError(f"lambda must lie in [0, 1], got {self.lam}", key="lambda")
         if not 1 <= self.rank <= min(self.dims):
@@ -175,7 +196,6 @@ class FederationConfig:
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed}", key="seed")
         # What each task kind requires; the task builders take it as checked.
-        task = self.task
         if task.n_samples < 0:
             raise UsageError("n_samples must be >= 0", key="task.n_samples")
         if task.kind is TaskKind.SCALAR_TOY:
@@ -584,7 +604,7 @@ def run_sweep(
             raise UsageError(
                 f"sweep parameter {key!r} must be a non-empty list", key=key
             )
-    seeds = [int(seed) for seed in seeds]
+    seeds = list(seeds)
     if not seeds:
         raise UsageError("sweep needs at least one seed")
     grid = [dict(zip(sweep, values)) for values in itertools.product(*sweep.values())]

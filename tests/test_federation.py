@@ -141,6 +141,56 @@ class TestConfigValidation:
             build()
         assert exc.value.key == key
 
+    # A value of the wrong type is a config error under its key, as the
+    # loader makes it; none is converted, and a bool is not a number.
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: regression_config(seed=1.5), "seed"),
+            (lambda: regression_config(rounds=2.5), "rounds"),
+            (lambda: regression_config(local_steps=2.0), "local_steps"),
+            (lambda: regression_config(rank=2.0), "rank"),
+            (lambda: regression_config(batch_size=4.0), "batch_size"),
+            (lambda: regression_config(n_clients=True), "n_clients"),
+            (lambda: regression_config(align_from_round=1.5), "align_from_round"),
+            (lambda: regression_config(dims=(6,)), "dims"),
+            (lambda: regression_config(lam="0.5"), "lambda"),
+            (lambda: regression_config(learning_rate="0.1"), "learning_rate"),
+            (
+                lambda: regression_config(
+                    task=TaskSpec(kind=TaskKind.LOWRANK_REGRESSION, true_rank=1.5)
+                ),
+                "task.true_rank",
+            ),
+            (
+                lambda: regression_config(
+                    task=TaskSpec(kind=TaskKind.LOWRANK_REGRESSION, n_samples=10.5)
+                ),
+                "task.n_samples",
+            ),
+            (
+                lambda: regression_config(
+                    rank=1, dims=[1, 1],
+                    task=TaskSpec(kind=TaskKind.SCALAR_TOY, targets=(0.5, 1.0, 1.5)),
+                ),
+                "dims",
+            ),
+            (
+                lambda: regression_config(
+                    n_clients=1, rank=1, dims=(1, 1),
+                    task=TaskSpec(kind=TaskKind.SCALAR_TOY, targets=("1",)),
+                ),
+                "task.targets.0",
+            ),
+            (lambda: ReferenceMode(ReferenceKind.OLDER_GLOBAL, lag=2.5), "lag"),
+        ],
+    )
+    def test_wrong_type_rejected(self, build, key):
+        with pytest.raises(UsageError) as exc:
+            build()
+        assert exc.value.key == key
+        assert str(exc.value).startswith(f"{key} must be ")
+
     @pytest.mark.parametrize("kind", list(TaskKind))
     def test_negative_n_samples_rejected_for_every_kind(self, kind):
         with pytest.raises(UsageError) as exc:
@@ -668,7 +718,8 @@ class TestRunSweep:
     # Grids the experiment-file loader rejects: a key no grid may vary (the
     # seed, a task field the regression task never reads, the dims), a key
     # the task kind does not read, an empty value list, a value or seed the
-    # config rejects, even after a valid cell, and an enum value's name.
+    # config rejects, even after a valid cell, a float seed and an enum
+    # value's name.
     @pytest.mark.parametrize(
         "config, grid, seeds, key",
         [
@@ -680,6 +731,7 @@ class TestRunSweep:
             (regression_config, {"lambda": [0.5, 1.5]}, [0], "lambda"),
             (regression_config, {"strategy": ["fedrot"]}, [0], "strategy"),
             (regression_config, {"lambda": [0.5]}, [0, -1], "seed"),
+            (regression_config, {"lambda": [0.5]}, [0, 1.5], "seed"),
         ],
     )
     def test_grid_rejected_before_any_cell_runs(self, monkeypatch, config, grid,
