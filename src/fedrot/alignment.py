@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 import logging
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_type
+from .errors import UsageError, check_fields
 from .lora import LoraAdapter
 from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
 
@@ -214,8 +213,7 @@ class ReferenceMode:
     lag: int = 0
 
     def __post_init__(self):
-        check_type("kind", self.kind, ReferenceKind)
-        check_type("lag", self.lag, numbers.Integral)
+        check_fields(self)
         if self.kind is ReferenceKind.OLDER_GLOBAL and self.lag < 2:
             raise UsageError(
                 f"older-global reference requires lag >= 2, got {self.lag}", key="lag"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import io
 import re
 import types
 import typing
@@ -22,9 +23,9 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import yaml
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, check_type, file_key, type_hints
 from .federation import (
-    FederationConfig, TaskSpec, apply_overrides, check_read, file_key, grid_field
+    FederationConfig, TaskSpec, apply_overrides, check_read, grid_field
 )
 
 __all__ = ["SweepSpec", "ExperimentFile", "load_config", "config_to_dict"]
@@ -42,10 +43,29 @@ class ExperimentFile:
     sweep: SweepSpec | None
 
 
+# No schema nests past a handful of levels; PyYAML composes by recursion,
+# so a deeper file is rejected before Python's recursion limit is reached.
+_MAX_DEPTH = 100
+
+
 class _Loader(yaml.SafeLoader):
     """PyYAML's YAML 1.1 float rule takes an exponent only after a dot and
     with a sign, so ``1e-3`` or ``json.dumps``'s ``1e-06`` would load as
-    strings; this loader reads every exponent form as a float."""
+    strings; this loader reads every exponent form as a float, and rejects
+    nesting deeper than ``_MAX_DEPTH`` at the node that exceeds it."""
+
+    depth = 0
+
+    def compose_node(self, parent, index):
+        if self.depth == _MAX_DEPTH:
+            raise yaml.composer.ComposerError(
+                None, None, f"nesting deeper than {_MAX_DEPTH} levels",
+                self.peek_event().start_mark,
+            )
+        self.depth += 1
+        node = super().compose_node(parent, index)
+        self.depth -= 1
+        return node
 
 
 _Loader.add_implicit_resolver(
@@ -115,7 +135,7 @@ def _value(node):
 @functools.cache
 def _schema(cls) -> dict[str, tuple]:
     """File key -> (field, resolved annotation) of a config dataclass."""
-    hints = typing.get_type_hints(cls)
+    hints = type_hints(cls)
     return {file_key(f): (f, hints[f.name]) for f in fields(cls)}
 
 
@@ -148,10 +168,7 @@ def _typed(node, tp, name: str):
                 node,
                 f"invalid {name} {raw!r} (one of: {', '.join(m.value for m in tp)})",
             )
-    # YAML booleans are Python ints; a count or a rate of ``true`` is a mistake.
-    if isinstance(raw, bool) or not isinstance(raw, int if tp is int else (int, float)):
-        kind = "an integer" if tp is int else "a number"
-        _fail(node, f"{name} must be {kind}, got {raw!r}")
+    _located(node, check_type, name, raw, tp)
     try:
         return tp(raw)
     except OverflowError:
@@ -213,14 +230,33 @@ def _sweep(node, experiment: FederationConfig) -> SweepSpec:
     return SweepSpec(grid=grid, seeds=seeds)
 
 
+def _after(text: str) -> dict:
+    """The line and column just past ``text``, as :class:`ConfigError` keywords."""
+    return {"line": text.count("\n") + 1, "column": len(text) - text.rfind("\n")}
+
+
 def load_config(path, need_sweep: bool = False) -> ExperimentFile:
     """Parse and validate an experiment file; with ``need_sweep``, a file
     without a ``sweep`` section is an error located at its top level."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            root = yaml.compose(fh, Loader=_Loader)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte = f"byte {data[exc.start]:#04x} ({exc.reason})"
+        message = f"config file is not valid UTF-8: {byte}"
+        raise ConfigError(message, **_after(data[: exc.start].decode("utf-8")))
+    # Composed as a file opened in text mode would be: universal newlines,
+    # and the path in PyYAML's messages.
+    stream = io.StringIO(text, newline=None)
+    stream.name = str(path)
+    try:
+        root = yaml.compose(stream, Loader=_Loader)
+    except yaml.reader.ReaderError as exc:  # an unprintable character
+        raise ConfigError(str(exc), **_after(stream.getvalue()[: exc.position]))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

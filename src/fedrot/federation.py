@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 import time
 from dataclasses import Field, dataclass, field, fields, replace
 
@@ -33,7 +32,7 @@ from .alignment import (
     select_reference,
     soft_rotation,
 )
-from .errors import DivergenceError, UsageError, check_type
+from .errors import DivergenceError, UsageError, check_fields, file_key
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
@@ -72,11 +71,6 @@ _SCALAR = {"kinds": (TaskKind.SCALAR_TOY,)}
 _REGRESSION = {"kinds": (TaskKind.LOWRANK_REGRESSION,)}
 _LOGISTIC = {"kinds": (TaskKind.LOGISTIC,)}
 _SAMPLED = {"kinds": (TaskKind.LOWRANK_REGRESSION, TaskKind.LOGISTIC)}
-
-
-def file_key(f: Field) -> str:
-    """The experiment-file key of a config dataclass field."""
-    return f.metadata.get("key", f.name)
 
 
 def check_read(kind: TaskKind, key: str, f: Field) -> None:
@@ -142,34 +136,9 @@ class FederationConfig:
     init_a_value: float | None = None
 
     def __post_init__(self):
+        # Types first: the range checks below compare numbers and enum members.
+        check_fields(self)
         task = self.task
-        if not (isinstance(self.dims, tuple) and len(self.dims) == 2):
-            raise UsageError(
-                f"dims must be a tuple of 2 integers, got {self.dims!r}", key="dims"
-            )
-        # Enum members (the policy code compares them with ``is``) and numbers.
-        typed = [
-            ("strategy", self.strategy, Strategy),
-            ("schedule", self.schedule, ScheduleAblation),
-            ("task.kind", task.kind, TaskKind),
-            *((key, getattr(self, key), numbers.Integral) for key in (
-                "n_clients", "rank", "rounds", "local_steps", "seed", "align_from_round"
-            )),
-            *((f"task.{key}", getattr(task, key), numbers.Integral) for key in (
-                "true_rank", "n_features", "n_classes", "n_samples"
-            )),
-            *((f"dims.{i}", d, numbers.Integral) for i, d in enumerate(self.dims)),
-            ("lambda", self.lam, numbers.Real),
-            ("learning_rate", self.learning_rate, numbers.Real),
-            ("dirichlet_alpha", self.dirichlet_alpha, numbers.Real),
-            ("task.heterogeneity", task.heterogeneity, numbers.Real),
-            *((f"task.targets.{i}", t, numbers.Real) for i, t in enumerate(task.targets)),
-        ]
-        for key, kind in (("batch_size", numbers.Integral), ("init_a_value", numbers.Real)):
-            if getattr(self, key) is not None:
-                typed.append((key, getattr(self, key), kind))
-        for key, value, kind in typed:
-            check_type(key, value, kind)
         if not 0.0 <= self.lam <= 1.0:
             raise UsageError(f"lambda must lie in [0, 1], got {self.lam}", key="lambda")
         if not 1 <= self.rank <= min(self.dims):

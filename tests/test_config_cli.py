@@ -239,6 +239,26 @@ class TestRunCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert calls == []
 
+    # Bytes that are not UTF-8, an unprintable character and nesting deeper
+    # than any schema are config errors at their line and column too.
+    @pytest.mark.parametrize(
+        "data, where, what",
+        [
+            (b"experiment:\n  strategy: fedit\xff\n", "(line 2, column 18)", "not valid UTF-8"),
+            (b"experiment:\n  strategy: fed\x01it\n", "(line 2, column 16)", "unacceptable"),
+            (b"experiment: " + b"[" * 1000 + b"]" * 1000 + b"\n", "(line 1, column ", "nesting"),
+        ],
+        ids=["not-utf8", "unprintable", "nested-1000"],
+    )
+    def test_malformed_file_located(self, tmp_path, capsys, data, where, what):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error {where}") and what in err
+        assert not out.exists()
+
     def test_jobs_is_a_usage_error(self, tmp_path, capsys):
         # A single run is sequential, so it takes no --jobs.
         out = tmp_path / "out"

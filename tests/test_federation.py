@@ -23,6 +23,7 @@ from fedrot.federation import (
     apply_overrides,
     build_task,
     client_round,
+    file_key,
     local_train,
     run_federation,
     run_sweep,
@@ -188,6 +189,36 @@ class TestConfigValidation:
     def test_wrong_type_rejected(self, build, key):
         with pytest.raises(UsageError) as exc:
             build()
+        assert exc.value.key == key
+        assert str(exc.value).startswith(f"{key} must be ")
+
+    # Every annotated field is checked, so a field added later is covered
+    # here too.  None is wrong wherever the field's default is not None.
+    @pytest.mark.parametrize(
+        "build, name, key, bad",
+        [
+            pytest.param(
+                build, f.name, prefix + file_key(f), bad, id=f"{prefix}{f.name}={bad!r}"
+            )
+            for build, cls, prefix in (
+                (regression_config, FederationConfig, ""),
+                (
+                    lambda **kw: regression_config(
+                        task=TaskSpec(**{"kind": TaskKind.LOWRANK_REGRESSION, **kw})
+                    ),
+                    TaskSpec,
+                    "task.",
+                ),
+                (ReferenceMode, ReferenceMode, ""),
+            )
+            for f in dataclasses.fields(cls)
+            for bad in ("1", True, [1], None)
+            if bad is not None or f.default is not None
+        ],
+    )
+    def test_every_field_type_checked(self, build, name, key, bad):
+        with pytest.raises(UsageError) as exc:
+            build(**{name: bad})
         assert exc.value.key == key
         assert str(exc.value).startswith(f"{key} must be ")
 
