@@ -7,8 +7,9 @@ mapping holding a parameter ``grid`` and a ``seeds`` list.  The dataclass
 fields are the schema: their annotations type each value, the fields
 without a default are required, and their metadata names the file keys
 that differ from the field names, the keys a grid may vary and the task
-kinds that read a key.  Unknown keys, keys the task kind does not read, and
-ill-typed or out-of-range values are rejected with their line and column.
+kinds that read a key.  The loader only converts values by annotation; the
+config constructors and ``federation.sweep_cells`` check them.  Every
+rejection, a bad key's included, is reported with its line and column.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import io
 import re
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import yaml
 
-from .errors import ConfigError, UsageError, check_type, file_key, type_hints
+from .errors import ConfigError, UsageError, file_key, type_hints
 from .federation import (
-    FederationConfig, TaskSpec, apply_overrides, check_read, grid_field
+    FederationConfig, TaskSpec, check_read, grid_field, grid_values, reads, sweep_cells
 )
 
 __all__ = ["SweepSpec", "ExperimentFile", "load_config", "config_to_dict"]
@@ -86,19 +87,19 @@ def _fail(node, message: str):
 
 
 def _located(node, check, *args, **kwargs):
-    """``check(*args, **kwargs)``, its :class:`UsageError` reported at ``node``."""
+    """``check(*args, **kwargs)``, its :class:`UsageError` reported at the node
+    that its dotted key (list indices included) names below ``node``.  A
+    default is not in the file: its walk stops at the innermost mapping on the
+    path, which it cannot leave, as no key repeats one of an enclosing mapping."""
     try:
         return check(*args, **kwargs)
     except UsageError as exc:
+        for key in exc.key.split(".") if exc.key else ():
+            if isinstance(node, yaml.SequenceNode):
+                node = node.value[int(key)]
+            elif isinstance(node, yaml.MappingNode):
+                node = next((v for k, v in node.value if k.value == key), node)
         _fail(node, str(exc))
-
-
-def _child(node, key: str):
-    """The value node at index ``key`` of a sequence node, or under ``key``
-    of a mapping node; the mapping itself if it lacks the key."""
-    if isinstance(node, yaml.SequenceNode):
-        return node.value[int(key)]
-    return next((v for k, v in node.value if k.value == key), node)
 
 
 def _mapping_items(node, context: str) -> dict[str, tuple]:
@@ -128,7 +129,7 @@ def _value(node):
     loader = yaml.SafeLoader("")
     try:
         return loader.construct_object(node, deep=True)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of too many digits
         _fail(node, f"malformed value: {exc}")
 
 
@@ -139,40 +140,28 @@ def _schema(cls) -> dict[str, tuple]:
     return {file_key(f): (f, hints[f.name]) for f in fields(cls)}
 
 
-def _typed(node, tp, name: str):
-    """The value of ``node`` as the annotated type ``tp``; ``name`` is its
-    key path in messages."""
-    if is_dataclass(tp):
-        return _dataclass(node, tp, name)
+def _convert(value, tp):
+    """``value`` as read from the file, converted by the annotation ``tp``:
+    a list becomes a tuple, element by element, an enum value its member,
+    and an ``int`` a ``float`` where a float is declared, never a bool.
+    Anything else passes through unchanged, for the constructors to reject."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is types.UnionType:  # ``T | None``
-        return None if _value(node) is None else _typed(node, args[0], name)
+        return value if value is None else _convert(value, args[0])
     if typing.get_origin(tp) is tuple:
         variadic = args[-1] is Ellipsis
-        if not isinstance(node, yaml.SequenceNode) or not (
-            variadic or len(node.value) == len(args)
-        ):
-            size = "" if variadic else f" of {len(args)} values"
-            _fail(node, f"{name} must be a list{size}")
-        elements = args[:1] * len(node.value) if variadic else args
-        return tuple(
-            _typed(n, t, f"{name}[{i}]")
-            for i, (n, t) in enumerate(zip(node.value, elements))
-        )
-    raw = _value(node)
+        if not isinstance(value, list) or not (variadic or len(value) == len(args)):
+            return value
+        elements = args[:1] * len(value) if variadic else args
+        return tuple(_convert(v, t) for v, t in zip(value, elements))
     if issubclass(tp, enum.Enum):
+        return next((m for m in tp if m.value == value), value)
+    if tp is float and type(value) is int:
         try:
-            return tp(raw)
-        except ValueError:
-            _fail(
-                node,
-                f"invalid {name} {raw!r} (one of: {', '.join(m.value for m in tp)})",
-            )
-    _located(node, check_type, name, raw, tp)
-    try:
-        return tp(raw)
-    except OverflowError:
-        _fail(node, f"{name} is out of range, got {raw!r}")
+            return float(value)
+        except OverflowError:
+            return value
+    return value
 
 
 def _dataclass(node, cls, name: str):
@@ -183,50 +172,30 @@ def _dataclass(node, cls, name: str):
     items = _mapping_items(node, context)
     schema = _schema(cls)
     _check_keys(items, schema, context)
-    kwargs = {
-        schema[key][0].name: _typed(value_node, schema[key][1], prefix + key)
-        for key, (_, value_node) in items.items()
-    }
+    kwargs = {}
+    for key, (_, value_node) in items.items():
+        f, tp = schema[key]
+        kwargs[f.name] = (_dataclass(value_node, tp, prefix + key) if is_dataclass(tp)
+                          else _convert(_value(value_node), tp))
     for key, (f, _) in schema.items():
         if f.name not in kwargs and f.default is MISSING:
             _fail(node, f"{context} is missing required key {key!r}")
-    try:
-        return cls(**kwargs)
-    except UsageError as exc:
-        # A rejected value is located at the node its dotted key path (list
-        # indices included) names.  A default is not in the file, so it falls
-        # back to the innermost mapping on the path; no key on a path repeats
-        # a key of an enclosing mapping, so the walk cannot step off the path.
-        for key in exc.key.split(".") if exc.key else ():
-            node = _child(node, key)
-        _fail(node, str(exc))
+    return _located(node, cls, **kwargs)
 
 
-def _sweep(node, experiment: FederationConfig) -> SweepSpec:
+def _sweep(root, node, experiment: FederationConfig) -> SweepSpec:
     items = _mapping_items(node, "sweep")
     _check_keys(items, {"grid", "seeds"}, "sweep")
     if "grid" not in items:
         _fail(node, "sweep requires a 'grid' mapping")
-    grid = {}
-    for key, (key_node, values) in _mapping_items(items["grid"][1], "sweep grid").items():
+    grid, grid_node = {}, items["grid"][1]
+    for key, (key_node, values_node) in _mapping_items(grid_node, "sweep grid").items():
         cls, _ = _located(key_node, grid_field, experiment, key)
-        if not isinstance(values, yaml.SequenceNode) or not values.value:
-            _fail(values, f"sweep parameter {key!r} must be a non-empty list")
-        grid[key] = []
-        for value_node in values.value:
-            value = _typed(value_node, _schema(cls)[key][1], key)
-            _located(value_node, apply_overrides, experiment, {key: value})
-            grid[key].append(value)
-    if not grid:
-        _fail(items["grid"][1], "sweep grid must contain at least one parameter")
-    seeds = (0,)
-    if "seeds" in items:
-        seeds_node = items["seeds"][1]
-        seeds = _typed(seeds_node, tuple[int, ...], "sweep.seeds")
-        if not seeds:
-            _fail(seeds_node, "sweep.seeds must be a non-empty list")
-        for seed, seed_node in zip(seeds, seeds_node.value):
-            _located(seed_node, replace, experiment, seed=seed)
+        values = _value(values_node)
+        _located(grid_node, grid_values, key, values)
+        grid[key] = [_convert(v, _schema(cls)[key][1]) for v in values]
+    seeds = _convert(_value(items["seeds"][1]), tuple[int, ...]) if "seeds" in items else (0,)
+    _located(root, sweep_cells, experiment, grid, seeds)
     return SweepSpec(grid=grid, seeds=seeds)
 
 
@@ -279,21 +248,24 @@ def load_config(path, need_sweep: bool = False) -> ExperimentFile:
         for key, (key_node, _) in level.items():
             f = _schema(cls)[key][0]
             _located(key_node, check_read, experiment.task.kind, prefix + key, f)
-    sweep = _sweep(items["sweep"][1], experiment) if "sweep" in items else None
+    sweep = _sweep(root, items["sweep"][1], experiment) if "sweep" in items else None
     return ExperimentFile(experiment=experiment, sweep=sweep)
 
 
-def config_to_dict(config) -> dict:
-    """A config dataclass as plain JSON-serializable data under its file
-    keys, in field order."""
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
+def config_to_dict(config: FederationConfig) -> dict:
+    """The config as plain JSON-serializable data under its file keys, in
+    field order, holding only the keys its task kind reads: under
+    ``experiment``, :func:`load_config` reads it back as an equal config."""
+
+    def plain(value):
         if is_dataclass(value):
-            value = config_to_dict(value)
-        elif isinstance(value, enum.Enum):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[file_key(f)] = value
-    return out
+            return {
+                file_key(f): plain(getattr(value, f.name))
+                for f in fields(value)
+                if reads(config.task.kind, f)
+            }
+        if isinstance(value, enum.Enum):
+            return value.value
+        return list(value) if isinstance(value, tuple) else value
+
+    return plain(config)

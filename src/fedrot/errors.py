@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the config value type checks."""
 
 import dataclasses
+import enum
 import functools
 import numbers
 import types
@@ -29,11 +30,19 @@ _NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a numb
 def check_type(key: str, value, tp) -> None:
     """Reject ``value``, set as the file key ``key``, unless it is of the
     annotated type ``tp``: ``int`` takes any ``numbers.Integral``, ``float``
-    any ``numbers.Real``, a bool neither, and any other type its instances.
+    any ``numbers.Real`` that ``float()`` does not overflow, a bool neither,
+    and any other type its instances; an enum's message lists its values.
     No value is converted."""
     kind, what = _NUMBERS.get(tp, (tp, f"a {tp.__name__}"))
+    if issubclass(tp, enum.Enum):
+        what += f" (one of: {', '.join(m.value for m in tp)})"
     if not isinstance(value, kind) or (tp in _NUMBERS and isinstance(value, bool)):
         raise UsageError(f"{key} must be {what}, got {value!r}", key=key)
+    if tp is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise UsageError(f"{key} is out of range", key=key) from None
 
 
 def file_key(f: dataclasses.Field) -> str:

@@ -9,7 +9,6 @@ bit-identical trajectories (wall-clock fields excepted).
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -55,6 +54,7 @@ __all__ = [
     "local_train",
     "client_round",
     "run_federation",
+    "sweep_cells",
     "run_sweep",
 ]
 
@@ -73,11 +73,15 @@ _LOGISTIC = {"kinds": (TaskKind.LOGISTIC,)}
 _SAMPLED = {"kinds": (TaskKind.LOWRANK_REGRESSION, TaskKind.LOGISTIC)}
 
 
+def reads(kind: TaskKind, f: Field) -> bool:
+    """Whether a task of kind ``kind`` reads the config field ``f``."""
+    return kind in f.metadata.get("kinds", (kind,))
+
+
 def check_read(kind: TaskKind, key: str, f: Field) -> None:
     """Reject the field ``f``, set as the file key ``key``, unless ``kind`` reads it."""
-    kinds = f.metadata.get("kinds", (kind,))
-    if kind not in kinds:
-        readers = ", ".join(k.value for k in kinds)
+    if not reads(kind, f):
+        readers = ", ".join(k.value for k in f.metadata["kinds"])
         message = f"{key} is not read by a {kind.value} task (read by: {readers})"
         raise UsageError(message, key=key)
 
@@ -99,6 +103,12 @@ def grid_field(config: FederationConfig, key: str) -> tuple[type, Field]:
         )
     check_read(config.task.kind, key, grid[key][1])
     return grid[key]
+
+
+def grid_values(key: str, values) -> None:
+    """Reject the values of the sweep-grid key ``key`` unless they are a non-empty list."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise UsageError(f"sweep parameter {key!r} must be a non-empty list", key=key)
 
 
 @dataclass(frozen=True)
@@ -521,11 +531,8 @@ def run_federation(config: FederationConfig) -> RunResult:
 
 
 def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
-    """Produce a config with sweep-cell parameter overrides applied.
-
-    ``params`` maps sweep-grid keys to values of their fields' types; a key
-    naming a :class:`TaskSpec` field overrides the task.
-    """
+    """``config`` with the overrides ``params`` applied: sweep-grid keys to
+    values of their fields' types, a :class:`TaskSpec` field's on the task."""
     plain, task = {}, {}
     for key, value in params.items():
         cls, f = grid_field(config, key)
@@ -553,36 +560,53 @@ def _run_cell(cell: SweepCell) -> SweepCell:
     return cell
 
 
+def _under(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its :class:`UsageError` raised again under ``key``."""
+    try:
+        return build(*args, **kwargs)
+    except UsageError as exc:
+        raise UsageError(str(exc), key=key) from exc
+
+
+def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
+    """The cells of the ``grid`` x ``seeds`` product, in ``itertools.product``
+    order, each with its finished, and so checked, config.  What
+    :func:`grid_field` or :func:`grid_values` rejects raises under its grid
+    key, a rejected value under ``sweep.grid.<key>.<i>`` and a rejected seed
+    under ``sweep.seeds.<i>``."""
+    if not grid:
+        raise UsageError("sweep grid must contain at least one parameter", key="sweep.grid")
+    for key, values in grid.items():
+        grid_field(base, key)
+        grid_values(key, values)
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise UsageError("sweep.seeds must be a non-empty list", key="sweep.seeds")
+    # One axis at a time, each value applied to every prefix config: the
+    # product order, with a rejected value blamed on the axis that adds it.
+    prefixes = [({}, base)]
+    for key, values in grid.items():
+        prefixes = [
+            ({**params, key: value},
+             _under(f"sweep.grid.{key}.{i}", apply_overrides, config, {key: value}))
+            for params, config in prefixes
+            for i, value in enumerate(values)
+        ]
+    return [
+        SweepCell(params, seed, _under(f"sweep.seeds.{i}", replace, config, seed=seed))
+        for params, config in prefixes
+        for i, seed in enumerate(seeds)
+    ]
+
+
 def run_sweep(
     base: FederationConfig,
     sweep: dict[str, list],
     seeds,
     jobs: int = 1,
 ) -> list[SweepCell]:
-    """Cartesian product of the parameter grid and the seed list.
-
-    Cells are independent; with ``jobs > 1`` they run in a process pool.
-    Output order matches the grid order regardless of scheduling.  Every
-    cell's config is built, and so checked, before any cell runs.
-    """
-    if not sweep:
-        raise UsageError("sweep grid must be non-empty")
-    for key, values in sweep.items():
-        grid_field(base, key)
-        if not values:
-            raise UsageError(
-                f"sweep parameter {key!r} must be a non-empty list", key=key
-            )
-    seeds = list(seeds)
-    if not seeds:
-        raise UsageError("sweep needs at least one seed")
-    grid = [dict(zip(sweep, values)) for values in itertools.product(*sweep.values())]
-    configs = [(params, apply_overrides(base, params)) for params in grid]
-    cells = [
-        SweepCell(params, seed, replace(config, seed=seed))
-        for params, config in configs
-        for seed in seeds
-    ]
+    """Run every cell of :func:`sweep_cells`, all built before any runs; with
+    ``jobs > 1``, in a process pool.  The output is in grid order regardless."""
+    cells = sweep_cells(base, sweep, seeds)
     if jobs > 1 and len(cells) > 1:
         # Imported here: a serial run need not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

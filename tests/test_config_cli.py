@@ -20,7 +20,7 @@ import fedrot.alignment
 import fedrot.federation
 from fedrot.aggregation import Strategy
 from fedrot.cli import main
-from fedrot.config import load_config
+from fedrot.config import config_to_dict, load_config
 from fedrot.errors import ConfigError, UsageError
 from fedrot.federation import FederationConfig, TaskSpec, file_key, run_sweep
 
@@ -388,6 +388,14 @@ LOCATED_ERRORS = {
     "learning_rate_nan": ("run", MINIMAL.replace("0.05", ".nan"), ".nan"),
     "learning_rate_inf": ("run", MINIMAL.replace("0.05", ".inf"), ".inf"),
     "learning_rate_exponent_inf": ("run", MINIMAL.replace("0.05", "1e400"), "1e400"),
+    # An integer that float() overflows is out of range, not a traceback.
+    "learning_rate_int_overflow": (
+        "run", MINIMAL.replace("0.05", str(10**400)), str(10**400)
+    ),
+    # Python refuses to read an integer of more than 4300 digits.
+    "learning_rate_int_digits": (
+        "run", MINIMAL.replace("0.05", "1" + "0" * 5000), "1" + "0" * 5000
+    ),
     "task.heterogeneity_nan": (
         "run", MINIMAL.replace("heterogeneity: 0.4", "heterogeneity: .nan"), ".nan"
     ),
@@ -470,23 +478,30 @@ def test_rejected_value_located(tmp_path, capsys, case):
 
 # One implementation of the grid rules serves the loader and the library:
 # run_sweep rejects each grid the loader rejects, with the same message.
+# Each grid line maps to the grid run_sweep takes, the key run_sweep raises
+# under, and the token that the file error is located at.
+GRID_ERRORS = {
+    "seed: [1, 2]": ({"seed": [1, 2]}, "seed", "seed"),
+    "n_features: [3, 9]": ({"n_features": [3, 9]}, "n_features", "n_features"),
+    "dims: [[6, 6], [8, 8]]": ({"dims": [(6, 6), (8, 8)]}, "dims", "dims"),
+    "lambda: []": ({"lambda": []}, "lambda", "[]"),
+    "lambda: [0.5, 1.5]": ({"lambda": [0.5, 1.5]}, "sweep.grid.lambda.1", "1.5"),
+}
+
+
 @pytest.mark.parametrize(
-    "line, sweep",
-    [
-        ("seed: [1, 2]", {"seed": [1, 2]}),
-        ("n_features: [3, 9]", {"n_features": [3, 9]}),
-        ("dims: [[6, 6], [8, 8]]", {"dims": [(6, 6), (8, 8)]}),
-        ("lambda: []", {"lambda": []}),
-        ("lambda: [0.5, 1.5]", {"lambda": [0.5, 1.5]}),
-    ],
+    "line, sweep", [(line, sweep) for line, (sweep, _, _) in GRID_ERRORS.items()]
 )
 def test_run_sweep_rejects_grids_as_the_loader_does(tmp_path, line, sweep):
+    _, key, at = GRID_ERRORS[line]
     with pytest.raises(ConfigError) as loaded:
         load_config(write(tmp_path, grid(line)))
     base = load_config(write(tmp_path, MINIMAL)).experiment
     with pytest.raises(UsageError) as direct:
         run_sweep(base, sweep, seeds=[0])
     assert str(direct.value) == str(loaded.value)
+    assert direct.value.key == key
+    assert (loaded.value.line, loaded.value.column) == (17, 5 + line.index(at))
 
 
 def scalar_leaves(node, path=()):
@@ -529,17 +544,36 @@ def assert_clean_exit(command, text):
         assert re.search(r"\(line \d+, column \d+\)", err.getvalue()), err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(MINIMAL_LEAVES), FUZZ_VALUES)
-def test_fuzzed_leaf_exits_cleanly(path, value):
-    # Any one scalar of a valid config replaced by an arbitrary value must
-    # run, be rejected as a located config error, or diverge -- never raise.
+def with_leaf(path, value) -> str:
+    """MINIMAL with its scalar at the key path ``path`` replaced by ``value``."""
     doc = yaml.safe_load(MINIMAL)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    assert_clean_exit("run", yaml.safe_dump(doc))
+    return yaml.safe_dump(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MINIMAL_LEAVES), FUZZ_VALUES)
+def test_fuzzed_leaf_exits_cleanly(path, value):
+    # Any one scalar of a valid config replaced by an arbitrary value must
+    # run, be rejected as a located config error, or diverge -- never raise.
+    assert_clean_exit("run", with_leaf(path, value))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MINIMAL_LEAVES), FUZZ_VALUES)
+def test_config_echo_loads_as_the_config(path, value):
+    # Every config that loads is echoed as an experiment mapping that loads
+    # back as the same config, so a run directory can be run again.
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            config = load_config(write(Path(tmp), with_leaf(path, value))).experiment
+        except ConfigError:
+            return
+        echo = json.dumps({"experiment": config_to_dict(config)})
+        assert load_config(write(Path(tmp), echo, "echo.yaml")).experiment == config
 
 
 SMALL_SWEEP = MINIMAL + """\
@@ -634,6 +668,21 @@ class TestSweepCommand:
         # A row's grid value reads as its directory name writes it.
         for line, cell_dir in zip(lines[1:], cell_dirs):
             assert cell_dir.name.split("_")[1] == "lambda-" + line.split(",")[0]
+
+    def test_cell_reruns_from_its_summary(self, tmp_path):
+        # A cell's summary.json config block, under ``experiment``, is a file
+        # that runs the cell again.
+        text = grid("lambda: [0.0, 0.3]") + "  seeds: [5]\n"
+        out = tmp_path / "sweep"
+        assert main(["sweep", write(tmp_path, text), "--out", str(out)]) == 0
+        (cell,) = out.glob("cell-001_*")
+        summary = json.loads((cell / "summary.json").read_text(encoding="utf-8"))
+        echo = write(tmp_path, json.dumps({"experiment": summary["config"]}), "echo.yaml")
+        rerun = tmp_path / "rerun"
+        assert main(["run", echo, "--out", str(rerun)]) == 0
+        assert rounds_csv_without_wall_ms(rerun / "rounds.csv") == (
+            rounds_csv_without_wall_ms(cell / "rounds.csv")
+        )
 
     def test_out_is_a_file_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

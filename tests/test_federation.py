@@ -123,6 +123,33 @@ class TestConfigValidation:
             regression_config(**overrides)
         assert exc.value.key == key
 
+    # A float field that float() overflows is out of range, for library
+    # callers too: the run would die of an OverflowError.
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"learning_rate": 10**400}, "learning_rate"),
+            ({"dirichlet_alpha": 10**400}, "dirichlet_alpha"),
+            ({"init_a_value": 10**400}, "init_a_value"),
+            (
+                {"task": TaskSpec(kind=TaskKind.LOWRANK_REGRESSION, heterogeneity=10**400)},
+                "task.heterogeneity",
+            ),
+            (
+                {
+                    "rank": 1,
+                    "dims": (1, 1),
+                    "task": TaskSpec(kind=TaskKind.SCALAR_TOY, targets=(10**400, 1.0, 1.5)),
+                },
+                "task.targets.0",
+            ),
+        ],
+    )
+    def test_overflowing_float_out_of_range(self, overrides, key):
+        with pytest.raises(UsageError, match="out of range") as exc:
+            regression_config(**overrides)
+        assert exc.value.key == key
+
     # An enum field takes a member, never its value's name: the policy code
     # compares members with ``is``, so a name would run another experiment.
     @pytest.mark.parametrize(
@@ -759,10 +786,10 @@ class TestRunSweep:
             (regression_config, {"dims": [(6, 6), (8, 8)]}, [0], "dims"),
             (logistic_config, {"heterogeneity": [0.1, 0.9]}, [0], "heterogeneity"),
             (regression_config, {"lambda": [0.5], "rounds": []}, [0], "rounds"),
-            (regression_config, {"lambda": [0.5, 1.5]}, [0], "lambda"),
-            (regression_config, {"strategy": ["fedrot"]}, [0], "strategy"),
-            (regression_config, {"lambda": [0.5]}, [0, -1], "seed"),
-            (regression_config, {"lambda": [0.5]}, [0, 1.5], "seed"),
+            (regression_config, {"lambda": [0.5, 1.5]}, [0], "sweep.grid.lambda.1"),
+            (regression_config, {"strategy": ["fedrot"]}, [0], "sweep.grid.strategy.0"),
+            (regression_config, {"lambda": [0.5]}, [0, -1], "sweep.seeds.1"),
+            (regression_config, {"lambda": [0.5]}, [0, 1.5], "sweep.seeds.1"),
         ],
     )
     def test_grid_rejected_before_any_cell_runs(self, monkeypatch, config, grid,

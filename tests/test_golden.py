@@ -7,7 +7,9 @@ byte for byte once the wall-clock fields (the ``wall_ms`` column and
 ``RoundRecord`` field but ``wall_ms``, floats as ``float.hex``, since
 ``rounds.csv`` holds only some of them.  The configs cover every strategy,
 all three tasks, mini-batching, the random-client and older-global
-references, and a run that trips the global-loss divergence guard.
+references, and a run that trips the global-loss divergence guard.  Each
+golden ``summary.json`` ``config`` block, under ``experiment``, loads as the
+config it echoes, so a run directory runs again from its own summary.
 
 To rewrite the golden files after a deliberate change of the numbers::
 
@@ -91,6 +93,16 @@ def test_outputs_match_golden(config, tmp_path):
 def test_records_match_golden(config):
     golden = (GOLDEN_DIR / config.stem / "records.json").read_text(encoding="utf-8")
     assert records_json(config) == golden, f"{config.stem}/records.json differs"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_config_echo_loads_as_the_config(config, tmp_path):
+    # A run directory runs again from its own summary: the config echo,
+    # under ``experiment``, loads as the config it echoes.
+    golden = GOLDEN_DIR / config.stem / "summary.json"
+    echo = tmp_path / "echo.yaml"
+    echo.write_text(json.dumps({"experiment": json.loads(golden.read_text())["config"]}))
+    assert load_config(echo).experiment == load_config(config).experiment
 
 
 def test_golden_set_has_a_diverged_run():
