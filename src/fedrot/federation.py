@@ -1,10 +1,11 @@
 """End-to-end federated training loop.
 
-Each round: broadcast the global adapter, run deterministic local
-gradient descent on every client, apply the strategy's client-side factor
-transformation, aggregate at the server, and record diagnostics.  A run
-is a pure function of its config: identical config and seed give
-bit-identical trajectories (wall-clock fields excepted).
+Each round broadcasts the global adapter and runs four phases in order:
+deterministic local gradient descent on every client, the strategy's
+client-side factor transformation, aggregation at the server, and the
+round's diagnostics.  A run is a pure function of its config: identical
+config and seed give bit-identical trajectories (wall-clock fields
+excepted).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .tasks import (
 __all__ = [
     "TaskSpec",
     "FederationConfig",
-    "ClientReport",
     "RoundRecord",
     "RunResult",
     "SweepCell",
@@ -61,6 +61,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LOSS_DIVERGENCE_LIMIT = 1e12
+# The most float64 entries a run may hold (2 GiB); see FederationConfig.
+MAX_FOOTPRINT = 2**28
 
 # Field metadata of the config dataclasses, which are the experiment-file
 # schema (see ``fedrot.config``): ``key`` is the file key where it differs
@@ -220,17 +222,23 @@ class FederationConfig:
                     f"{task.n_samples} samples",
                     key="n_clients",
                 )
-
-
-@dataclass(eq=False)
-class ClientReport:
-    adapter: LoraAdapter  # post-alignment factors
-    update: np.ndarray  # their product b a, formed once for the server
-    raw_adapter: LoraAdapter  # the trained factors before alignment
-    raw_update: np.ndarray  # their product
-    grad_norm_max: float
-    rotation: Rotation | None  # applied: FedRot's soft one or the Haar draw
-    procrustes: Rotation | None  # FedRot's hard (Procrustes) rotation
+        # The run's footprint in float64 entries, in Python integers so no
+        # product overflows: the targets and each round's two client products,
+        # the probes or features, and the global-adapter history.
+        d_out, d_in = self.dims
+        sizes = {"n_clients": self.n_clients, "dims.0": d_out, "dims.1": d_in,
+                 "rounds": self.rounds}
+        footprint = (3 * self.n_clients * d_out * d_in
+                     + (self.rounds + 1) * (d_out + d_in) * self.rank)
+        if reads(task.kind, TaskSpec.__dataclass_fields__["n_samples"]):
+            sizes["task.n_samples"] = task.n_samples
+            footprint += task.n_samples * d_in
+        if footprint > MAX_FOOTPRINT:
+            raise UsageError(
+                f"the run would hold {footprint} float64 entries, more than the "
+                f"{MAX_FOOTPRINT} (2 GiB) a run may hold",
+                key=max(sizes, key=sizes.get),  # the largest size
+            )
 
 
 @dataclass
@@ -372,66 +380,105 @@ def local_train(
     return LoraAdapter(b, a, start.rank), sqrt(sq_max)
 
 
-def client_round(
-    client: int,
-    broadcast: LoraAdapter,
-    task,
-    config: FederationConfig,
-    round_index: int,
-    reference: LoraAdapter,
-) -> ClientReport:
-    """One client's round: local training followed by the strategy's
-    client-side transformation."""
-    target = alignment_schedule(round_index, config.schedule)
-    trained, grad_norm_max = local_train(
-        client,
-        broadcast,
-        task,
-        config.local_steps,
-        config.learning_rate,
-        config.strategy,
-        round_index,
-        config.seed,
-        batch_size=config.batch_size,
-    )
-    raw_update = semantic_update(trained)
-    if not np.isfinite(raw_update).all():
-        # Finite factors whose product overflows: the run has diverged.
-        raise DivergenceError(
-            f"non-finite update on client {client}", round_index=round_index
+def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_index: int):
+    """The training phase: :func:`local_train` on every client from
+    ``broadcast``, in client order.  Returns the trained adapters, their
+    products and their largest gradient norms.  A product that overflows
+    raises before the next client trains."""
+    trained, products, grad_norms = [], [], []
+    for client in range(config.n_clients):
+        adapter, grad_norm = local_train(
+            client, broadcast, task, config.local_steps, config.learning_rate,
+            config.strategy, round_index, config.seed, batch_size=config.batch_size,
         )
+        product = semantic_update(adapter)
+        if not np.isfinite(product).all():
+            # Finite factors whose product overflows: the run has diverged.
+            raise DivergenceError(f"non-finite update on client {client}",
+                                  round_index=round_index)
+        trained.append(adapter)
+        products.append(product)
+        grad_norms.append(grad_norm)
+    return trained, products, grad_norms
+
+
+def client_round(
+    client: int, trained: LoraAdapter, reference: LoraAdapter,
+    config: FederationConfig, round_index: int,
+) -> tuple[LoraAdapter, Rotation | None, Rotation | None]:
+    """The alignment phase for one client: the strategy's client-side
+    transformation of its trained factors.  Returns the reported adapter
+    (``trained`` itself when the strategy reports them unchanged), the
+    applied rotation (FedRot's soft one or the Haar draw) and FedRot's
+    Procrustes rotation, each ``None`` when none is made."""
+    if not aligns(config.strategy, round_index, config.align_from_round):
+        return trained, None, None
+    target = alignment_schedule(round_index, config.schedule)
     local, ref = target.factor(trained), target.factor(reference)
-    reported, rotation, procrustes = trained, None, None
-    if aligns(config.strategy, round_index, config.align_from_round):
-        if config.strategy is Strategy.FEDROT:
-            procrustes = procrustes_rotation(local, ref, target)
-            rotation = soft_rotation(procrustes, config.lam)
-        elif config.strategy is Strategy.RANDOM_ROTATION:
-            rotation = haar_random_rotation(
-                config.rank, seed=[config.seed, 7901, round_index, client]
-            )
-        else:
-            c = scalar_rescale_align(local, ref)
-            if c is None:
-                log.warning(
-                    "degenerate scalar rescaling on client %d round %d; skipping",
-                    client,
-                    round_index,
-                )
-            elif target is AlignmentTarget.FACTOR_A:
-                reported = LoraAdapter(trained.b / c, trained.a * c, trained.rank)
-            else:
-                reported = LoraAdapter(trained.b * c, trained.a / c, trained.rank)
-    if rotation is not None:
-        reported = apply_alignment(trained, rotation)
-    return ClientReport(
-        adapter=reported,
-        update=raw_update if reported is trained else semantic_update(reported),
-        raw_adapter=trained,
-        raw_update=raw_update,
-        grad_norm_max=grad_norm_max,
-        rotation=rotation,
-        procrustes=procrustes,
+    if config.strategy is Strategy.FEDROT:
+        procrustes = procrustes_rotation(local, ref, target)
+        rotation = soft_rotation(procrustes, config.lam)
+        return apply_alignment(trained, rotation), rotation, procrustes
+    if config.strategy is Strategy.RANDOM_ROTATION:
+        rotation = haar_random_rotation(config.rank,
+                                        seed=[config.seed, 7901, round_index, client])
+        return apply_alignment(trained, rotation), rotation, None
+    c = scalar_rescale_align(local, ref)
+    if c is None:
+        log.warning("degenerate scalar rescaling on client %d round %d; skipping",
+                    client, round_index)
+        return trained, None, None
+    if target is AlignmentTarget.FACTOR_A:
+        return LoraAdapter(trained.b / c, trained.a * c, trained.rank), None, None
+    return LoraAdapter(trained.b * c, trained.a / c, trained.rank), None, None
+
+
+def round_record(
+    config: FederationConfig, t: int, reference: LoraAdapter, trained, products,
+    grad_norms, alignments, updates, err: float, loss: float, t_round: float,
+) -> RoundRecord:
+    """Round ``t``'s diagnostics, from its training phase (``trained``,
+    ``products``, ``grad_norms``), its alignment phase (``alignments``, one
+    :func:`client_round` result per client, and the reported products
+    ``updates``), the server's aggregation error ``err`` and the new global
+    ``loss``; ``t_round`` is the round's ``perf_counter`` start."""
+    target = alignment_schedule(t, config.schedule)
+    reported = [adapter for adapter, _, _ in alignments]
+    dist = {f: factor_distances(trained, reference, f) for f in AlignmentTarget}
+    phi_aligned = dispersion(factor_distances(reported, reference, target))
+    eye = np.eye(config.rank)
+    kappa = [
+        frobenius_norm(procrustes.r - eye) / d
+        for (_, _, procrustes), d in zip(alignments, dist[target])
+        if procrustes is not None and d > 0
+    ]
+    payload = (config.dims[0] + config.dims[1]) * config.rank
+    # A random-client reference costs one extra adapter download, once
+    # there are last-round client adapters to draw from.
+    random_client = config.reference_mode.kind is ReferenceKind.RANDOM_CLIENT
+    return RoundRecord(
+        round=t,
+        loss=loss,
+        agg_error=err,
+        dispersion=phi_aligned,
+        alignment_gain=alignment_gain(phi_aligned, dispersion(dist[target])),
+        rotation_deviation=float(np.mean([
+            0.0 if rotation is None else frobenius_norm(rotation.r - eye)
+            for _, rotation, _ in alignments
+        ])),
+        tau_diag=max(frobenius_norm(ad.b) * frobenius_norm(ad.a) for ad in reported),
+        grad_norm_max=max(grad_norms),
+        dist_a_min=min(dist[AlignmentTarget.FACTOR_A]),
+        dist_b_min=min(dist[AlignmentTarget.FACTOR_B]),
+        kappa_max=max(kappa, default=float("nan")),
+        semantic_drift_max=max(
+            frobenius_norm(update - raw) / max(1.0, frobenius_norm(raw))
+            for update, raw in zip(updates, products)
+        ),
+        aligned=aligns(config.strategy, t, config.align_from_round),
+        upload_scalars=payload,
+        download_scalars=2 * payload if random_client and t > 1 else payload,
+        wall_ms=(time.perf_counter() - t_round) * 1e3,
     )
 
 
@@ -455,71 +502,32 @@ def run_federation(config: FederationConfig) -> RunResult:
     history = [adapter0]
     records: list[RoundRecord] = []
     snapshots: list[LoraAdapter] = []  # the last round's client adapters
-    payload = d_out * config.rank + config.rank * d_in
     divergence = None
     for t in range(1, config.rounds + 1):
         t_round = time.perf_counter()
         reference = select_reference(
             history, config.reference_mode, snapshots, seed=[config.seed, 211, t]
         )
-        download = payload
-        if config.reference_mode.kind is ReferenceKind.RANDOM_CLIENT and snapshots:
-            download += payload
-            log.debug("round %d: charging one extra adapter download for the "
-                      "random-client reference", t)
         broadcast = history[-1]
         try:
-            reports = [
-                client_round(i, broadcast, task, config, t, reference)
-                for i in range(config.n_clients)
-            ]
+            trained, products, grad_norms = train_clients(broadcast, task, config, t)
         except DivergenceError as exc:
             divergence = exc.with_traceback(None)  # its frames hold the task
             break
-        snapshots = [r.adapter for r in reports]
-        model, err = server_step(
-            snapshots, [r.update for r in reports], broadcast, config.strategy, t
-        )
-        loss = task.global_loss(model.b, model.a)
-        target = alignment_schedule(t, config.schedule)
-        raw = [r.raw_adapter for r in reports]
-        dist = {f: factor_distances(raw, reference, f) for f in AlignmentTarget}
-        phi_aligned = dispersion(factor_distances(snapshots, reference, target))
-        eye = np.eye(config.rank)
-        kappa = [
-            frobenius_norm(r.procrustes.r - eye) / d
-            for r, d in zip(reports, dist[target])
-            if r.procrustes is not None and d > 0
+        alignments = [client_round(i, adapter, reference, config, t)
+                      for i, adapter in enumerate(trained)]
+        snapshots = [reported for reported, _, _ in alignments]
+        # A client that reports its trained factors reports their product.
+        updates = [
+            raw if reported is adapter else semantic_update(reported)
+            for reported, adapter, raw in zip(snapshots, trained, products)
         ]
-        record = RoundRecord(
-            round=t,
-            loss=loss,
-            agg_error=err,
-            dispersion=phi_aligned,
-            alignment_gain=alignment_gain(phi_aligned, dispersion(dist[target])),
-            rotation_deviation=float(np.mean([
-                0.0 if r.rotation is None else frobenius_norm(r.rotation.r - eye)
-                for r in reports
-            ])),
-            tau_diag=max(
-                frobenius_norm(r.adapter.b) * frobenius_norm(r.adapter.a)
-                for r in reports
-            ),
-            grad_norm_max=max(r.grad_norm_max for r in reports),
-            dist_a_min=min(dist[AlignmentTarget.FACTOR_A]),
-            dist_b_min=min(dist[AlignmentTarget.FACTOR_B]),
-            kappa_max=max(kappa, default=float("nan")),
-            semantic_drift_max=max(
-                frobenius_norm(r.update - r.raw_update)
-                / max(1.0, frobenius_norm(r.raw_update))
-                for r in reports
-            ),
-            aligned=aligns(config.strategy, t, config.align_from_round),
-            upload_scalars=payload,
-            download_scalars=download,
-            wall_ms=(time.perf_counter() - t_round) * 1e3,
-        )
-        records.append(record)
+        model, err = server_step(snapshots, updates, broadcast, config.strategy, t)
+        loss = task.global_loss(model.b, model.a)
+        records.append(round_record(
+            config, t, reference, trained, products, grad_norms, alignments,
+            updates, err, loss, t_round,
+        ))
         history.append(model)
         if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             divergence = DivergenceError(

@@ -458,6 +458,21 @@ LOCATED_ERRORS = {
     "grid_heterogeneity_unread": (
         "sweep", grid("heterogeneity: [0.1, 0.9]", LOGISTIC), "heterogeneity"
     ),
+    # Sizes whose arrays numpy cannot allocate are rejected at the largest.
+    "dims_huge": (
+        "run", MINIMAL.replace("[8, 6]", "[100000000000000000000, 4]"),
+        "100000000000000000000",
+    ),
+    "task.n_samples_huge": (
+        "run", MINIMAL + "    n_samples: 100000000000000000\n", "100000000000000000"
+    ),
+    "dims_features_huge": (
+        "run",
+        LOGISTIC.replace("[4, 8]", "[4, 100000000000000]").replace(
+            "n_features: 8", "n_features: 100000000000000"
+        ),
+        "100000000000000]",
+    ),
 }
 
 

@@ -495,61 +495,102 @@ class TestClientRound:
         self.task = build_task(self.config)
         self.broadcast = init_adapter(8, 6, 2, seed=[3, 100])
 
+    def train(self, config, client, round_index, start=None):
+        """The training phase's adapter for one client, as ``client_round`` gets it."""
+        start = self.broadcast if start is None else start
+        trained, _ = local_train(
+            client, start, self.task, config.local_steps, config.learning_rate,
+            config.strategy, round_index, config.seed, batch_size=config.batch_size,
+        )
+        return trained
+
     def test_no_alignment_before_align_from_round(self):
-        report = client_round(0, self.broadcast, self.task, self.config, 1, self.broadcast)
-        assert report.rotation is None and report.procrustes is None
-        assert (report.adapter.b == report.raw_adapter.b).all()
-        assert (report.adapter.a == report.raw_adapter.a).all()
+        trained = self.train(self.config, 0, 1)
+        reported, rotation, procrustes = client_round(
+            0, trained, self.broadcast, self.config, 1
+        )
+        assert rotation is None and procrustes is None
+        assert (reported.b == trained.b).all()
+        assert (reported.a == trained.a).all()
 
     def test_fedit_reports_raw_factors(self):
         config = regression_config(strategy=Strategy.FEDIT)
-        report = client_round(0, self.broadcast, self.task, config, 3, self.broadcast)
-        assert (report.adapter.b == report.raw_adapter.b).all()
-        assert (report.adapter.a == report.raw_adapter.a).all()
+        trained = self.train(config, 0, 3)
+        reported, _, _ = client_round(0, trained, self.broadcast, config, 3)
+        assert (reported.b == trained.b).all()
+        assert (reported.a == trained.a).all()
 
     def test_self_reference_rotation_near_identity(self):
-        report = client_round(1, self.broadcast, self.task, self.config, 3, self.broadcast)
-        trained = report.raw_adapter
+        trained = self.train(self.config, 1, 3)
         hard = procrustes_rotation(trained.a, trained.a, AlignmentTarget.FACTOR_A)
         assert np.linalg.norm(hard.r - np.eye(2)) <= 1e-10
+        _, _, procrustes = client_round(1, trained, trained, self.config, 3)
+        assert np.linalg.norm(procrustes.r - np.eye(2)) <= 1e-10
 
     def test_alignment_preserves_semantics(self):
-        report = client_round(2, self.broadcast, self.task, self.config, 3, self.broadcast)
+        trained = self.train(self.config, 2, 3)
+        reported, _, _ = client_round(2, trained, self.broadcast, self.config, 3)
         np.testing.assert_allclose(
-            semantic_update(report.adapter),
-            semantic_update(report.raw_adapter),
-            atol=1e-12,
+            semantic_update(reported), semantic_update(trained), atol=1e-12
         )
 
     def test_random_rotation_changes_factors_not_product(self):
         config = regression_config(strategy=Strategy.RANDOM_ROTATION)
-        report = client_round(0, self.broadcast, self.task, config, 2, self.broadcast)
-        assert not (report.adapter.b == report.raw_adapter.b).all()
+        trained = self.train(config, 0, 2)
+        reported, _, _ = client_round(0, trained, self.broadcast, config, 2)
+        assert not (reported.b == trained.b).all()
         np.testing.assert_allclose(
-            semantic_update(report.adapter),
-            semantic_update(report.raw_adapter),
-            atol=1e-12,
+            semantic_update(reported), semantic_update(trained), atol=1e-12
         )
 
-    def test_degenerate_scalar_rescale_reports_trained_factors(self, caplog):
+    def test_degenerate_scalar_rescale_reports_trained_factors(self, monkeypatch, caplog):
         # A zero local factor leaves the rescaling undefined: the client
         # reports its trained factors, and the round logs why.
         config = regression_config(strategy=Strategy.SCALAR_RESCALE, learning_rate=0.0)
         start = LoraAdapter(self.broadcast.b, np.zeros((2, 6)), 2)
+        trained = self.train(config, 0, 3, start)
         with caplog.at_level(logging.WARNING, logger="fedrot.federation"):
-            report = client_round(0, start, self.task, config, 3, self.broadcast)
-        assert report.adapter is report.raw_adapter
-        assert report.update is report.raw_update
+            reported, rotation, _ = client_round(0, trained, self.broadcast, config, 3)
+        assert reported is trained and rotation is None
         assert len(caplog.records) == 1
+        # The server then gets the trained product itself.
+        rounds = record_round_phases(monkeypatch)
+        run_federation(dataclasses.replace(config, init_a_value=0.0, rounds=2))
+        for products, _, updates in rounds:
+            assert all(u is p for u, p in zip(updates, products, strict=True))
 
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_update_is_product_of_reported_factors(self, strategy):
+    def test_update_is_product_of_reported_factors(self, monkeypatch, strategy):
+        rounds = record_round_phases(monkeypatch)
+        run_federation(regression_config(strategy=strategy, rounds=3))
+        assert len(rounds) == 3
+        for products, adapters, updates in rounds:
+            for update, adapter in zip(updates, adapters, strict=True):
+                np.testing.assert_array_equal(update, semantic_update(adapter))
         config = regression_config(strategy=strategy)
-        report = client_round(0, self.broadcast, self.task, config, 3, self.broadcast)
-        np.testing.assert_array_equal(report.update, semantic_update(report.adapter))
-        np.testing.assert_array_equal(
-            report.raw_update, semantic_update(report.raw_adapter)
-        )
+        trained = [self.train(config, i, 1) for i in range(3)]
+        for product, adapter in zip(rounds[0][0], trained, strict=True):
+            np.testing.assert_array_equal(product, semantic_update(adapter))
+
+
+def record_round_phases(monkeypatch) -> list:
+    """Record, per round, the training phase's products and the adapters and
+    products that ``server_step`` receives."""
+    rounds = []
+    real_train, real_step = fedrot.federation.train_clients, fedrot.federation.server_step
+
+    def train_clients(*args):
+        trained, products, grad_norms = real_train(*args)
+        rounds.append([products])
+        return trained, products, grad_norms
+
+    def server_step(adapters, updates, *args):
+        rounds[-1] += [adapters, updates]
+        return real_step(adapters, updates, *args)
+
+    monkeypatch.setattr(fedrot.federation, "train_clients", train_clients)
+    monkeypatch.setattr(fedrot.federation, "server_step", server_step)
+    return rounds
 
 
 def count_products(monkeypatch) -> list:
@@ -684,6 +725,32 @@ class TestRunFederation:
         assert len(result.history) == 3
         full = run_federation(dataclasses.replace(config, rounds=2))
         assert full.divergence is None
+        assert_runs_bit_identical(result, full)
+
+    def test_later_client_divergence_stops_the_round(self, monkeypatch):
+        # Clients train in client order, and the first that fails stops the
+        # round: no later client trains, and earlier rounds stand complete.
+        real_local_train = fedrot.federation.local_train
+        calls = []
+        failure = DivergenceError("non-finite gradient on client 1",
+                                  round_index=2, step_index=4)
+
+        def local_train_failing_on_client_1(*args, **kwargs):
+            calls.append((args[6], args[0]))
+            if args[6] == 2 and args[0] == 1:
+                raise failure
+            return real_local_train(*args, **kwargs)
+
+        monkeypatch.setattr(fedrot.federation, "local_train",
+                            local_train_failing_on_client_1)
+        config = regression_config(rounds=4)
+        result = run_federation(config)
+        assert calls == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
+        assert result.divergence is failure
+        assert [r.round for r in result.rounds] == [1]
+        assert len(result.history) == 2
+        monkeypatch.setattr(fedrot.federation, "local_train", real_local_train)
+        full = run_federation(dataclasses.replace(config, rounds=1))
         assert_runs_bit_identical(result, full)
 
     def test_history_length(self):
