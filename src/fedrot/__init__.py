@@ -10,7 +10,6 @@ from .aggregation import (
 from .alignment import (
     AlignmentTarget,
     ReferenceKind,
-    ReferenceMode,
     Rotation,
     ScheduleAblation,
     apply_alignment,
@@ -18,6 +17,7 @@ from .alignment import (
     procrustes_rotation,
     soft_rotation,
 )
+from .config import FederationConfig, ReferenceMode, TaskSpec
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -25,13 +25,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .federation import (
-    FederationConfig,
-    RunResult,
-    TaskSpec,
-    run_federation,
-    run_sweep,
-)
+from .federation import RunResult, run_federation, run_sweep
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion
 from .tasks import TaskKind, dirichlet_partition

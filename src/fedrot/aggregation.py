@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DivergenceError, UsageError
 from .lora import LoraAdapter, semantic_update
 from .numerics import frobenius_norm
 
@@ -43,25 +44,33 @@ def _check_adapters(adapters: list[LoraAdapter]) -> None:
             )
 
 
-def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
-    """Naive factor-wise mean ``(mean b_i, mean a_i)``; rank stays r."""
+def _factor_means(adapters: list[LoraAdapter]) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean b_i, mean a_i)`` of consistent adapters; a sum of finite
+    factors that overflows leaves non-finite entries."""
     _check_adapters(adapters)
     n = len(adapters)
-    b = sum(ad.b for ad in adapters) / n
-    a = sum(ad.a for ad in adapters) / n
-    return LoraAdapter(b, a, adapters[0].rank)
+    return sum(ad.b for ad in adapters) / n, sum(ad.a for ad in adapters) / n
+
+
+def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
+    """Naive factor-wise mean ``(mean b_i, mean a_i)``; rank stays r."""
+    return LoraAdapter(*_factor_means(adapters), adapters[0].rank)
 
 
 def aggregation_error(updates: list[np.ndarray], factorwise: LoraAdapter) -> float:
     """``|mean(b_i) mean(a_i) - (1/N) sum b_i a_i|_F`` for one LoRA layer.
 
     ``updates`` are the clients' products ``b_i a_i`` and ``factorwise`` is
-    :func:`aggregate_factorwise` of their adapters.
+    :func:`aggregate_factorwise` of their adapters.  An error of finite
+    updates that is too large for a double is ``inf``.
     """
     diff = semantic_update(factorwise) - sum(updates) / len(updates)
-    if diff.ndim != 2 or not np.isfinite(diff).all():
+    if diff.ndim == 2 and np.isfinite(diff).all():
+        return frobenius_norm(diff)
+    # A non-finite update leaves the difference non-finite too.
+    if diff.ndim != 2 or not all(np.isfinite(u).all() for u in updates):
         raise UsageError("client updates must be finite matrices")
-    return frobenius_norm(diff)
+    return math.inf
 
 
 def lagrange_error_oracle(adapters: list[LoraAdapter]) -> np.ndarray:
@@ -114,9 +123,18 @@ def server_step(
     alternating factor) is kept from the previous global ``prev``
     bit-for-bit.  Returns the new adapter and the aggregation error of the
     incoming adapters, from their products ``updates`` formed client-side.
+    Finite client values whose factor mean or aggregation error overflows
+    have diverged: that raises a :class:`DivergenceError` for ``round_index``.
     """
-    averaged = aggregate_factorwise(adapters)
+    b, a = _factor_means(adapters)
+    if not (np.isfinite(b).all() and np.isfinite(a).all()):
+        raise DivergenceError("non-finite factor mean at the server",
+                              round_index=round_index)
+    averaged = LoraAdapter(b, a, adapters[0].rank)
     err = aggregation_error(updates, averaged)
+    if not math.isfinite(err):
+        raise DivergenceError("non-finite aggregation error at the server",
+                              round_index=round_index)
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
     new_adapter = LoraAdapter(
         prev.b if freeze_b else averaged.b,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, check_fields
+from .errors import UsageError
 from .lora import LoraAdapter
 from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
 
@@ -23,7 +23,6 @@ __all__ = [
     "AlignmentTarget",
     "ScheduleAblation",
     "ReferenceKind",
-    "ReferenceMode",
     "procrustes_rotation",
     "soft_rotation",
     "apply_alignment",
@@ -207,32 +206,16 @@ class ReferenceKind(enum.Enum):
     RANDOM_CLIENT = "random_client"
 
 
-@dataclass(frozen=True)
-class ReferenceMode:
-    kind: ReferenceKind = ReferenceKind.PREV_GLOBAL
-    lag: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.kind is ReferenceKind.OLDER_GLOBAL and self.lag < 2:
-            raise UsageError(
-                f"older-global reference requires lag >= 2, got {self.lag}", key="lag"
-            )
-        if self.kind is not ReferenceKind.OLDER_GLOBAL and self.lag != 0:
-            raise UsageError(
-                f"{self.kind.value} reference takes no lag, got {self.lag}", key="lag"
-            )
-
-
 def select_reference(
     history: list[LoraAdapter],
-    mode: ReferenceMode,
+    mode,
     client_snapshots: list[LoraAdapter],
     seed,
 ) -> LoraAdapter:
     """Pick the adapter clients align against this round.
 
-    ``history`` holds the global adapters from the initial one up to the
+    ``mode`` is the config's ``ReferenceMode``.  ``history`` holds the
+    global adapters from the initial one up to the
     broadcast for this round; ``client_snapshots`` holds the previous
     round's client reports (may be empty in round one, in which case the
     random-client mode falls back to the previous global adapter).

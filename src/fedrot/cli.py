@@ -105,16 +105,11 @@ def _cell_dir_name(index: int, params: dict, seed: int) -> str:
 
 
 def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
-    parsed = load_config(config_path, need_sweep=True)
+    cells = load_config(config_path, need_sweep=True).sweep
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = run_sweep(
-        parsed.experiment,
-        parsed.sweep.grid,
-        parsed.sweep.seeds,
-        jobs=jobs,
-    )
-    param_names = list(parsed.sweep.grid.keys())
+    cells = run_sweep(cells, jobs=jobs)
+    param_names = list(cells[0].params)
     header = param_names + ["seed", "final_loss", "mean_agg_error", "status"]
     rows = [",".join(header)]
     n_failed = 0

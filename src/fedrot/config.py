@@ -1,15 +1,16 @@
-"""Experiment-file parsing.
+"""The experiment schema: the config dataclasses, their rules, and the
+experiment-file loader.
 
 The on-disk dialect is YAML: an ``experiment`` mapping that corresponds
-field-for-field to :class:`~fedrot.federation.FederationConfig` (with
-nested ``reference`` and ``task`` mappings), plus an optional ``sweep``
-mapping holding a parameter ``grid`` and a ``seeds`` list.  The dataclass
-fields are the schema: their annotations type each value, the fields
-without a default are required, and their metadata names the file keys
-that differ from the field names, the keys a grid may vary and the task
-kinds that read a key.  The loader only converts values by annotation; the
-config constructors and ``federation.sweep_cells`` check them.  Every
-rejection, a bad key's included, is reported with its line and column.
+field-for-field to :class:`FederationConfig` (with nested ``reference``
+and ``task`` mappings), plus an optional ``sweep`` mapping holding a
+parameter ``grid`` and a ``seeds`` list.  The dataclass fields are the
+schema: their annotations type each value, the fields without a default
+are required, and their metadata names the file keys that differ from the
+field names, the keys a grid may vary and the task kinds that read a key.
+The loader only converts values by annotation; the config constructors and
+:func:`sweep_cells` check them.  Every rejection, a bad key's included, is
+reported with its line and column.
 """
 
 from __future__ import annotations
@@ -17,31 +18,333 @@ from __future__ import annotations
 import enum
 import functools
 import io
+import math
+import numbers
 import re
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .errors import ConfigError, UsageError, file_key, type_hints
-from .federation import (
-    FederationConfig, TaskSpec, check_read, grid_field, grid_values, reads, sweep_cells
-)
+from .aggregation import Strategy
+from .alignment import ReferenceKind, ScheduleAblation
+from .errors import ConfigError, UsageError
+from .tasks import DEFAULT_SCALAR_TARGETS, TaskKind
 
-__all__ = ["SweepSpec", "ExperimentFile", "load_config", "config_to_dict"]
+__all__ = [
+    "MAX_FOOTPRINT", "ReferenceMode", "TaskSpec", "FederationConfig", "SweepCell",
+    "ExperimentFile", "apply_overrides", "sweep_cells", "load_config", "config_to_dict",
+]
+
+# The most float64 entries a run may hold (2 GiB); see FederationConfig.
+MAX_FOOTPRINT = 2**28
+
+# Field metadata of the config dataclasses: ``key`` is the file key where it
+# differs from the field name, ``sweep`` marks the keys a sweep grid may
+# vary, and ``kinds`` names the task kinds that read a field (every kind, if
+# absent).
+_SWEEP = {"sweep": True}
+_SCALAR = {"kinds": (TaskKind.SCALAR_TOY,)}
+_REGRESSION = {"kinds": (TaskKind.LOWRANK_REGRESSION,)}
+_LOGISTIC = {"kinds": (TaskKind.LOGISTIC,)}
+_SAMPLED = {"kinds": (TaskKind.LOWRANK_REGRESSION, TaskKind.LOGISTIC)}
+
+
+def file_key(f: Field) -> str:
+    """The experiment-file key of a config dataclass field."""
+    return f.metadata.get("key", f.name)
+
+
+@functools.cache
+def _schema(cls) -> dict[str, tuple[Field, object]]:
+    """File key -> (field, resolved annotation) of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {file_key(f): (f, hints[f.name]) for f in fields(cls)}
+
+
+_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+
+
+def check_fields(config, prefix: str = "") -> None:
+    """Check each field of the config dataclass ``config`` against its
+    annotation, under its file key after ``prefix``."""
+    for key, (f, tp) in _schema(type(config)).items():
+        _check_value(prefix + key, getattr(config, f.name), tp)
+
+
+def _check_value(key: str, value, tp) -> None:
+    """Reject ``value``, set as the file key ``key``, unless it is of the
+    annotated type ``tp``: ``int`` takes any ``numbers.Integral``, ``float``
+    any ``numbers.Real`` that ``float()`` does not overflow, a bool neither,
+    a tuple its elements' types and any other type its instances; an enum's
+    message lists its values.  No value is converted."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:  # ``T | None``
+        if value is not None:
+            _check_value(key, value, args[0])
+        return
+    if typing.get_origin(tp) is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, tuple) or not (variadic or len(value) == len(args)):
+            size = "" if variadic else f" of {len(args)} values"
+            raise UsageError(f"{key} must be a tuple{size}, got {value!r}", key=key)
+        elements = args[:1] * len(value) if variadic else args
+        for i, (v, t) in enumerate(zip(value, elements)):
+            _check_value(f"{key}.{i}", v, t)
+        return
+    kind, what = _NUMBERS.get(tp, (tp, f"a {tp.__name__}"))
+    if issubclass(tp, enum.Enum):
+        what += f" (one of: {', '.join(m.value for m in tp)})"
+    if not isinstance(value, kind) or (tp in _NUMBERS and isinstance(value, bool)):
+        raise UsageError(f"{key} must be {what}, got {value!r}", key=key)
+    if tp is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise UsageError(f"{key} is out of range", key=key) from None
+    if is_dataclass(tp):
+        check_fields(value, f"{key}.")
+
+
+def reads(kind: TaskKind, f: Field) -> bool:
+    """Whether a task of kind ``kind`` reads the config field ``f``."""
+    return kind in f.metadata.get("kinds", (kind,))
+
+
+def check_read(kind: TaskKind, key: str, f: Field) -> None:
+    """Reject the field ``f``, set as the file key ``key``, unless ``kind`` reads it."""
+    if not reads(kind, f):
+        readers = ", ".join(k.value for k in f.metadata["kinds"])
+        message = f"{key} is not read by a {kind.value} task (read by: {readers})"
+        raise UsageError(message, key=key)
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    grid: dict[str, list]
-    seeds: tuple[int, ...]
+class ReferenceMode:
+    kind: ReferenceKind = ReferenceKind.PREV_GLOBAL
+    lag: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.kind is ReferenceKind.OLDER_GLOBAL and self.lag < 2:
+            raise UsageError(
+                f"older-global reference requires lag >= 2, got {self.lag}", key="lag"
+            )
+        if self.kind is not ReferenceKind.OLDER_GLOBAL and self.lag != 0:
+            raise UsageError(
+                f"{self.kind.value} reference takes no lag, got {self.lag}", key="lag"
+            )
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    kind: TaskKind
+    targets: tuple[float, ...] = field(default=DEFAULT_SCALAR_TARGETS, metadata=_SCALAR)
+    true_rank: int = field(default=1, metadata={**_REGRESSION, **_SWEEP})
+    heterogeneity: float = field(default=0.0, metadata={**_REGRESSION, **_SWEEP})
+    n_features: int = field(default=8, metadata=_LOGISTIC)
+    n_classes: int = field(default=4, metadata=_LOGISTIC)
+    n_samples: int = field(default=200, metadata=_SAMPLED)
+
+
+@dataclass(frozen=True)
+class FederationConfig:
+    strategy: Strategy = field(metadata=_SWEEP)
+    n_clients: int = field(metadata=_SWEEP)
+    rank: int = field(metadata=_SWEEP)
+    dims: tuple[int, int]
+    rounds: int = field(metadata=_SWEEP)
+    local_steps: int = field(metadata=_SWEEP)
+    learning_rate: float = field(metadata=_SWEEP)
+    lam: float = field(default=0.0, metadata={"key": "lambda", "sweep": True})
+    reference_mode: ReferenceMode = field(
+        default=ReferenceMode(), metadata={"key": "reference"}
+    )
+    schedule: ScheduleAblation = field(
+        default=ScheduleAblation.ALTERNATE, metadata=_SWEEP
+    )
+    task: TaskSpec = TaskSpec(kind=TaskKind.LOWRANK_REGRESSION)
+    dirichlet_alpha: float = field(default=0.5, metadata={**_LOGISTIC, **_SWEEP})
+    seed: int = 0
+    align_from_round: int = field(default=2, metadata=_SWEEP)
+    batch_size: int | None = field(default=None, metadata={**_SAMPLED, **_SWEEP})
+    init_a_value: float | None = None
+
+    def __post_init__(self):
+        # Types first: the range checks below compare numbers and enum members.
+        check_fields(self)
+        task = self.task
+        if not 0.0 <= self.lam <= 1.0:
+            raise UsageError(f"lambda must lie in [0, 1], got {self.lam}", key="lambda")
+        if not 1 <= self.rank <= min(self.dims):
+            raise UsageError(
+                f"rank {self.rank} out of range for dims {self.dims}", key="rank"
+            )
+        if self.align_from_round < 1:
+            raise UsageError("align_from_round must be >= 1", key="align_from_round")
+        if self.rounds < 1:
+            raise UsageError("rounds must be >= 1", key="rounds")
+        if self.local_steps < 1:
+            raise UsageError("local_steps must be >= 1", key="local_steps")
+        if self.n_clients < 1:
+            raise UsageError("n_clients must be >= 1", key="n_clients")
+        # The float comparisons here fail for NaN too.
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise UsageError("learning_rate must be finite and >= 0", key="learning_rate")
+        if not 0.0 < self.dirichlet_alpha < math.inf:
+            raise UsageError("dirichlet_alpha must be finite and > 0", key="dirichlet_alpha")
+        if self.init_a_value is not None and not math.isfinite(self.init_a_value):
+            raise UsageError("init_a_value must be finite", key="init_a_value")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise UsageError("batch_size must be >= 1 when set", key="batch_size")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}", key="seed")
+        # What each task kind requires; the task builders take it as checked.
+        if task.n_samples < 0:
+            raise UsageError("n_samples must be >= 0", key="task.n_samples")
+        if task.kind is TaskKind.SCALAR_TOY:
+            if self.dims != (1, 1):
+                raise UsageError("scalar toy task requires dims (1, 1)", key="dims")
+            if self.n_clients != len(task.targets):
+                raise UsageError(
+                    f"scalar toy task has {len(task.targets)} targets but config "
+                    f"declares {self.n_clients} clients",
+                    key="n_clients",
+                )
+            bad = [i for i, t in enumerate(task.targets) if not math.isfinite(t)]
+            if bad:
+                raise UsageError("targets must be finite", key=f"task.targets.{bad[0]}")
+        elif task.kind is TaskKind.LOWRANK_REGRESSION:
+            if not 1 <= task.true_rank <= min(self.dims):
+                raise UsageError(
+                    f"true_rank {task.true_rank} out of range for dims {self.dims}",
+                    key="task.true_rank",
+                )
+            if not 0.0 <= task.heterogeneity < math.inf:
+                raise UsageError(
+                    "heterogeneity must be finite and >= 0", key="task.heterogeneity"
+                )
+        else:
+            if task.n_classes < 2:
+                raise UsageError(
+                    f"need at least 2 classes, got {task.n_classes}", key="task.n_classes"
+                )
+            if task.n_samples < task.n_classes:
+                raise UsageError(
+                    "need at least one sample per class", key="task.n_samples"
+                )
+            if self.dims != (task.n_classes, task.n_features):
+                raise UsageError(
+                    "logistic task requires dims (n_classes, n_features) = "
+                    f"({task.n_classes}, {task.n_features}), got {self.dims}",
+                    key="dims",
+                )
+            if task.n_samples < self.n_clients:
+                raise UsageError(
+                    f"cannot give {self.n_clients} clients non-empty shards from "
+                    f"{task.n_samples} samples",
+                    key="n_clients",
+                )
+        # The run's footprint in float64 entries, in Python integers so no
+        # product overflows: the targets and each round's two client products,
+        # the probes or features, and the global-adapter history.
+        d_out, d_in = self.dims
+        sizes = {"n_clients": self.n_clients, "dims.0": d_out, "dims.1": d_in,
+                 "rounds": self.rounds}
+        footprint = (3 * self.n_clients * d_out * d_in
+                     + (self.rounds + 1) * (d_out + d_in) * self.rank)
+        if reads(task.kind, _schema(TaskSpec)["n_samples"][0]):
+            sizes["task.n_samples"] = task.n_samples
+            footprint += task.n_samples * d_in
+        if footprint > MAX_FOOTPRINT:
+            raise UsageError(
+                f"the run would hold {footprint} float64 entries, more than the "
+                f"{MAX_FOOTPRINT} (2 GiB) a run may hold",
+                key=max(sizes, key=sizes.get),  # the largest size
+            )
+
+
+def grid_field(config: FederationConfig, key: str) -> tuple[type, Field]:
+    """The config dataclass and field that the sweep-grid key ``key`` varies;
+    it must be a key a grid may vary and that ``config``'s task kind reads."""
+    grid_classes = (FederationConfig, TaskSpec)
+    for cls in grid_classes:
+        f, _ = _schema(cls).get(key, (None, None))
+        if f is not None and f.metadata.get("sweep"):
+            check_read(config.task.kind, key, f)
+            return cls, f
+    allowed = sorted(k for cls in grid_classes for k, (f, _) in _schema(cls).items()
+                     if f.metadata.get("sweep"))
+    raise UsageError(
+        f"unknown sweep parameter {key!r} (allowed: {', '.join(allowed)}; "
+        "seeds go in sweep.seeds)",
+        key=key,
+    )
+
+
+def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
+    """``config`` with the overrides ``params`` applied: sweep-grid keys to
+    values of their fields' types, a :class:`TaskSpec` field's on the task."""
+    plain, task = {}, {}
+    for key, value in params.items():
+        cls, f = grid_field(config, key)
+        (task if cls is TaskSpec else plain)[f.name] = value
+    return replace(config, task=replace(config.task, **task), **plain)
+
+
+@dataclass(eq=False)
+class SweepCell:
+    params: dict
+    seed: int
+    config: FederationConfig  # the base config with params and seed applied
+    result: RunResult | None = None  # ``federation.RunResult``, diverged runs included
+    error: str | None = None  # why the cell failed, divergence included
+
+
+def _under(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its :class:`UsageError` raised again under ``key``."""
+    try:
+        return build(*args, **kwargs)
+    except UsageError as exc:
+        raise UsageError(str(exc), key=key) from exc
+
+
+def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
+    """The cells of the ``grid`` x ``seeds`` product, in ``itertools.product``
+    order, each with its finished, and so checked, config.  A key that
+    :func:`grid_field` rejects, or one without a non-empty list of values,
+    raises under that grid key, a rejected value under
+    ``sweep.grid.<key>.<i>`` and a rejected seed under ``sweep.seeds.<i>``."""
+    if not grid:
+        raise UsageError("sweep grid must contain at least one parameter", key="sweep.grid")
+    for key, values in grid.items():
+        grid_field(base, key)
+        if not isinstance(values, (list, tuple)) or not values:
+            raise UsageError(f"sweep parameter {key!r} must be a non-empty list", key=key)
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise UsageError("sweep.seeds must be a non-empty list", key="sweep.seeds")
+    # One axis at a time, each value applied to every prefix config: the
+    # product order, with a rejected value blamed on the axis that adds it.
+    prefixes = [({}, base)]
+    for key, values in grid.items():
+        prefixes = [
+            ({**params, key: value},
+             _under(f"sweep.grid.{key}.{i}", apply_overrides, config, {key: value}))
+            for params, config in prefixes
+            for i, value in enumerate(values)
+        ]
+    return [
+        SweepCell(params, seed, _under(f"sweep.seeds.{i}", replace, config, seed=seed))
+        for params, config in prefixes
+        for i, seed in enumerate(seeds)
+    ]
 
 
 @dataclass(frozen=True)
 class ExperimentFile:
     experiment: FederationConfig
-    sweep: SweepSpec | None
+    sweep: list[SweepCell] | None  # the sweep's checked cells, not yet run
 
 
 # No schema nests past a handful of levels; PyYAML composes by recursion,
@@ -76,30 +379,31 @@ _Loader.add_implicit_resolver(
 )
 
 
-def _mark(node) -> tuple[int, int]:
-    mark = node.start_mark
-    return mark.line + 1, mark.column + 1
-
-
 def _fail(node, message: str):
-    line, column = _mark(node)
-    raise ConfigError(message, line=line, column=column)
+    mark = node.start_mark
+    raise ConfigError(message, line=mark.line + 1, column=mark.column + 1)
+
+
+def _node_at(node, key: str | None):
+    """The node that the dotted key ``key`` (list indices included) names
+    below ``node``.  A default is not in the file: its walk stops at the
+    innermost mapping on the path, which it cannot leave, as no key repeats
+    one of an enclosing mapping."""
+    for part in key.split(".") if key else ():
+        if isinstance(node, yaml.SequenceNode):
+            node = node.value[int(part)]
+        elif isinstance(node, yaml.MappingNode):
+            node = next((v for k, v in node.value if k.value == part), node)
+    return node
 
 
 def _located(node, check, *args, **kwargs):
     """``check(*args, **kwargs)``, its :class:`UsageError` reported at the node
-    that its dotted key (list indices included) names below ``node``.  A
-    default is not in the file: its walk stops at the innermost mapping on the
-    path, which it cannot leave, as no key repeats one of an enclosing mapping."""
+    that its key names below ``node``."""
     try:
         return check(*args, **kwargs)
     except UsageError as exc:
-        for key in exc.key.split(".") if exc.key else ():
-            if isinstance(node, yaml.SequenceNode):
-                node = node.value[int(key)]
-            elif isinstance(node, yaml.MappingNode):
-                node = next((v for k, v in node.value if k.value == key), node)
-        _fail(node, str(exc))
+        _fail(_node_at(node, exc.key), str(exc))
 
 
 def _mapping_items(node, context: str) -> dict[str, tuple]:
@@ -131,13 +435,6 @@ def _value(node):
         return loader.construct_object(node, deep=True)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of too many digits
         _fail(node, f"malformed value: {exc}")
-
-
-@functools.cache
-def _schema(cls) -> dict[str, tuple]:
-    """File key -> (field, resolved annotation) of a config dataclass."""
-    hints = type_hints(cls)
-    return {file_key(f): (f, hints[f.name]) for f in fields(cls)}
 
 
 def _convert(value, tp):
@@ -183,7 +480,9 @@ def _dataclass(node, cls, name: str):
     return _located(node, cls, **kwargs)
 
 
-def _sweep(root, node, experiment: FederationConfig) -> SweepSpec:
+def _sweep(root, node, experiment: FederationConfig) -> list[SweepCell]:
+    """The sweep section's cells.  Each grid key is looked up where it is
+    written, as its values convert by its field's annotation."""
     items = _mapping_items(node, "sweep")
     _check_keys(items, {"grid", "seeds"}, "sweep")
     if "grid" not in items:
@@ -191,12 +490,15 @@ def _sweep(root, node, experiment: FederationConfig) -> SweepSpec:
     grid, grid_node = {}, items["grid"][1]
     for key, (key_node, values_node) in _mapping_items(grid_node, "sweep grid").items():
         cls, _ = _located(key_node, grid_field, experiment, key)
-        values = _value(values_node)
-        _located(grid_node, grid_values, key, values)
-        grid[key] = [_convert(v, _schema(cls)[key][1]) for v in values]
+        grid[key] = _convert(_value(values_node), tuple[_schema(cls)[key][1], ...])
     seeds = _convert(_value(items["seeds"][1]), tuple[int, ...]) if "seeds" in items else (0,)
-    _located(root, sweep_cells, experiment, grid, seeds)
-    return SweepSpec(grid=grid, seeds=seeds)
+    try:
+        return sweep_cells(experiment, grid, seeds)
+    except UsageError as exc:
+        # A grid key's values are rejected under the bare key, which names
+        # them inside the grid; every other key is a path from the top.
+        start = root if exc.key.startswith("sweep.") else grid_node
+        _fail(_node_at(start, exc.key), str(exc))
 
 
 def _after(text: str) -> dict:
@@ -260,8 +562,8 @@ def config_to_dict(config: FederationConfig) -> dict:
     def plain(value):
         if is_dataclass(value):
             return {
-                file_key(f): plain(getattr(value, f.name))
-                for f in fields(value)
+                key: plain(getattr(value, f.name))
+                for key, (f, _) in _schema(type(value)).items()
                 if reads(config.task.kind, f)
             }
         if isinstance(value, enum.Enum):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,9 +21,7 @@ from .aggregation import Strategy, aligns, frozen_factors, server_step
 from .alignment import (
     AlignmentTarget,
     ReferenceKind,
-    ReferenceMode,
     Rotation,
-    ScheduleAblation,
     alignment_schedule,
     apply_alignment,
     haar_random_rotation,
@@ -32,213 +30,26 @@ from .alignment import (
     select_reference,
     soft_rotation,
 )
-from .errors import DivergenceError, UsageError, check_fields, file_key
+from .config import FederationConfig, SweepCell
+from .errors import DivergenceError
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
-from .tasks import (
-    DEFAULT_SCALAR_TARGETS,
-    ScalarToyTask,
-    TaskKind,
-    logistic_task,
-    lowrank_regression_task,
-)
+from .tasks import ScalarToyTask, TaskKind, logistic_task, lowrank_regression_task
 
 __all__ = [
-    "TaskSpec",
-    "FederationConfig",
     "RoundRecord",
     "RunResult",
-    "SweepCell",
     "build_task",
     "local_train",
     "client_round",
     "run_federation",
-    "sweep_cells",
     "run_sweep",
 ]
 
 log = logging.getLogger(__name__)
 
 LOSS_DIVERGENCE_LIMIT = 1e12
-# The most float64 entries a run may hold (2 GiB); see FederationConfig.
-MAX_FOOTPRINT = 2**28
-
-# Field metadata of the config dataclasses, which are the experiment-file
-# schema (see ``fedrot.config``): ``key`` is the file key where it differs
-# from the field name, ``sweep`` marks the keys a sweep grid may vary, and
-# ``kinds`` names the task kinds that read a field (every kind, if absent).
-_SWEEP = {"sweep": True}
-_SCALAR = {"kinds": (TaskKind.SCALAR_TOY,)}
-_REGRESSION = {"kinds": (TaskKind.LOWRANK_REGRESSION,)}
-_LOGISTIC = {"kinds": (TaskKind.LOGISTIC,)}
-_SAMPLED = {"kinds": (TaskKind.LOWRANK_REGRESSION, TaskKind.LOGISTIC)}
-
-
-def reads(kind: TaskKind, f: Field) -> bool:
-    """Whether a task of kind ``kind`` reads the config field ``f``."""
-    return kind in f.metadata.get("kinds", (kind,))
-
-
-def check_read(kind: TaskKind, key: str, f: Field) -> None:
-    """Reject the field ``f``, set as the file key ``key``, unless ``kind`` reads it."""
-    if not reads(kind, f):
-        readers = ", ".join(k.value for k in f.metadata["kinds"])
-        message = f"{key} is not read by a {kind.value} task (read by: {readers})"
-        raise UsageError(message, key=key)
-
-
-def grid_field(config: FederationConfig, key: str) -> tuple[type, Field]:
-    """The config dataclass and field that the sweep-grid key ``key`` varies;
-    it must be a key a grid may vary and that ``config``'s task kind reads."""
-    grid = {
-        file_key(f): (cls, f)
-        for cls in (FederationConfig, TaskSpec)
-        for f in fields(cls)
-        if f.metadata.get("sweep")
-    }
-    if key not in grid:
-        raise UsageError(
-            f"unknown sweep parameter {key!r} (allowed: {', '.join(sorted(grid))}; "
-            "seeds go in sweep.seeds)",
-            key=key,
-        )
-    check_read(config.task.kind, key, grid[key][1])
-    return grid[key]
-
-
-def grid_values(key: str, values) -> None:
-    """Reject the values of the sweep-grid key ``key`` unless they are a non-empty list."""
-    if not isinstance(values, (list, tuple)) or not values:
-        raise UsageError(f"sweep parameter {key!r} must be a non-empty list", key=key)
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    kind: TaskKind
-    targets: tuple[float, ...] = field(default=DEFAULT_SCALAR_TARGETS, metadata=_SCALAR)
-    true_rank: int = field(default=1, metadata={**_REGRESSION, **_SWEEP})
-    heterogeneity: float = field(default=0.0, metadata={**_REGRESSION, **_SWEEP})
-    n_features: int = field(default=8, metadata=_LOGISTIC)
-    n_classes: int = field(default=4, metadata=_LOGISTIC)
-    n_samples: int = field(default=200, metadata=_SAMPLED)
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    strategy: Strategy = field(metadata=_SWEEP)
-    n_clients: int = field(metadata=_SWEEP)
-    rank: int = field(metadata=_SWEEP)
-    dims: tuple[int, int]
-    rounds: int = field(metadata=_SWEEP)
-    local_steps: int = field(metadata=_SWEEP)
-    learning_rate: float = field(metadata=_SWEEP)
-    lam: float = field(default=0.0, metadata={"key": "lambda", "sweep": True})
-    reference_mode: ReferenceMode = field(
-        default=ReferenceMode(), metadata={"key": "reference"}
-    )
-    schedule: ScheduleAblation = field(
-        default=ScheduleAblation.ALTERNATE, metadata=_SWEEP
-    )
-    task: TaskSpec = TaskSpec(kind=TaskKind.LOWRANK_REGRESSION)
-    dirichlet_alpha: float = field(default=0.5, metadata={**_LOGISTIC, **_SWEEP})
-    seed: int = 0
-    align_from_round: int = field(default=2, metadata=_SWEEP)
-    batch_size: int | None = field(default=None, metadata={**_SAMPLED, **_SWEEP})
-    init_a_value: float | None = None
-
-    def __post_init__(self):
-        # Types first: the range checks below compare numbers and enum members.
-        check_fields(self)
-        task = self.task
-        if not 0.0 <= self.lam <= 1.0:
-            raise UsageError(f"lambda must lie in [0, 1], got {self.lam}", key="lambda")
-        if not 1 <= self.rank <= min(self.dims):
-            raise UsageError(
-                f"rank {self.rank} out of range for dims {self.dims}", key="rank"
-            )
-        if self.align_from_round < 1:
-            raise UsageError("align_from_round must be >= 1", key="align_from_round")
-        if self.rounds < 1:
-            raise UsageError("rounds must be >= 1", key="rounds")
-        if self.local_steps < 1:
-            raise UsageError("local_steps must be >= 1", key="local_steps")
-        if self.n_clients < 1:
-            raise UsageError("n_clients must be >= 1", key="n_clients")
-        # The float comparisons here fail for NaN too.
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise UsageError("learning_rate must be finite and >= 0", key="learning_rate")
-        if not 0.0 < self.dirichlet_alpha < math.inf:
-            raise UsageError("dirichlet_alpha must be finite and > 0", key="dirichlet_alpha")
-        if self.init_a_value is not None and not math.isfinite(self.init_a_value):
-            raise UsageError("init_a_value must be finite", key="init_a_value")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise UsageError("batch_size must be >= 1 when set", key="batch_size")
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}", key="seed")
-        # What each task kind requires; the task builders take it as checked.
-        if task.n_samples < 0:
-            raise UsageError("n_samples must be >= 0", key="task.n_samples")
-        if task.kind is TaskKind.SCALAR_TOY:
-            if self.dims != (1, 1):
-                raise UsageError("scalar toy task requires dims (1, 1)", key="dims")
-            if self.n_clients != len(task.targets):
-                raise UsageError(
-                    f"scalar toy task has {len(task.targets)} targets but config "
-                    f"declares {self.n_clients} clients",
-                    key="n_clients",
-                )
-            bad = [i for i, t in enumerate(task.targets) if not math.isfinite(t)]
-            if bad:
-                raise UsageError("targets must be finite", key=f"task.targets.{bad[0]}")
-        elif task.kind is TaskKind.LOWRANK_REGRESSION:
-            if not 1 <= task.true_rank <= min(self.dims):
-                raise UsageError(
-                    f"true_rank {task.true_rank} out of range for dims {self.dims}",
-                    key="task.true_rank",
-                )
-            if not 0.0 <= task.heterogeneity < math.inf:
-                raise UsageError(
-                    "heterogeneity must be finite and >= 0", key="task.heterogeneity"
-                )
-        else:
-            if task.n_classes < 2:
-                raise UsageError(
-                    f"need at least 2 classes, got {task.n_classes}", key="task.n_classes"
-                )
-            if task.n_samples < task.n_classes:
-                raise UsageError(
-                    "need at least one sample per class", key="task.n_samples"
-                )
-            if self.dims != (task.n_classes, task.n_features):
-                raise UsageError(
-                    "logistic task requires dims (n_classes, n_features) = "
-                    f"({task.n_classes}, {task.n_features}), got {self.dims}",
-                    key="dims",
-                )
-            if task.n_samples < self.n_clients:
-                raise UsageError(
-                    f"cannot give {self.n_clients} clients non-empty shards from "
-                    f"{task.n_samples} samples",
-                    key="n_clients",
-                )
-        # The run's footprint in float64 entries, in Python integers so no
-        # product overflows: the targets and each round's two client products,
-        # the probes or features, and the global-adapter history.
-        d_out, d_in = self.dims
-        sizes = {"n_clients": self.n_clients, "dims.0": d_out, "dims.1": d_in,
-                 "rounds": self.rounds}
-        footprint = (3 * self.n_clients * d_out * d_in
-                     + (self.rounds + 1) * (d_out + d_in) * self.rank)
-        if reads(task.kind, TaskSpec.__dataclass_fields__["n_samples"]):
-            sizes["task.n_samples"] = task.n_samples
-            footprint += task.n_samples * d_in
-        if footprint > MAX_FOOTPRINT:
-            raise UsageError(
-                f"the run would hold {footprint} float64 entries, more than the "
-                f"{MAX_FOOTPRINT} (2 GiB) a run may hold",
-                key=max(sizes, key=sizes.get),  # the largest size
-            )
 
 
 @dataclass
@@ -380,6 +191,16 @@ def local_train(
     return LoraAdapter(b, a, start.rank), sqrt(sq_max)
 
 
+def checked_product(adapter: LoraAdapter, client: int, round_index: int) -> np.ndarray:
+    """The client's product ``semantic_update(adapter)``.  Finite factors
+    whose product overflows have diverged: that raises."""
+    product = semantic_update(adapter)
+    if not np.isfinite(product).all():
+        raise DivergenceError(f"non-finite update on client {client}",
+                              round_index=round_index)
+    return product
+
+
 def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_index: int):
     """The training phase: :func:`local_train` on every client from
     ``broadcast``, in client order.  Returns the trained adapters, their
@@ -391,13 +212,8 @@ def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_
             client, broadcast, task, config.local_steps, config.learning_rate,
             config.strategy, round_index, config.seed, batch_size=config.batch_size,
         )
-        product = semantic_update(adapter)
-        if not np.isfinite(product).all():
-            # Finite factors whose product overflows: the run has diverged.
-            raise DivergenceError(f"non-finite update on client {client}",
-                                  round_index=round_index)
         trained.append(adapter)
-        products.append(product)
+        products.append(checked_product(adapter, client, round_index))
         grad_norms.append(grad_norm)
     return trained, products, grad_norms
 
@@ -487,9 +303,10 @@ def run_federation(config: FederationConfig) -> RunResult:
     """Run the full protocol for ``config.rounds`` rounds.
 
     Deterministic for a fixed config.  The run stops when any loss,
-    gradient, parameter or product blows up, as read from the values, not
-    from numpy warnings; its result then holds the completed rounds and, as
-    ``divergence``, the :class:`DivergenceError` that stopped it.
+    gradient, parameter, product or server aggregate blows up, as read from
+    the values, not from numpy warnings; its result then holds the completed
+    rounds and, as ``divergence``, the :class:`DivergenceError` that stopped
+    it.  A round's diagnostics record an overflow as ``inf`` or ``nan``.
     """
     t_start = time.perf_counter()
     task = build_task(config)
@@ -511,18 +328,19 @@ def run_federation(config: FederationConfig) -> RunResult:
         broadcast = history[-1]
         try:
             trained, products, grad_norms = train_clients(broadcast, task, config, t)
+            alignments = [client_round(i, adapter, reference, config, t)
+                          for i, adapter in enumerate(trained)]
+            snapshots = [reported for reported, _, _ in alignments]
+            # A client that reports its trained factors reports their product.
+            updates = [
+                raw if reported is adapter else checked_product(reported, client, t)
+                for client, (reported, adapter, raw)
+                in enumerate(zip(snapshots, trained, products))
+            ]
+            model, err = server_step(snapshots, updates, broadcast, config.strategy, t)
         except DivergenceError as exc:
             divergence = exc.with_traceback(None)  # its frames hold the task
             break
-        alignments = [client_round(i, adapter, reference, config, t)
-                      for i, adapter in enumerate(trained)]
-        snapshots = [reported for reported, _, _ in alignments]
-        # A client that reports its trained factors reports their product.
-        updates = [
-            raw if reported is adapter else semantic_update(reported)
-            for reported, adapter, raw in zip(snapshots, trained, products)
-        ]
-        model, err = server_step(snapshots, updates, broadcast, config.strategy, t)
         loss = task.global_loss(model.b, model.a)
         records.append(round_record(
             config, t, reference, trained, products, grad_norms, alignments,
@@ -538,83 +356,22 @@ def run_federation(config: FederationConfig) -> RunResult:
     return RunResult(records, config, wall_time, history, divergence)
 
 
-def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
-    """``config`` with the overrides ``params`` applied: sweep-grid keys to
-    values of their fields' types, a :class:`TaskSpec` field's on the task."""
-    plain, task = {}, {}
-    for key, value in params.items():
-        cls, f = grid_field(config, key)
-        (task if cls is TaskSpec else plain)[f.name] = value
-    return replace(config, task=replace(config.task, **task), **plain)
-
-
-@dataclass(eq=False)
-class SweepCell:
-    params: dict
-    seed: int
-    config: FederationConfig  # the base config with params and seed applied
-    result: RunResult | None = None  # diverged runs included
-    error: str | None = None  # why the cell failed, divergence included
-
-
 def _run_cell(cell: SweepCell) -> SweepCell:
+    """``cell`` with its run's result, diverged runs included, and why it failed."""
+    result = None
     try:
-        cell.result = run_federation(cell.config)
-        failure = cell.result.divergence
+        result = run_federation(cell.config)
+        failure = result.divergence
     except Exception as exc:  # individual failures recorded, sweep continues
         failure = exc
-    if failure is not None:
-        cell.error = f"{type(failure).__name__}: {failure}"
-    return cell
+    error = None if failure is None else f"{type(failure).__name__}: {failure}"
+    return replace(cell, result=result, error=error)
 
 
-def _under(key: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its :class:`UsageError` raised again under ``key``."""
-    try:
-        return build(*args, **kwargs)
-    except UsageError as exc:
-        raise UsageError(str(exc), key=key) from exc
-
-
-def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
-    """The cells of the ``grid`` x ``seeds`` product, in ``itertools.product``
-    order, each with its finished, and so checked, config.  What
-    :func:`grid_field` or :func:`grid_values` rejects raises under its grid
-    key, a rejected value under ``sweep.grid.<key>.<i>`` and a rejected seed
-    under ``sweep.seeds.<i>``."""
-    if not grid:
-        raise UsageError("sweep grid must contain at least one parameter", key="sweep.grid")
-    for key, values in grid.items():
-        grid_field(base, key)
-        grid_values(key, values)
-    if not isinstance(seeds, (list, tuple)) or not seeds:
-        raise UsageError("sweep.seeds must be a non-empty list", key="sweep.seeds")
-    # One axis at a time, each value applied to every prefix config: the
-    # product order, with a rejected value blamed on the axis that adds it.
-    prefixes = [({}, base)]
-    for key, values in grid.items():
-        prefixes = [
-            ({**params, key: value},
-             _under(f"sweep.grid.{key}.{i}", apply_overrides, config, {key: value}))
-            for params, config in prefixes
-            for i, value in enumerate(values)
-        ]
-    return [
-        SweepCell(params, seed, _under(f"sweep.seeds.{i}", replace, config, seed=seed))
-        for params, config in prefixes
-        for i, seed in enumerate(seeds)
-    ]
-
-
-def run_sweep(
-    base: FederationConfig,
-    sweep: dict[str, list],
-    seeds,
-    jobs: int = 1,
-) -> list[SweepCell]:
-    """Run every cell of :func:`sweep_cells`, all built before any runs; with
-    ``jobs > 1``, in a process pool.  The output is in grid order regardless."""
-    cells = sweep_cells(base, sweep, seeds)
+def run_sweep(cells: list[SweepCell], jobs: int = 1) -> list[SweepCell]:
+    """Run the cells, as :func:`fedrot.config.sweep_cells` builds them; with
+    ``jobs > 1``, in a process pool.  Returns the run cells, in the order
+    given."""
     if jobs > 1 and len(cells) > 1:
         # Imported here: a serial run need not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

@@ -7,7 +7,7 @@ import numpy as np
 from .alignment import AlignmentTarget
 from .errors import UsageError
 from .lora import LoraAdapter
-from .numerics import frobenius_norm
+from .numerics import frobenius_norm, square
 
 __all__ = ["factor_distances", "dispersion", "alignment_gain"]
 
@@ -22,10 +22,11 @@ def factor_distances(
 
 def dispersion(distances: list[float]) -> float:
     """Mean squared factor distance ``(1/N) sum |A_i - A_ref|^2`` (or the B
-    analogue), from the distances :func:`factor_distances` gives."""
+    analogue), from the distances :func:`factor_distances` gives; ``inf``
+    when a square overflows."""
     if not distances:
         raise UsageError("dispersion requires at least one adapter")
-    return float(np.mean([d**2 for d in distances]))
+    return float(np.mean([square(d) for d in distances]))
 
 
 def alignment_gain(phi_lambda: float, phi_zero: float) -> float:

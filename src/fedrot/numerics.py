@@ -1,4 +1,4 @@
-"""Small dense linear-algebra kernel.
+"""Small dense linear-algebra kernel, and the overflow-safe square of a float.
 
 Callers pass 2-D ``float64`` matrices checked where they entered the
 program.  Every function is pure: identical input bits give identical
@@ -18,7 +18,9 @@ __all__ = [
     "frobenius_norm",
     "svd",
     "qr_orthonormal",
+    "square",
 ]
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array, rejecting non-finite entries."""
@@ -74,3 +76,12 @@ def qr_orthonormal(a) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     return q * signs
+
+
+def square(x: float) -> float:
+    """``x ** 2`` of a Python float, ``inf`` where it overflows: ``**``
+    raises there, and ``x * x`` rounds some finite squares differently."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf

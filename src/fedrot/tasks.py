@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
+from .numerics import square
 
 __all__ = [
     "TaskKind",
@@ -83,7 +84,7 @@ class ScalarToyTask(_Task):
         return len(self.targets)
 
     def product_loss(self, i, w) -> float:
-        return (float(w[0, 0]) - self.targets[i]) ** 2
+        return square(float(w[0, 0]) - self.targets[i])
 
     def product_grad(self, i, w, sample_idx):
         # In Python floats: two in-place ufuncs on a 1x1 array would cost

@@ -24,7 +24,8 @@ from .alignment import (
     procrustes_rotation,
     soft_rotation,
 )
-from .federation import FederationConfig, TaskSpec, run_federation
+from .config import FederationConfig, TaskSpec
+from .federation import run_federation
 from .lora import LoraAdapter, semantic_update
 from .numerics import frobenius_norm
 from .tasks import TaskKind

@@ -14,7 +14,8 @@ from fedrot.alignment import (
     procrustes_rotation,
     soft_rotation,
 )
-from fedrot.federation import FederationConfig, TaskSpec, run_federation
+from fedrot.config import FederationConfig, TaskSpec
+from fedrot.federation import run_federation
 from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 from fedrot.tasks import (

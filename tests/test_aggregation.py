@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from fedrot.aggregation import (
     lagrange_error_oracle,
     server_step,
 )
-from fedrot.errors import UsageError
+from fedrot.errors import DivergenceError, UsageError
 from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 
@@ -144,8 +146,7 @@ class TestServerStep:
     def test_checks_and_averages_once(self, monkeypatch):
         # One factor-wise mean per round serves both the new global model
         # and the aggregation error.
-        calls = {"_check_adapters": 0, "aggregate_factorwise": 0,
-                 "aggregation_error": 0}
+        calls = {"_check_adapters": 0, "_factor_means": 0, "aggregation_error": 0}
         for name in calls:
             real = getattr(fedrot.aggregation, name)
 
@@ -157,8 +158,7 @@ class TestServerStep:
         rng = np.random.default_rng(11)
         adapters = random_adapters(rng, 3)
         server_step(adapters, updates_of(adapters), self._prev(rng), Strategy.FEDIT, 1)
-        assert calls == {"_check_adapters": 1, "aggregate_factorwise": 1,
-                         "aggregation_error": 1}
+        assert calls == {"_check_adapters": 1, "_factor_means": 1, "aggregation_error": 1}
 
     def test_rejects_inconsistent_adapters(self):
         rng = np.random.default_rng(12)
@@ -166,6 +166,27 @@ class TestServerStep:
         with pytest.raises(UsageError, match="inconsistent"):
             server_step(adapters, updates_of(adapters), self._prev(rng),
                         Strategy.FEDIT, 1)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_overflow_diverges_at_the_server_and_not_in_the_library(self):
+        # Finite factors whose mean or aggregation error overflows: the
+        # library's functions keep their UsageError for non-finite values,
+        # while the server step reads a divergence of the given round.
+        huge, tiny = np.array([[1e300]]), np.array([[1e-300]])
+        adapters = [LoraAdapter(huge, tiny, 1), LoraAdapter(tiny, huge, 1)]
+        updates = updates_of(adapters)
+        assert aggregation_error(updates, aggregate_factorwise(adapters)) == math.inf
+        with pytest.raises(DivergenceError, match="aggregation error") as exc:
+            server_step(adapters, updates, adapters[0], Strategy.FEDIT, 4)
+        assert exc.value.round_index == 4
+        with pytest.raises(UsageError, match="finite matrices"):
+            aggregation_error([np.full((1, 1), np.inf)], adapters[0])
+        adapters = [LoraAdapter(np.array([[1e308]]), tiny, 1)] * 2
+        with pytest.raises(UsageError, match="NaN or Inf"):
+            aggregate_factorwise(adapters)
+        with pytest.raises(DivergenceError, match="factor mean") as exc:
+            server_step(adapters, updates_of(adapters), adapters[0], Strategy.FEDIT, 2)
+        assert exc.value.round_index == 2
 
     def test_ffa_keeps_global_a_bitwise(self):
         rng = np.random.default_rng(9)

@@ -9,7 +9,6 @@ from fedrot import alignment, numerics
 from fedrot.alignment import (
     AlignmentTarget,
     ReferenceKind,
-    ReferenceMode,
     Rotation,
     ScheduleAblation,
     alignment_schedule,
@@ -20,6 +19,7 @@ from fedrot.alignment import (
     select_reference,
     soft_rotation,
 )
+from fedrot.config import ReferenceMode
 from fedrot.errors import UsageError
 from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm

@@ -20,9 +20,16 @@ import fedrot.alignment
 import fedrot.federation
 from fedrot.aggregation import Strategy
 from fedrot.cli import main
-from fedrot.config import config_to_dict, load_config
+from fedrot.config import (
+    FederationConfig,
+    TaskSpec,
+    config_to_dict,
+    file_key,
+    load_config,
+    sweep_cells,
+)
 from fedrot.errors import ConfigError, UsageError
-from fedrot.federation import FederationConfig, TaskSpec, file_key, run_sweep
+from fedrot.federation import run_sweep
 
 MINIMAL = """\
 experiment:
@@ -108,13 +115,13 @@ class TestLoadConfig:
         schema = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
         parsed = load_config(write(tmp_path, schema))
         assert parsed.experiment.task.heterogeneity == 0.5
-        assert parsed.sweep.seeds == (0, 1, 2)
+        assert [c.seed for c in parsed.sweep] == [0, 1, 2] * 6
 
     def test_sweep_section(self, tmp_path):
         parsed = load_config(write(tmp_path, SWEEP))
-        assert list(parsed.sweep.grid) == ["lambda"]
-        assert len(parsed.sweep.grid["lambda"]) == 11
-        assert parsed.sweep.seeds == (0, 1, 2)
+        assert [list(c.params) for c in parsed.sweep] == [["lambda"]] * 33
+        assert len({c.params["lambda"] for c in parsed.sweep}) == 11
+        assert [c.seed for c in parsed.sweep] == [0, 1, 2] * 11
 
     def test_unknown_key_reports_position(self, tmp_path):
         text = MINIMAL + "  warp_factor: 9\n"
@@ -177,9 +184,12 @@ class TestLoadConfig:
 
     def test_grid_values_typed_at_load(self, tmp_path):
         text = MINIMAL + "sweep:\n  grid:\n    strategy: [fedit]\n    lambda: [0, 1]\n"
-        grid = load_config(write(tmp_path, text)).sweep.grid
-        assert grid == {"strategy": [Strategy.FEDIT], "lambda": [0.0, 1.0]}
-        assert all(type(v) is float for v in grid["lambda"])
+        cells = load_config(write(tmp_path, text)).sweep
+        assert [c.params for c in cells] == [
+            {"strategy": Strategy.FEDIT, "lambda": 0.0},
+            {"strategy": Strategy.FEDIT, "lambda": 1.0},
+        ]
+        assert all(type(c.params["lambda"]) is float for c in cells)
 
     def test_seed_is_not_a_grid_key(self, tmp_path):
         text = MINIMAL + "sweep:\n  grid:\n    seed: [5, 6]\n"
@@ -366,6 +376,95 @@ class TestRunCommand:
         assert not out.exists()
 
 
+def regression_8x8(strategy: str, local_steps: int, learning_rate: str) -> str:
+    return f"""\
+experiment:
+  strategy: {strategy}
+  n_clients: 3
+  rank: 2
+  dims: [8, 8]
+  rounds: 4
+  local_steps: {local_steps}
+  learning_rate: {learning_rate}
+  task:
+    kind: lowrank_regression
+"""
+
+
+# Runs whose overflow is past the clients: in the diagnostics, in the
+# scalar toy's loss and at the server.  (config text, learning rate of a
+# cell that does not diverge, the error message's start)
+DIVERGING = {
+    "dispersion": (
+        regression_8x8("fedit", 2, "2.6e52"), "0.05", "global loss diverged at round 1"
+    ),
+    "scalar_toy_loss": (
+        SCALAR.replace("rounds: 2", "rounds: 5").replace("local_steps: 5", "local_steps: 3")
+        .replace("learning_rate: 0.01", "learning_rate: 5.0") + "  init_a_value: 0.44\n",
+        "0.01",
+        "global loss diverged at round 2",
+    ),
+    "server_factor_mean": (
+        regression_8x8("fedit", 1, "1.0e308"), "0.05", "non-finite factor mean at the server"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DIVERGING)
+def test_overflow_past_the_clients_diverges(tmp_path, capsys, case):
+    # The run ends as diverged with its completed rounds, and a sweep writes
+    # the diverged cell's directory as `fedrot run` writes it.
+    text, ok_rate, message = DIVERGING[case]
+    run_out = tmp_path / "run"
+    assert main(["run", write(tmp_path, text), "--out", str(run_out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    summary = json.loads((run_out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "diverged"
+    rows = (run_out / "rounds.csv").read_text(encoding="utf-8").splitlines()[1:]
+    completed = summary["metrics"]["rounds_completed"]
+    assert [row.split(",")[0] for row in rows] == [str(t) for t in range(1, completed + 1)]
+    rate = re.search(r"learning_rate: (\S+)", text).group(1)
+    sweep = f"sweep:\n  grid:\n    learning_rate: [{ok_rate}, {rate}]\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", write(tmp_path, text + sweep, "sweep.yaml"), "--out", str(out)]) == 0
+    ok_dir, diverged_dir = sorted(p for p in out.iterdir() if p.is_dir())
+    assert sweep_outputs(diverged_dir) == sweep_outputs(run_out)
+    assert sweep_outputs(ok_dir)["summary.json"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_server_overflow_diverges_under_every_strategy(tmp_path, capsys, strategy):
+    out = tmp_path / "out"
+    text = regression_8x8(strategy, 1, "1.0e308")
+    assert main(["run", write(tmp_path, text), "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "diverged"
+
+
+def test_sweep_builds_each_cell_config_once(tmp_path, monkeypatch):
+    # The loader builds the experiment and, per grid value and then per
+    # seed, each cell's config: 1 + 6 + 12 for 6 strategies x 2 seeds.
+    # run_sweep runs the cells it is given and builds none.
+    built = []
+    post_init = FederationConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FederationConfig, "__post_init__", counted)
+    strategies = ", ".join(s.value for s in Strategy)
+    text = LOGISTIC + f"sweep:\n  grid:\n    strategy: [{strategies}]\n  seeds: [0, 1]\n"
+    assert main(["sweep", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 19
+    cells = load_config(write(tmp_path, text)).sweep
+    before = len(built)
+    run_sweep(cells)
+    assert len(built) == before
+
+
 def grid(line: str, base: str = MINIMAL) -> str:
     return base + "sweep:\n  grid:\n    " + line + "\n"
 
@@ -513,7 +612,7 @@ def test_run_sweep_rejects_grids_as_the_loader_does(tmp_path, line, sweep):
         load_config(write(tmp_path, grid(line)))
     base = load_config(write(tmp_path, MINIMAL)).experiment
     with pytest.raises(UsageError) as direct:
-        run_sweep(base, sweep, seeds=[0])
+        run_sweep(sweep_cells(base, sweep, seeds=[0]))
     assert str(direct.value) == str(loaded.value)
     assert direct.value.key == key
     assert (loaded.value.line, loaded.value.column) == (17, 5 + line.index(at))

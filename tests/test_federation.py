@@ -10,20 +10,19 @@ import pytest
 import fedrot.aggregation
 import fedrot.federation
 from fedrot.aggregation import Strategy, frozen_factors
-from fedrot.alignment import (
-    AlignmentTarget,
-    ReferenceKind,
+from fedrot.alignment import AlignmentTarget, ReferenceKind, procrustes_rotation
+from fedrot.config import (
+    FederationConfig,
     ReferenceMode,
-    procrustes_rotation,
+    TaskSpec,
+    apply_overrides,
+    file_key,
+    sweep_cells,
 )
 from fedrot.errors import DivergenceError, UsageError
 from fedrot.federation import (
-    FederationConfig,
-    TaskSpec,
-    apply_overrides,
     build_task,
     client_round,
-    file_key,
     local_train,
     run_federation,
     run_sweep,
@@ -753,6 +752,34 @@ class TestRunFederation:
         full = run_federation(dataclasses.replace(config, rounds=1))
         assert_runs_bit_identical(result, full)
 
+    def test_server_divergence_carries_completed_rounds(self, monkeypatch):
+        # Finite client factors whose mean overflows at the server stop the
+        # run as a client's overflow does, after the completed rounds.
+        real_server_step = fedrot.federation.server_step
+
+        def server_step_overflowing_in_round_3(adapters, updates, prev, strategy, t):
+            if t == 3:
+                adapters = [LoraAdapter(np.full_like(ad.b, 1e308), ad.a, ad.rank)
+                            for ad in adapters]
+            return real_server_step(adapters, updates, prev, strategy, t)
+
+        monkeypatch.setattr(fedrot.federation, "server_step",
+                            server_step_overflowing_in_round_3)
+        result = run_federation(regression_config(rounds=5))
+        assert str(result.divergence) == "non-finite factor mean at the server"
+        assert result.divergence.round_index == 3
+        assert [r.round for r in result.rounds] == [1, 2]
+        assert len(result.history) == 3
+
+    def test_overflowing_aggregation_error_diverges(self):
+        # Finite reported products whose aggregation error overflows.
+        config = regression_config(strategy=Strategy.RANDOM_ROTATION, dims=(8, 8),
+                                   learning_rate=1e308, local_steps=1, seed=0)
+        result = run_federation(config)
+        assert str(result.divergence) == "non-finite aggregation error at the server"
+        assert result.divergence.round_index == 1
+        assert result.rounds == []
+
     def test_history_length(self):
         run = run_federation(regression_config(rounds=5))
         assert len(run.history) == 6
@@ -804,25 +831,25 @@ def logistic_config(**kwargs):
 
 class TestRunSweep:
     def test_grid_size_and_order(self):
-        cells = run_sweep(
+        cells = run_sweep(sweep_cells(
             regression_config(rounds=2, local_steps=3),
             {"lambda": [0.0, 0.5, 1.0]},
             seeds=[0, 1],
-        )
+        ))
         assert len(cells) == 6
         assert [c.params["lambda"] for c in cells] == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
         assert [c.seed for c in cells] == [0, 1, 0, 1, 0, 1]
 
     def test_cells_match_direct_runs(self):
         base = regression_config(rounds=3, local_steps=5)
-        (cell,) = run_sweep(base, {"lambda": [0.4]}, seeds=[7])
+        (cell,) = run_sweep(sweep_cells(base, {"lambda": [0.4]}, seeds=[7]))
         direct = run_federation(dataclasses.replace(base, lam=0.4, seed=7))
         assert cell.error is None
         assert_runs_bit_identical(cell.result, direct)
 
     def test_failed_cell_recorded_not_raised(self):
         base = regression_config(rounds=3, local_steps=30)
-        cells = run_sweep(base, {"learning_rate": [0.02, 50.0]}, seeds=[0])
+        cells = run_sweep(sweep_cells(base, {"learning_rate": [0.02, 50.0]}, seeds=[0]))
         assert cells[0].error is None
         assert cells[1].error is not None
         assert "DivergenceError" in cells[1].error
@@ -830,15 +857,15 @@ class TestRunSweep:
 
     def test_parallel_matches_serial(self):
         base = regression_config(rounds=2, local_steps=5)
-        serial = run_sweep(base, {"lambda": [0.0, 1.0]}, seeds=[0, 1], jobs=1)
-        parallel = run_sweep(base, {"lambda": [0.0, 1.0]}, seeds=[0, 1], jobs=2)
+        serial = run_sweep(sweep_cells(base, {"lambda": [0.0, 1.0]}, seeds=[0, 1]), jobs=1)
+        parallel = run_sweep(sweep_cells(base, {"lambda": [0.0, 1.0]}, seeds=[0, 1]), jobs=2)
         for s, p in zip(serial, parallel):
             assert s.params == p.params and s.seed == p.seed
             assert_runs_bit_identical(s.result, p.result)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):
-            run_sweep(regression_config(), {}, seeds=[0])
+            run_sweep(sweep_cells(regression_config(), {}, seeds=[0]))
 
     # Grids the experiment-file loader rejects: a key no grid may vary (the
     # seed, a task field the regression task never reads, the dims), a key
@@ -864,7 +891,7 @@ class TestRunSweep:
         runs = []
         monkeypatch.setattr(fedrot.federation, "run_federation", runs.append)
         with pytest.raises(UsageError) as exc:
-            run_sweep(config(), grid, seeds=seeds)
+            run_sweep(sweep_cells(config(), grid, seeds=seeds))
         assert exc.value.key == key
         assert runs == []
 
@@ -886,6 +913,6 @@ class TestRunSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         base = regression_config(rounds=1, local_steps=1)
-        cells = run_sweep(base, {"lambda": [0.0, 1.0]}, seeds=[0], jobs=64)
+        cells = run_sweep(sweep_cells(base, {"lambda": [0.0, 1.0]}, seeds=[0]), jobs=64)
         assert sizes == [2]
         assert all(c.result is not None for c in cells)

@@ -58,6 +58,12 @@ class TestDispersion:
         with pytest.raises(UsageError):
             dispersion([])
 
+    def test_overflowing_square_is_inf_and_finite_squares_keep_their_bits(self):
+        # ``d ** 2`` raises above ~1.3e154; a diverging run records inf.
+        assert dispersion([1e200, 1.0]) == math.inf
+        dists = [0.1 * k for k in range(1, 200)]
+        assert dispersion(dists) == float(np.mean([d**2 for d in dists]))
+
 
 class TestAlignmentGain:
     def test_no_change_is_zero(self):

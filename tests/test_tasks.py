@@ -57,6 +57,11 @@ class TestScalarToy:
         losses = [task.global_loss(np.array([[p]]), np.array([[1.0]])) for p in grid]
         assert grid[int(np.argmin(losses))] == pytest.approx(1.0, abs=1e-3)
 
+    def test_overflowing_loss_is_inf(self):
+        task = ScalarToyTask((0.5, 1.0, 1.5))
+        assert task.client_loss(0, np.array([[1e100]]), np.array([[1e100]])) == math.inf
+        assert task.global_loss(np.array([[1e100]]), np.array([[1e100]])) == math.inf
+
     def test_gradients_match_finite_differences(self):
         task = ScalarToyTask((0.5, 1.0, 1.5))
         rng = np.random.default_rng(0)
