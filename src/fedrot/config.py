@@ -42,9 +42,11 @@ MAX_FOOTPRINT = 2**28
 
 # Field metadata of the config dataclasses: ``key`` is the file key where it
 # differs from the field name, ``sweep`` marks the keys a sweep grid may
-# vary, and ``kinds`` names the task kinds that read a field (every kind, if
-# absent).
+# vary, ``kinds`` names the task kinds that read a field (every kind, if
+# absent), and ``range`` holds the inclusive bounds of a number.
 _SWEEP = {"sweep": True}
+_POSITIVE = {"range": (1, math.inf)}
+_NONNEGATIVE = {"range": (0, math.inf)}
 _SCALAR = {"kinds": (TaskKind.SCALAR_TOY,)}
 _REGRESSION = {"kinds": (TaskKind.LOWRANK_REGRESSION,)}
 _LOGISTIC = {"kinds": (TaskKind.LOGISTIC,)}
@@ -68,17 +70,23 @@ _NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a numb
 
 def check_fields(config, prefix: str = "") -> None:
     """Check each field of the config dataclass ``config`` against its
-    annotation, under its file key after ``prefix``."""
+    annotation and then its ``range``, under its file key after ``prefix``."""
     for key, (f, tp) in _schema(type(config)).items():
-        _check_value(prefix + key, getattr(config, f.name), tp)
+        key, value = prefix + key, getattr(config, f.name)
+        _check_value(key, value, tp)
+        if "range" in f.metadata and value is not None:
+            low, high = f.metadata["range"]
+            if not low <= value <= high:
+                bound = f"be >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+                raise UsageError(f"{key} must {bound}, got {value}", key=key)
 
 
 def _check_value(key: str, value, tp) -> None:
     """Reject ``value``, set as the file key ``key``, unless it is of the
     annotated type ``tp``: ``int`` takes any ``numbers.Integral``, ``float``
-    any ``numbers.Real`` that ``float()`` does not overflow, a bool neither,
-    a tuple its elements' types and any other type its instances; an enum's
-    message lists its values.  No value is converted."""
+    any ``numbers.Real`` that is finite as a float, a bool neither, a tuple
+    its elements' types and any other type its instances; an enum's message
+    lists its values.  No value is converted."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is types.UnionType:  # ``T | None``
         if value is not None:
@@ -100,9 +108,11 @@ def _check_value(key: str, value, tp) -> None:
         raise UsageError(f"{key} must be {what}, got {value!r}", key=key)
     if tp is float:
         try:
-            float(value)
+            finite = math.isfinite(value)
         except OverflowError:
             raise UsageError(f"{key} is out of range", key=key) from None
+        if not finite:
+            raise UsageError(f"{key} must be finite, got {value}", key=key)
     if is_dataclass(tp):
         check_fields(value, f"{key}.")
 
@@ -141,23 +151,23 @@ class ReferenceMode:
 class TaskSpec:
     kind: TaskKind
     targets: tuple[float, ...] = field(default=DEFAULT_SCALAR_TARGETS, metadata=_SCALAR)
-    true_rank: int = field(default=1, metadata={**_REGRESSION, **_SWEEP})
-    heterogeneity: float = field(default=0.0, metadata={**_REGRESSION, **_SWEEP})
+    true_rank: int = field(default=1, metadata=_REGRESSION | _SWEEP)
+    heterogeneity: float = field(default=0.0, metadata=_REGRESSION | _SWEEP | _NONNEGATIVE)
     n_features: int = field(default=8, metadata=_LOGISTIC)
-    n_classes: int = field(default=4, metadata=_LOGISTIC)
-    n_samples: int = field(default=200, metadata=_SAMPLED)
+    n_classes: int = field(default=4, metadata=_LOGISTIC | {"range": (2, math.inf)})
+    n_samples: int = field(default=200, metadata=_SAMPLED | _NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class FederationConfig:
     strategy: Strategy = field(metadata=_SWEEP)
-    n_clients: int = field(metadata=_SWEEP)
+    n_clients: int = field(metadata=_SWEEP | _POSITIVE)
     rank: int = field(metadata=_SWEEP)
     dims: tuple[int, int]
-    rounds: int = field(metadata=_SWEEP)
-    local_steps: int = field(metadata=_SWEEP)
-    learning_rate: float = field(metadata=_SWEEP)
-    lam: float = field(default=0.0, metadata={"key": "lambda", "sweep": True})
+    rounds: int = field(metadata=_SWEEP | _POSITIVE)
+    local_steps: int = field(metadata=_SWEEP | _POSITIVE)
+    learning_rate: float = field(metadata=_SWEEP | _NONNEGATIVE)
+    lam: float = field(default=0.0, metadata=_SWEEP | {"key": "lambda", "range": (0, 1)})
     reference_mode: ReferenceMode = field(
         default=ReferenceMode(), metadata={"key": "reference"}
     )
@@ -165,44 +175,23 @@ class FederationConfig:
         default=ScheduleAblation.ALTERNATE, metadata=_SWEEP
     )
     task: TaskSpec = TaskSpec(kind=TaskKind.LOWRANK_REGRESSION)
-    dirichlet_alpha: float = field(default=0.5, metadata={**_LOGISTIC, **_SWEEP})
-    seed: int = 0
-    align_from_round: int = field(default=2, metadata=_SWEEP)
-    batch_size: int | None = field(default=None, metadata={**_SAMPLED, **_SWEEP})
+    dirichlet_alpha: float = field(default=0.5, metadata=_LOGISTIC | _SWEEP)
+    seed: int = field(default=0, metadata=_NONNEGATIVE)
+    align_from_round: int = field(default=2, metadata=_SWEEP | _POSITIVE)
+    batch_size: int | None = field(default=None, metadata=_SAMPLED | _SWEEP | _POSITIVE)
     init_a_value: float | None = None
 
     def __post_init__(self):
-        # Types first: the range checks below compare numbers and enum members.
+        # Types and ranges first: the checks below compare numbers and enum members.
         check_fields(self)
         task = self.task
-        if not 0.0 <= self.lam <= 1.0:
-            raise UsageError(f"lambda must lie in [0, 1], got {self.lam}", key="lambda")
         if not 1 <= self.rank <= min(self.dims):
             raise UsageError(
                 f"rank {self.rank} out of range for dims {self.dims}", key="rank"
             )
-        if self.align_from_round < 1:
-            raise UsageError("align_from_round must be >= 1", key="align_from_round")
-        if self.rounds < 1:
-            raise UsageError("rounds must be >= 1", key="rounds")
-        if self.local_steps < 1:
-            raise UsageError("local_steps must be >= 1", key="local_steps")
-        if self.n_clients < 1:
-            raise UsageError("n_clients must be >= 1", key="n_clients")
-        # The float comparisons here fail for NaN too.
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise UsageError("learning_rate must be finite and >= 0", key="learning_rate")
-        if not 0.0 < self.dirichlet_alpha < math.inf:
-            raise UsageError("dirichlet_alpha must be finite and > 0", key="dirichlet_alpha")
-        if self.init_a_value is not None and not math.isfinite(self.init_a_value):
-            raise UsageError("init_a_value must be finite", key="init_a_value")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise UsageError("batch_size must be >= 1 when set", key="batch_size")
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}", key="seed")
+        if self.dirichlet_alpha <= 0:  # the one open bound
+            raise UsageError("dirichlet_alpha must be > 0", key="dirichlet_alpha")
         # What each task kind requires; the task builders take it as checked.
-        if task.n_samples < 0:
-            raise UsageError("n_samples must be >= 0", key="task.n_samples")
         if task.kind is TaskKind.SCALAR_TOY:
             if self.dims != (1, 1):
                 raise UsageError("scalar toy task requires dims (1, 1)", key="dims")
@@ -212,28 +201,16 @@ class FederationConfig:
                     f"declares {self.n_clients} clients",
                     key="n_clients",
                 )
-            bad = [i for i, t in enumerate(task.targets) if not math.isfinite(t)]
-            if bad:
-                raise UsageError("targets must be finite", key=f"task.targets.{bad[0]}")
         elif task.kind is TaskKind.LOWRANK_REGRESSION:
             if not 1 <= task.true_rank <= min(self.dims):
                 raise UsageError(
                     f"true_rank {task.true_rank} out of range for dims {self.dims}",
                     key="task.true_rank",
                 )
-            if not 0.0 <= task.heterogeneity < math.inf:
-                raise UsageError(
-                    "heterogeneity must be finite and >= 0", key="task.heterogeneity"
-                )
         else:
-            if task.n_classes < 2:
-                raise UsageError(
-                    f"need at least 2 classes, got {task.n_classes}", key="task.n_classes"
-                )
             if task.n_samples < task.n_classes:
-                raise UsageError(
-                    "need at least one sample per class", key="task.n_samples"
-                )
+                raise UsageError("need at least one sample per class",
+                                 key="task.n_samples")
             if self.dims != (task.n_classes, task.n_features):
                 raise UsageError(
                     "logistic task requires dims (n_classes, n_features) = "
@@ -412,6 +389,8 @@ def _mapping_items(node, context: str) -> dict[str, tuple]:
         _fail(node, f"{context} must be a mapping")
     out = {}
     for key_node, value_node in node.value:
+        if not isinstance(key_node, yaml.ScalarNode):
+            _fail(key_node, f"a key in {context} must be a scalar, got a {key_node.id}")
         key = str(key_node.value)
         if key in out:
             _fail(key_node, f"duplicate key {key!r} in {context}")
@@ -502,8 +481,9 @@ def _sweep(root, node, experiment: FederationConfig) -> list[SweepCell]:
 
 
 def _after(text: str) -> dict:
-    """The line and column just past ``text``, as :class:`ConfigError` keywords."""
-    return {"line": text.count("\n") + 1, "column": len(text) - text.rfind("\n")}
+    """The line and column keywords just past ``text``, as PyYAML's marks count."""
+    lines = re.split("\r\n|[\r\n\x85\u2028\u2029]", text.replace("\ufeff", ""))
+    return {"line": len(lines), "column": len(lines[-1]) + 1}
 
 
 def load_config(path, need_sweep: bool = False) -> ExperimentFile:

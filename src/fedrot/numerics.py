@@ -36,10 +36,10 @@ def as_matrix(a) -> np.ndarray:
 
 @np.errstate(over="ignore")
 def frobenius_norm(a) -> float:
-    """``sqrt(sum(a * a))``.  When the squares underflow to zero or their
-    sum overflows, the sum runs on ``a / max|a|`` and is scaled back."""
+    """``sqrt(sum(a * a))``.  Squares of a finite nonzero ``a`` that underflow
+    to zero or overflow in sum are summed as ``a / max|a|`` and scaled back."""
     sq = np.sum(a * a)
-    if 0.0 < sq < math.inf or not a.any():
+    if 0.0 < sq < math.inf or not (a.any() and np.isfinite(a).all()):
         return float(np.sqrt(sq))
     scale = np.abs(a).max()
     a = a / scale

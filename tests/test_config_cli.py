@@ -136,6 +136,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(write(tmp_path, text))
 
+    # A sequence or mapping key is rejected in plain words, never with the
+    # repr of PyYAML's nodes; LOCATED_ERRORS checks where.
+    @pytest.mark.parametrize("key, kind", [("[a, b]", "sequence"), ("{a: 1}", "mapping")])
+    def test_non_scalar_key_rejected(self, tmp_path, key, kind):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, MINIMAL + f"  {key}: 1\n"))
+        assert str(exc.value) == f"a key in experiment must be a scalar, got a {kind}"
+
     def test_missing_required_key(self, tmp_path):
         text = MINIMAL.replace("  rounds: 4\n", "")
         with pytest.raises(ConfigError, match="rounds"):
@@ -235,7 +243,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         code = main(["run", write(tmp_path, MINIMAL), "--out", str(out), "--seed", "-1"])
         assert code == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unusable_out_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
@@ -257,8 +265,22 @@ class TestRunCommand:
             (b"experiment:\n  strategy: fedit\xff\n", "(line 2, column 18)", "not valid UTF-8"),
             (b"experiment:\n  strategy: fed\x01it\n", "(line 2, column 16)", "unacceptable"),
             (b"experiment: " + b"[" * 1000 + b"]" * 1000 + b"\n", "(line 1, column ", "nesting"),
+            # Bare CR line ends count as line breaks for either kind of byte.
+            (
+                b"experiment:\r  strategy: fedit\r  rank: 2\xff\r",
+                "(line 3, column 10)",
+                "not valid UTF-8",
+            ),
+            (b"experiment:\r  strategy: fedit\r  rank: 2\x01\r", "(line 3, column 10)", "unacceptable"),
+            # So do YAML's NEL and LS line breaks.
+            (
+                b"experiment:\xc2\x85  strategy: fedit\xe2\x80\xa8  rank: 2\xff\n",
+                "(line 3, column 10)",
+                "not valid UTF-8",
+            ),
         ],
-        ids=["not-utf8", "unprintable", "nested-1000"],
+        ids=["not-utf8", "unprintable", "nested-1000", "not-utf8-cr", "unprintable-cr",
+             "not-utf8-nel-ls"],
     )
     def test_malformed_file_located(self, tmp_path, capsys, data, where, what):
         path = tmp_path / "config.yaml"
@@ -522,6 +544,8 @@ LOCATED_ERRORS = {
         "7",
     ),
     "seed_negative": ("run", MINIMAL + "  seed: -1\n", "-1"),
+    # A key that is not a scalar is named by its position, not PyYAML's repr.
+    "sequence_key": ("run", MINIMAL + "  [a, b]: 1\n", "[a, b]"),
     "grid_strategy": ("sweep", grid("strategy: [fancy]"), "fancy"),
     "grid_rounds": ("sweep", grid("rounds: [3, 2.5]"), "2.5"),
     "grid_lambda": ("sweep", grid("lambda: [1.5]"), "1.5"),

@@ -17,6 +17,7 @@ from fedrot.config import (
     TaskSpec,
     apply_overrides,
     file_key,
+    reads,
     sweep_cells,
 )
 from fedrot.errors import DivergenceError, UsageError
@@ -47,6 +48,38 @@ def regression_config(strategy=Strategy.FEDROT, **kwargs):
     )
     base.update(kwargs)
     return FederationConfig(**base)
+
+
+def config_with(cls, f, value):
+    """A valid config but for the field ``f`` of ``cls`` (``FederationConfig``
+    or ``TaskSpec``) set to ``value``, with a task of a kind that reads it."""
+    if cls is FederationConfig:
+        return regression_config(**{f.name: value})
+    kind = next(k for k in (TaskKind.LOWRANK_REGRESSION, *TaskKind) if reads(k, f))
+    task = TaskSpec(**{"kind": kind, f.name: value})
+    if kind is TaskKind.SCALAR_TOY:
+        return regression_config(rank=1, dims=(1, 1), task=task)
+    if kind is TaskKind.LOGISTIC:
+        return regression_config(dims=(task.n_classes, task.n_features), task=task)
+    return regression_config(task=task)
+
+
+# (class, field, file key) of every FederationConfig and TaskSpec field.
+CONFIG_FIELDS = [
+    pytest.param(cls, f, prefix + file_key(f), id=prefix + file_key(f))
+    for cls, prefix in ((FederationConfig, ""), (TaskSpec, "task."))
+    for f in dataclasses.fields(cls)
+]
+# (class, field, element index or None, file key) of every float the config holds.
+FLOATS = [
+    pytest.param(cls, f, index, key, id=key)
+    for cls, f, field_key in (p.values for p in CONFIG_FIELDS)
+    if "float" in f.type
+    for index, key in (
+        [(i, f"{field_key}.{i}") for i in range(len(f.default))]
+        if f.type.startswith("tuple") else [(None, field_key)]
+    )
+]
 
 
 def assert_runs_bit_identical(first, second, ignore=("wall_ms",)):
@@ -248,12 +281,41 @@ class TestConfigValidation:
         assert exc.value.key == key
         assert str(exc.value).startswith(f"{key} must be ")
 
+    # Each single-field bound is a ``range`` beside its field: its low end is
+    # accepted, and a value past either end is rejected under the field's
+    # file key, so a bound added later is covered here too.
+    @pytest.mark.parametrize(
+        "cls, f, key", [p for p in CONFIG_FIELDS if "range" in p.values[1].metadata]
+    )
+    def test_every_range_checked(self, cls, f, key):
+        low, high = f.metadata["range"]
+        number = float if f.type == "float" else int
+        config_with(cls, f, number(low))
+        for bad in [low - 1] + ([high + 1] if high < math.inf else []):
+            with pytest.raises(UsageError) as exc:
+                config_with(cls, f, number(bad))
+            assert exc.value.key == key
+            assert str(exc.value).startswith(f"{key} must ")
+            assert str(exc.value).endswith(f", got {number(bad)}")
+
+    # A float field takes a finite number, each element of a tuple of floats too.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, f, index, key", FLOATS)
+    def test_every_float_field_finite(self, cls, f, index, key, bad):
+        value = bad
+        if index is not None:
+            value = tuple(bad if i == index else t for i, t in enumerate(f.default))
+        with pytest.raises(UsageError) as exc:
+            config_with(cls, f, value)
+        assert exc.value.key == key
+        assert str(exc.value) == f"{key} must be finite, got {bad}"
+
     @pytest.mark.parametrize("kind", list(TaskKind))
     def test_negative_n_samples_rejected_for_every_kind(self, kind):
         with pytest.raises(UsageError) as exc:
             regression_config(task=TaskSpec(kind=kind, n_samples=-1))
         assert exc.value.key == "task.n_samples"
-        assert str(exc.value) == "n_samples must be >= 0"
+        assert str(exc.value) == "task.n_samples must be >= 0, got -1"
 
 
 class TestLocalTrain:

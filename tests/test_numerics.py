@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -55,6 +56,17 @@ class TestFrobeniusNorm:
 
     def test_zero(self):
         assert frobenius_norm(np.zeros((2, 3))) == 0.0
+
+    # A non-finite entry makes the norm inf, or nan for a NaN, without the
+    # rescaling's inf / inf, so a diverging run records the overflow as inf.
+    @pytest.mark.parametrize(
+        "entry, norm", [(np.inf, math.inf), (-np.inf, math.inf), (np.nan, math.nan)]
+    )
+    def test_non_finite_entry(self, entry, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frobenius_norm(np.array([[entry, 1.0], [2.0, 3.0]]))
+        assert got == norm or (math.isnan(norm) and math.isnan(got))
 
 
 class TestSvd:
