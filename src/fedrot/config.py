@@ -10,7 +10,8 @@ are required, and their metadata names the file keys that differ from the
 field names, the keys a grid may vary and the task kinds that read a key.
 The loader only converts values by annotation; the config constructors and
 :func:`sweep_cells` check them.  Every rejection, a bad key's included, is
-reported with its line and column.
+reported with its line and column, and a key that is unknown, repeated or
+not read by the task kind before any value.
 """
 
 from __future__ import annotations
@@ -224,21 +225,32 @@ class FederationConfig:
                     key="n_clients",
                 )
         # The run's footprint in float64 entries, in Python integers so no
-        # product overflows: the targets and each round's two client products,
-        # the probes or features, and the global-adapter history.
+        # product overflows: per client a target and three products (this
+        # round's trained and reported ones, and the last round's until it is
+        # released), four transient d_out x d_in arrays at the server and in
+        # the loss, and the global-adapter history.
         d_out, d_in = self.dims
         sizes = {"n_clients": self.n_clients, "dims.0": d_out, "dims.1": d_in,
                  "rounds": self.rounds}
-        footprint = (3 * self.n_clients * d_out * d_in
+        footprint = ((4 * self.n_clients + 4) * d_out * d_in
                      + (self.rounds + 1) * (d_out + d_in) * self.rank)
+        n = task.n_samples
         if reads(task.kind, _schema(TaskSpec)["n_samples"][0]):
-            sizes["task.n_samples"] = task.n_samples
-            footprint += task.n_samples * d_in
+            sizes["task.n_samples"] = n
+            # The probes, or the features and the shards' copy, and a batch's copy.
+            footprint += 3 * n * d_in
+        if task.kind is TaskKind.LOGISTIC:
+            # The labels and shard indices, the shards' one-hot label masks (a
+            # byte an entry) and a shard's logits twice over in its loss.
+            footprint += 2 * n + (n * task.n_classes + 7) // 8 + 2 * n * task.n_classes
+        elif task.kind is TaskKind.LOWRANK_REGRESSION and self.batch_size is not None:
+            footprint += d_in * d_in  # a mini-batch's x^T x
         if footprint > MAX_FOOTPRINT:
+            key = max(sizes, key=sizes.get)  # the largest size
             raise UsageError(
-                f"the run would hold {footprint} float64 entries, more than the "
-                f"{MAX_FOOTPRINT} (2 GiB) a run may hold",
-                key=max(sizes, key=sizes.get),  # the largest size
+                f"{key} is too large: the run would hold {footprint} float64 entries, "
+                f"more than the {MAX_FOOTPRINT} (2 GiB) a run may hold",
+                key=key,
             )
 
 
@@ -459,6 +471,25 @@ def _dataclass(node, cls, name: str):
     return _located(node, cls, **kwargs)
 
 
+def _check_reads(node) -> None:
+    """Reject each key of the experiment mapping ``node`` that its task kind
+    does not read, before any value is checked; an unknown or repeated key
+    is rejected first.  A missing or invalid kind is left for
+    :class:`TaskSpec` to reject."""
+    top = _mapping_items(node, "experiment")
+    _check_keys(top, _schema(FederationConfig), "experiment")
+    task = _mapping_items(top["task"][1], "task") if "task" in top else {}
+    _check_keys(task, _schema(TaskSpec), "task")
+    kind = FederationConfig.task.kind
+    if "task" in top:
+        kind = _convert(_value(task["kind"][1]), TaskKind) if "kind" in task else None
+    if not isinstance(kind, TaskKind):
+        return
+    for cls, prefix, level in ((FederationConfig, "", top), (TaskSpec, "task.", task)):
+        for key, (key_node, _) in level.items():
+            _located(key_node, check_read, kind, prefix + key, _schema(cls)[key][0])
+
+
 def _sweep(root, node, experiment: FederationConfig) -> list[SweepCell]:
     """The sweep section's cells.  Each grid key is looked up where it is
     written, as its values convert by its field's annotation."""
@@ -522,14 +553,8 @@ def load_config(path, need_sweep: bool = False) -> ExperimentFile:
     if need_sweep and "sweep" not in items:
         _fail(root, "sweep command requires a 'sweep' section in the config")
     node = items["experiment"][1]
+    _check_reads(node)
     experiment = _dataclass(node, FederationConfig, "")
-    # Once every value is valid, each key must be one the task kind reads.
-    top = _mapping_items(node, "experiment")
-    task = _mapping_items(top["task"][1], "task") if "task" in top else {}
-    for cls, prefix, level in ((FederationConfig, "", top), (TaskSpec, "task.", task)):
-        for key, (key_node, _) in level.items():
-            f = _schema(cls)[key][0]
-            _located(key_node, check_read, experiment.task.kind, prefix + key, f)
     sweep = _sweep(root, items["sweep"][1], experiment) if "sweep" in items else None
     return ExperimentFile(experiment=experiment, sweep=sweep)
 

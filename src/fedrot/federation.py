@@ -111,6 +111,7 @@ def build_task(config: FederationConfig):
 _PARAM_BOUND = 1e300
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def local_train(
     client: int,
     start: LoraAdapter,
@@ -131,7 +132,9 @@ def local_train(
     ``task.client_grads(client, b, a, sample_idx, out=(gb, ga))``, which
     writes the gradients into the views ``gb`` and ``ga``.  Mini-batching,
     when enabled, draws seeded batches from ``(seed, client, round)`` so
-    results never depend on scheduling.
+    results never depend on scheduling.  Divergence is read from the
+    values, so numpy's overflow warnings are silenced, as in
+    :func:`run_federation`.
     """
     nb = start.b.size
     params = np.concatenate((start.b.ravel(), start.a.ravel()))

@@ -15,7 +15,8 @@ client's ``product_loss``, which only reads ``w``.
 The kernels call ``np.dot`` where their formulas read ``@``: for these 2-D
 products both reach the same BLAS call, so they give the same bits, and
 ``np.dot`` skips the ufunc dispatch.  Its ``out=`` changes only where that
-call writes, and ``take`` gathers the same rows as fancy indexing.
+call writes, ``take`` gathers the same rows as fancy indexing, and the
+logistic one-hot label mask the same label entries, one per row in order.
 
 Each builder returns the finished task, which no later step changes.
 What a task kind requires of its values is checked once, in that kind's
@@ -170,7 +171,8 @@ class LogisticTask(_Task):
 
     ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
     holds each client's sample indices; the constructor gathers each
-    client's samples once.
+    client's features once, and its labels as a one-hot boolean mask that
+    the loss indexes with and the gradient subtracts (``p - 0.0`` is exact).
     """
 
     features: np.ndarray
@@ -179,11 +181,9 @@ class LogisticTask(_Task):
     shards: list[np.ndarray]
 
     def __post_init__(self):
-        # Each client's features, labels and row offsets ``row * n_classes``
-        # into a flat n x n_classes array: offset plus label is the label logit.
+        classes = np.arange(self.n_classes)
         self._shard_data = [
-            (self.features[s], self.labels[s], np.arange(len(s)) * self.n_classes)
-            for s in self.shards
+            (self.features[s], self.labels[s, None] == classes) for s in self.shards
         ]
 
     @property
@@ -197,22 +197,21 @@ class LogisticTask(_Task):
         return z
 
     def product_loss(self, i, w) -> float:
-        x, y, offsets = self._shard_data[i]
+        x, mask = self._shard_data[i]
         z = self._shifted_logits(x, w)
         logp = z - np.log(np.exp(z).sum(axis=1))[:, None]
-        return float(-logp.reshape(-1)[offsets + y].mean())
+        return float(-logp[mask].mean())
 
     def product_grad(self, i, w, sample_idx):
-        x, y, offsets = self._shard_data[i]
+        x, mask = self._shard_data[i]
         if sample_idx is not None:
-            x, y = x.take(sample_idx, axis=0), y.take(sample_idx)
-        n = len(y)
+            x, mask = x.take(sample_idx, axis=0), mask.take(sample_idx, axis=0)
         p = self._shifted_logits(x, w)
         np.exp(p, out=p)
         p /= np.add.reduce(p, axis=1)[:, None]
-        p.reshape(-1)[offsets[:n] + y] -= 1.0
+        p -= mask
         gw = np.dot(p.T, x)
-        gw /= n
+        gw /= len(mask)
         return gw
 
     def sample_count(self, i: int) -> int:

@@ -504,7 +504,7 @@ LOCATED_ERRORS = {
         "2.7",
     ),
     "strategy_ideal": ("run", MINIMAL.replace("fedrot", "ideal"), "ideal"),
-    "dirichlet_alpha_inf": ("run", MINIMAL + "  dirichlet_alpha: .inf\n", ".inf"),
+    "dirichlet_alpha_inf": ("run", LOGISTIC + "  dirichlet_alpha: .inf\n", ".inf"),
     "init_a_value_nan": ("run", MINIMAL + "  init_a_value: .nan\n", ".nan"),
     "learning_rate_nan": ("run", MINIMAL.replace("0.05", ".nan"), ".nan"),
     "learning_rate_inf": ("run", MINIMAL.replace("0.05", ".inf"), ".inf"),
@@ -525,7 +525,7 @@ LOCATED_ERRORS = {
     "lambda_out_of_range": ("run", MINIMAL.replace("lambda: 0.7", "lambda: 1.5"), "1.5"),
     "rank_too_large": ("run", MINIMAL.replace("\n  rank: 2", "\n  rank: 9"), "9"),
     "rounds_zero": ("run", MINIMAL.replace("rounds: 4", "rounds: 0"), "0"),
-    "dirichlet_alpha_zero": ("run", MINIMAL + "  dirichlet_alpha: 0.0\n", "0.0"),
+    "dirichlet_alpha_zero": ("run", LOGISTIC + "  dirichlet_alpha: 0.0\n", "0.0"),
     "reference.lag_too_small": (
         "run",
         MINIMAL + "  reference:\n    kind: older_global\n    lag: 0\n",
@@ -578,6 +578,14 @@ LOCATED_ERRORS = {
     "dirichlet_alpha_unread": (
         "run", MINIMAL + "  dirichlet_alpha: 0.5\n", "dirichlet_alpha"
     ),
+    # A key the task kind does not read is rejected before its value is checked.
+    "task.heterogeneity_unread_negative": (
+        "run", LOGISTIC + "    heterogeneity: -1.0\n", "heterogeneity"
+    ),
+    "dirichlet_alpha_unread_negative": (
+        "run", MINIMAL + "  dirichlet_alpha: -2.0\n", "dirichlet_alpha"
+    ),
+    "batch_size_unread_zero": ("run", SCALAR + "  batch_size: 0\n", "batch_size"),
     "grid_heterogeneity_unread": (
         "sweep", grid("heterogeneity: [0.1, 0.9]", LOGISTIC), "heterogeneity"
     ),

@@ -2,12 +2,15 @@ import concurrent.futures
 import dataclasses
 import logging
 import math
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fedrot.aggregation
+import fedrot.config
 import fedrot.federation
 from fedrot.aggregation import Strategy, frozen_factors
 from fedrot.alignment import AlignmentTarget, ReferenceKind, procrustes_rotation
@@ -318,6 +321,53 @@ class TestConfigValidation:
         assert str(exc.value) == "task.n_samples must be >= 0, got -1"
 
 
+def footprint(config) -> int:
+    """The float64 entries that ``config``'s footprint budget counts, read
+    from the budget's own message with the limit at zero."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedrot.config, "MAX_FOOTPRINT", 0)
+        with pytest.raises(UsageError, match="would hold") as exc:
+            dataclasses.replace(config)
+    return int(re.search(r"would hold (\d+) float64", str(exc.value))[1])
+
+
+class TestFootprintBudget:
+    """The 2 GiB budget counts what a run allocates at its peak: the client
+    products and their transients, a regression mini-batch's d_in x d_in
+    product and a logistic shard's logits."""
+
+    @pytest.mark.parametrize("config", [
+        regression_config(Strategy.RANDOM_ROTATION, n_clients=8, rank=4, dims=(400, 400),
+                          rounds=2, local_steps=1),
+        regression_config(Strategy.FEDIT, n_clients=2, rank=1, dims=(1, 2000), rounds=1,
+                          local_steps=1, batch_size=16,
+                          task=TaskSpec(kind=TaskKind.LOWRANK_REGRESSION)),
+        regression_config(n_clients=3, rank=1, dims=(1000, 1), rounds=2, local_steps=1,
+                          batch_size=32, task=TaskSpec(kind=TaskKind.LOGISTIC, n_classes=1000,
+                                                       n_features=1, n_samples=10000)),
+        regression_config(dims=(1, 1), rank=1, rounds=3,
+                          task=TaskSpec(kind=TaskKind.SCALAR_TOY)),
+    ], ids=["regression", "regression_batch", "logistic", "scalar_toy"])
+    def test_peak_within_count(self, config):
+        tracemalloc.start()
+        try:
+            result = run_federation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.divergence is None
+        assert peak <= 8 * footprint(config) + 2 * 2**20
+
+    def test_logits_over_budget_rejected_at_n_samples(self):
+        # Its first client's loss would form two 13.4 GiB logit arrays.
+        task = TaskSpec(kind=TaskKind.LOGISTIC, n_classes=20000, n_features=1,
+                        n_samples=200000)
+        with pytest.raises(UsageError, match="2 GiB") as exc:
+            regression_config(Strategy.FEDIT, n_clients=2, rank=1, dims=(20000, 1),
+                              rounds=1, local_steps=1, batch_size=32, task=task)
+        assert exc.value.key == "task.n_samples"
+
+
 class TestLocalTrain:
     def setup_method(self):
         self.task = lowrank_regression_task(8, 6, 2, 3, 0.4, seed=[3, 101])
@@ -407,6 +457,7 @@ class GrowingTask:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def local_train_reference(client, start, task, steps, eta, strategy, round_index,
                           seed, batch_size=None):
     """The local update rule with every check written out in full."""

@@ -216,13 +216,17 @@ class TestGradientBits:
     def test_logistic_matches_formula(self):
         task = logistic_task(8, 4, 300, 5, 0.5, seed=9)
         rng = np.random.default_rng(9)
-        for trial in range(40):
+        for trial in range(42):
             client = trial % 5
             b = rng.uniform(0.1, 3.0) * rng.standard_normal((4, 3))
             a = rng.standard_normal((3, 8))
             n = task.sample_count(client)
             idx = None
-            if trial % 2 and n > 4:
+            if trial == 40:  # a batch of one sample
+                idx = np.array([n - 1])
+            elif trial == 41:  # a batch of the whole shard
+                idx = np.arange(n)
+            elif trial % 2 and n > 4:
                 idx = rng.choice(n, size=n // 2, replace=False)
             shard = task.shards[client] if idx is None else task.shards[client][idx]
             loss, gb_want, ga_want = logistic_loss_grads_reference(task, shard, b, a)
@@ -255,9 +259,13 @@ class TestGradientBits:
 
 
 class TestGatherBits:
-    """The logistic kernel gathers batches with ``take`` and subtracts the
-    label term at flat offsets ``row * n_classes + label``; both must give
-    the bits of fancy indexing, for full shards and for batches."""
+    """The logistic kernel gathers batches with ``take`` and holds each
+    shard's labels as a one-hot boolean mask, which the gradient subtracts
+    and the loss indexes with; each must give the bits of fancy indexing,
+    for full shards and for batches, signed zeros, huge, tiny and
+    non-finite values included."""
+
+    SPECIAL = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf, np.nan]
 
     @pytest.mark.parametrize("n_classes", [2, 4, 7])
     @pytest.mark.parametrize("n", [1, 5, 64])
@@ -265,28 +273,28 @@ class TestGatherBits:
         rng = np.random.default_rng([n_classes, n])
         x = rng.standard_normal((n, 8))
         y = rng.integers(0, n_classes, size=n)
-        offsets = np.arange(n) * n_classes
+        mask = y[:, None] == np.arange(n_classes)
         batches = [None] + [
             rng.choice(n, size=m, replace=False) for m in sorted({1, max(1, n // 2), n})
         ]
         for idx in batches:
             if idx is None:
-                xs, ys, x_fancy, y_fancy = x, y, x, y
+                xs, masks, x_fancy, y_fancy = x, mask, x, y
             else:
-                xs, ys = x.take(idx, axis=0), y.take(idx)
+                xs, masks = x.take(idx, axis=0), mask.take(idx, axis=0)
                 x_fancy, y_fancy = x[idx], y[idx]
                 assert xs.flags.c_contiguous
+                assert masks.tobytes() == mask[idx].tobytes()
             assert xs.tobytes() == x_fancy.tobytes()
-            assert np.array_equal(ys, y_fancy)
-            m = len(ys)
+            m = len(masks)
             p = rng.standard_normal((m, n_classes)) * 10.0 ** rng.uniform(-3, 3, m)[:, None]
-            flat, fancy = p.copy(), p.copy()
-            flat.reshape(-1)[offsets[:m] + ys] -= 1.0
+            special = rng.random(p.shape) < 0.4
+            p[special] = rng.choice(self.SPECIAL, size=special.sum())
+            subtracted, fancy = p.copy(), p.copy()
+            subtracted -= masks
             fancy[np.arange(m), y_fancy] -= 1.0
-            assert flat.tobytes() == fancy.tobytes()
-            assert flat.reshape(-1)[offsets[:m] + ys].tobytes() == (
-                fancy[np.arange(m), y_fancy].tobytes()
-            )
+            assert subtracted.tobytes() == fancy.tobytes()
+            assert p[masks].tobytes() == p[np.arange(m), y_fancy].tobytes()
 
 
 class TestDirichletPartition:
