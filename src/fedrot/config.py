@@ -31,7 +31,7 @@ import yaml
 from .aggregation import Strategy
 from .alignment import ReferenceKind, ScheduleAblation
 from .errors import ConfigError, UsageError
-from .tasks import DEFAULT_SCALAR_TARGETS, TaskKind
+from .tasks import DEFAULT_SCALAR_TARGETS, TaskKind, data_footprint
 
 __all__ = [
     "MAX_FOOTPRINT", "ReferenceMode", "TaskSpec", "FederationConfig", "SweepCell",
@@ -224,34 +224,24 @@ class FederationConfig:
                     f"{task.n_samples} samples",
                     key="n_clients",
                 )
-        # The run's footprint in float64 entries, in Python integers so no
-        # product overflows: per client a target and three products (this
-        # round's trained and reported ones, and the last round's until it is
-        # released), four transient d_out x d_in arrays at the server and in
-        # the loss, and the global-adapter history.
-        d_out, d_in = self.dims
-        sizes = {"n_clients": self.n_clients, "dims.0": d_out, "dims.1": d_in,
-                 "rounds": self.rounds}
-        footprint = ((4 * self.n_clients + 4) * d_out * d_in
-                     + (self.rounds + 1) * (d_out + d_in) * self.rank)
-        n = task.n_samples
-        if reads(task.kind, _schema(TaskSpec)["n_samples"][0]):
-            sizes["task.n_samples"] = n
-            # The probes, or the features and the shards' copy, and a batch's copy.
-            footprint += 3 * n * d_in
-        if task.kind is TaskKind.LOGISTIC:
-            # The labels and shard indices, the shards' one-hot label masks (a
-            # byte an entry) and a shard's logits twice over in its loss.
-            footprint += 2 * n + (n * task.n_classes + 7) // 8 + 2 * n * task.n_classes
-        elif task.kind is TaskKind.LOWRANK_REGRESSION and self.batch_size is not None:
-            footprint += d_in * d_in  # a mini-batch's x^T x
-        if footprint > MAX_FOOTPRINT:
+        if (footprint := self.footprint()) > MAX_FOOTPRINT:
+            sizes = {"n_clients": self.n_clients, "dims.0": self.dims[0], "dims.1": self.dims[1],
+                     "rounds": self.rounds, "task.n_samples": task.n_samples}
             key = max(sizes, key=sizes.get)  # the largest size
             raise UsageError(
                 f"{key} is too large: the run would hold {footprint} float64 entries, "
                 f"more than the {MAX_FOOTPRINT} (2 GiB) a run may hold",
                 key=key,
             )
+
+    def footprint(self) -> int:
+        """The float64 entries the run holds at its peak: two products per
+        client, four transient d_out x d_in arrays at the server and in the
+        loss, the adapter history and the task's data; in Python integers."""
+        d_out, d_in = self.dims
+        return ((2 * self.n_clients + 4) * d_out * d_in
+                + (self.rounds + 1) * (d_out + d_in) * self.rank
+                + data_footprint(self.task, self.n_clients, self.dims, self.batch_size))
 
 
 def grid_field(config: FederationConfig, key: str) -> tuple[type, Field]:

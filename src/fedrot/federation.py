@@ -349,6 +349,7 @@ def run_federation(config: FederationConfig) -> RunResult:
             config, t, reference, trained, products, grad_norms, alignments,
             updates, err, loss, t_round,
         ))
+        del trained, products, grad_norms, alignments, updates  # before the next round
         history.append(model)
         if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             divergence = DivergenceError(

@@ -22,7 +22,8 @@ Each builder returns the finished task, which no later step changes.
 What a task kind requires of its values is checked once, in that kind's
 branch of ``FederationConfig.__post_init__``, and the builders here take
 their arguments as already checked; :func:`dirichlet_partition`, which the
-package exports, checks its own.
+package exports, checks its own.  Each kind counts what its data holds at
+a run's peak beside the builders, in :func:`data_footprint`.
 """
 
 from __future__ import annotations
@@ -169,22 +170,12 @@ def lowrank_regression_task(
 class LogisticTask(_Task):
     """Cross-entropy classification with logits ``w x``.
 
-    ``features`` is n x d_in, labels in ``0..n_classes-1``.  ``shards``
-    holds each client's sample indices; the constructor gathers each
-    client's features once, and its labels as a one-hot boolean mask that
-    the loss indexes with and the gradient subtracts (``p - 0.0`` is exact).
+    ``shards`` holds each client's data as its features, n_i x d_in, and
+    its labels as a one-hot boolean mask, n_i x n_classes, that the loss
+    indexes with and the gradient subtracts (``p - 0.0`` is exact).
     """
 
-    features: np.ndarray
-    labels: np.ndarray
-    n_classes: int
-    shards: list[np.ndarray]
-
-    def __post_init__(self):
-        classes = np.arange(self.n_classes)
-        self._shard_data = [
-            (self.features[s], self.labels[s, None] == classes) for s in self.shards
-        ]
+    shards: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def n_clients(self) -> int:
@@ -197,13 +188,13 @@ class LogisticTask(_Task):
         return z
 
     def product_loss(self, i, w) -> float:
-        x, mask = self._shard_data[i]
+        x, mask = self.shards[i]
         z = self._shifted_logits(x, w)
         logp = z - np.log(np.exp(z).sum(axis=1))[:, None]
         return float(-logp[mask].mean())
 
     def product_grad(self, i, w, sample_idx):
-        x, mask = self._shard_data[i]
+        x, mask = self.shards[i]
         if sample_idx is not None:
             x, mask = x.take(sample_idx, axis=0), mask.take(sample_idx, axis=0)
         p = self._shifted_logits(x, w)
@@ -215,7 +206,7 @@ class LogisticTask(_Task):
         return gw
 
     def sample_count(self, i: int) -> int:
-        return len(self.shards[i])
+        return len(self.shards[i][0])
 
 
 def logistic_task(
@@ -237,8 +228,25 @@ def logistic_task(
     )
     labels = labels[rng.permutation(n_samples)]
     features = means[labels] + rng.standard_normal((n_samples, n_features))
+    classes = np.arange(n_classes)
     shards = dirichlet_partition(labels, n_clients, alpha, seed=[seed, 103])
-    return LogisticTask(features, labels, n_classes, shards)
+    return LogisticTask([(features[s], labels[s, None] == classes) for s in shards])
+
+
+def data_footprint(spec, n_clients: int, dims: tuple[int, int], batch_size) -> int:
+    """The float64 entries that the data of the task ``spec`` (a
+    ``config.TaskSpec``) holds at a run's peak, in Python integers."""
+    (d_out, d_in), n = dims, spec.n_samples
+    if spec.kind is TaskKind.SCALAR_TOY:
+        return 0
+    if spec.kind is TaskKind.LOWRANK_REGRESSION:
+        # The client targets, the probes and a batch's copy, and a batch's x^T x.
+        return (n_clients * d_out * d_in + 2 * n * d_in
+                + (0 if batch_size is None else d_in * d_in))
+    # The shards' features and a batch's copy (or the full features and the
+    # shards' while logistic_task builds them, with the labels and indices),
+    # the one-hot label masks, a byte an entry, and a shard's logits twice over.
+    return 2 * n * d_in + 2 * n + (n * spec.n_classes + 7) // 8 + 2 * n * spec.n_classes
 
 
 def _distinct_sorted(x: np.ndarray) -> np.ndarray:

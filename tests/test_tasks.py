@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,11 +136,24 @@ class TestLogistic:
             a = 0.5 * rng.standard_normal((2, 5))
             assert_grads_match(task, 0, b, a, rel=1e-4)
 
+    def test_each_feature_held_once(self):
+        # 30 features a sample held once, beside its two-byte one-hot label
+        # mask: 30.25 float64 entries a sample.
+        tracemalloc.start()
+        try:
+            task = logistic_task(30, 2, 100_000, 3, 0.5, seed=0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert task.n_clients == 3
+        assert held <= 8 * 31 * 100_000
+
     def test_centralized_training_reaches_high_accuracy(self):
         def accuracy(task, b, a):
             w = b @ a
-            pred = (task.features @ w.T).argmax(axis=1)
-            return float((pred == task.labels).mean())
+            (x, mask), = task.shards
+            pred = (x @ w.T).argmax(axis=1)
+            return float((pred == mask.argmax(axis=1)).mean())
 
         task = logistic_task(8, 3, 300, 1, 1.0, seed=7)
         b = np.zeros((3, 3))
@@ -161,10 +175,9 @@ def regression_grads_reference(task, i, b, a, sample_idx=None):
     return grad_w @ a.T, b.T @ grad_w
 
 
-def logistic_loss_grads_reference(task, idx, b, a):
-    """Softmax cross-entropy loss and gradient, written as their formulas."""
-    x = task.features[idx]
-    y = task.labels[idx]
+def logistic_loss_grads_reference(x, y, b, a):
+    """Softmax cross-entropy loss and gradient on features ``x`` and labels
+    ``y``, written as their formulas."""
     w = b @ a
     z = x @ w.T
     z -= z.max(axis=1, keepdims=True)
@@ -228,8 +241,11 @@ class TestGradientBits:
                 idx = np.arange(n)
             elif trial % 2 and n > 4:
                 idx = rng.choice(n, size=n // 2, replace=False)
-            shard = task.shards[client] if idx is None else task.shards[client][idx]
-            loss, gb_want, ga_want = logistic_loss_grads_reference(task, shard, b, a)
+            x, mask = task.shards[client]
+            if idx is not None:
+                x, mask = x[idx], mask[idx]
+            loss, gb_want, ga_want = logistic_loss_grads_reference(
+                x, mask.argmax(axis=1), b, a)
             gb, ga = task.client_grads(client, b, a, sample_idx=idx)
             assert np.array_equal(gb, gb_want)
             assert np.array_equal(ga, ga_want)
