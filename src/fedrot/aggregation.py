@@ -34,14 +34,11 @@ class Strategy(enum.Enum):
 def _check_adapters(adapters: list[LoraAdapter]) -> None:
     if not adapters:
         raise UsageError("aggregation requires at least one adapter")
-    dims = adapters[0].dims
-    rank = adapters[0].rank
+    first = adapters[0]
     for ad in adapters[1:]:
-        if ad.dims != dims or ad.rank != rank:
-            raise UsageError(
-                f"inconsistent adapter shapes: {ad.dims} rank {ad.rank} "
-                f"vs {dims} rank {rank}"
-            )
+        if (ad.dims, ad.rank) != (first.dims, first.rank):
+            raise UsageError(f"inconsistent adapter shapes: {ad.dims} rank {ad.rank} "
+                             f"vs {first.dims} rank {first.rank}")
 
 
 def _factor_means(adapters: list[LoraAdapter]) -> tuple[np.ndarray, np.ndarray]:
@@ -54,7 +51,7 @@ def _factor_means(adapters: list[LoraAdapter]) -> tuple[np.ndarray, np.ndarray]:
 
 def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
     """Naive factor-wise mean ``(mean b_i, mean a_i)``; rank stays r."""
-    return LoraAdapter(*_factor_means(adapters), adapters[0].rank)
+    return LoraAdapter(*_factor_means(adapters))
 
 
 def aggregation_error(updates: list[np.ndarray], factorwise: LoraAdapter) -> float:
@@ -130,15 +127,10 @@ def server_step(
     if not (np.isfinite(b).all() and np.isfinite(a).all()):
         raise DivergenceError("non-finite factor mean at the server",
                               round_index=round_index)
-    averaged = LoraAdapter(b, a, adapters[0].rank)
+    averaged = LoraAdapter(b, a)
     err = aggregation_error(updates, averaged)
     if not math.isfinite(err):
         raise DivergenceError("non-finite aggregation error at the server",
                               round_index=round_index)
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
-    new_adapter = LoraAdapter(
-        prev.b if freeze_b else averaged.b,
-        prev.a if freeze_a else averaged.a,
-        averaged.rank,
-    )
-    return new_adapter, err
+    return LoraAdapter(prev.b if freeze_b else b, prev.a if freeze_a else a), err

@@ -167,7 +167,7 @@ def apply_alignment(ad: LoraAdapter, rot: Rotation) -> LoraAdapter:
         )
     if rot.is_identity():
         return ad
-    return LoraAdapter(ad.b @ rot.r, rot.r.T @ ad.a, ad.rank)
+    return LoraAdapter(ad.b @ rot.r, rot.r.T @ ad.a)
 
 
 def scalar_rescale_align(local, reference) -> float | None:

@@ -22,6 +22,7 @@ import io
 import math
 import numbers
 import re
+import reprlib
 import types
 import typing
 from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
@@ -68,6 +69,10 @@ def _schema(cls) -> dict[str, tuple[Field, object]]:
 
 _NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
+# Rejected values are shown shortened: a YAML alias can repeat a node exponentially.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxstring, _SHORT.maxother = 2, 40, 40
+
 
 def check_fields(config, prefix: str = "") -> None:
     """Check each field of the config dataclass ``config`` against its
@@ -97,7 +102,7 @@ def _check_value(key: str, value, tp) -> None:
         variadic = args[-1] is Ellipsis
         if not isinstance(value, tuple) or not (variadic or len(value) == len(args)):
             size = "" if variadic else f" of {len(args)} values"
-            raise UsageError(f"{key} must be a tuple{size}, got {value!r}", key=key)
+            raise UsageError(f"{key} must be a tuple{size}, got {_SHORT.repr(value)}", key=key)
         elements = args[:1] * len(value) if variadic else args
         for i, (v, t) in enumerate(zip(value, elements)):
             _check_value(f"{key}.{i}", v, t)
@@ -106,7 +111,7 @@ def _check_value(key: str, value, tp) -> None:
     if issubclass(tp, enum.Enum):
         what += f" (one of: {', '.join(m.value for m in tp)})"
     if not isinstance(value, kind) or (tp in _NUMBERS and isinstance(value, bool)):
-        raise UsageError(f"{key} must be {what}, got {value!r}", key=key)
+        raise UsageError(f"{key} must be {what}, got {_SHORT.repr(value)}", key=key)
     if tp is float:
         try:
             finite = math.isfinite(value)
@@ -274,11 +279,16 @@ def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
 
 @dataclass(eq=False)
 class SweepCell:
+    """One grid point under one seed; the seed is read from its config."""
+
     params: dict
-    seed: int
     config: FederationConfig  # the base config with params and seed applied
     result: RunResult | None = None  # ``federation.RunResult``, diverged runs included
     error: str | None = None  # why the cell failed, divergence included
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
 
 def _under(key: str, build, *args, **kwargs):
@@ -291,10 +301,10 @@ def _under(key: str, build, *args, **kwargs):
 
 def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
     """The cells of the ``grid`` x ``seeds`` product, in ``itertools.product``
-    order, each with its finished, and so checked, config.  A key that
-    :func:`grid_field` rejects, or one without a non-empty list of values,
-    raises under that grid key, a rejected value under
-    ``sweep.grid.<key>.<i>`` and a rejected seed under ``sweep.seeds.<i>``."""
+    order, each with its finished, and so checked, config, which holds the
+    cell's seed.  A key that :func:`grid_field` rejects, or one without a
+    non-empty list of values, raises under that grid key, a rejected value
+    under ``sweep.grid.<key>.<i>`` and a rejected seed under ``sweep.seeds.<i>``."""
     if not grid:
         raise UsageError("sweep grid must contain at least one parameter", key="sweep.grid")
     for key, values in grid.items():
@@ -314,7 +324,7 @@ def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
             for i, value in enumerate(values)
         ]
     return [
-        SweepCell(params, seed, _under(f"sweep.seeds.{i}", replace, config, seed=seed))
+        SweepCell(params, _under(f"sweep.seeds.{i}", replace, config, seed=seed))
         for params, config in prefixes
         for i, seed in enumerate(seeds)
     ]

@@ -191,7 +191,7 @@ def local_train(
                 round_index=round_index,
                 step_index=step,
             )
-    return LoraAdapter(b, a, start.rank), sqrt(sq_max)
+    return LoraAdapter(b, a), sqrt(sq_max)
 
 
 def checked_product(adapter: LoraAdapter, client: int, round_index: int) -> np.ndarray:
@@ -248,8 +248,8 @@ def client_round(
                     client, round_index)
         return trained, None, None
     if target is AlignmentTarget.FACTOR_A:
-        return LoraAdapter(trained.b / c, trained.a * c, trained.rank), None, None
-    return LoraAdapter(trained.b * c, trained.a / c, trained.rank), None, None
+        return LoraAdapter(trained.b / c, trained.a * c), None, None
+    return LoraAdapter(trained.b * c, trained.a / c), None, None
 
 
 def round_record(
@@ -316,9 +316,7 @@ def run_federation(config: FederationConfig) -> RunResult:
     d_out, d_in = config.dims
     adapter0 = init_adapter(d_out, d_in, config.rank, seed=[config.seed, 100])
     if config.init_a_value is not None:
-        adapter0 = LoraAdapter(
-            adapter0.b, np.full((config.rank, d_in), config.init_a_value), config.rank
-        )
+        adapter0 = LoraAdapter(adapter0.b, np.full(adapter0.a.shape, config.init_a_value))
     history = [adapter0]
     records: list[RoundRecord] = []
     snapshots: list[LoraAdapter] = []  # the last round's client adapters

@@ -18,24 +18,24 @@ __all__ = [
 
 @dataclass(eq=False)
 class LoraAdapter:
-    """Low-rank update ``delta_w = b @ a`` with ``b`` d_out x r, ``a`` r x d_in."""
+    """Low-rank update ``delta_w = b @ a``; ``b`` d_out x r and ``a`` r x d_in share rank r."""
 
     b: np.ndarray
     a: np.ndarray
-    rank: int
 
     def __post_init__(self):
         self.b = as_matrix(self.b)
         self.a = as_matrix(self.a)
-        if self.b.shape[1] != self.rank or self.a.shape[0] != self.rank:
+        if self.b.shape[1] != self.a.shape[0]:
             raise UsageError(
-                f"factor shapes {self.b.shape}, {self.a.shape} do not match rank {self.rank}"
+                f"factor shapes {self.b.shape} and {self.a.shape} do not share an inner dimension"
             )
-        if not 1 <= self.rank <= min(self.b.shape[0], self.a.shape[1]):
-            raise UsageError(
-                f"rank {self.rank} out of range for dims "
-                f"({self.b.shape[0]}, {self.a.shape[1]})"
-            )
+        if self.rank > min(self.dims):
+            raise UsageError(f"rank {self.rank} out of range for dims {self.dims}")
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[0]
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -57,4 +57,4 @@ def init_adapter(d_out: int, d_in: int, rank: int, seed) -> LoraAdapter:
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(rank, d_in))
     b = np.zeros((d_out, rank))
-    return LoraAdapter(b, a, rank)
+    return LoraAdapter(b, a)

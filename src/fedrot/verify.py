@@ -96,8 +96,7 @@ def _check_lagrange_identity() -> CheckResult:
         d_out, d_in = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         rank = int(rng.integers(1, min(d_out, d_in) + 1))
         adapters = [
-            LoraAdapter(rng.standard_normal((d_out, rank)),
-                        rng.standard_normal((rank, d_in)), rank)
+            LoraAdapter(rng.standard_normal((d_out, rank)), rng.standard_normal((rank, d_in)))
             for _ in range(n)
         ]
         updates = [semantic_update(ad) for ad in adapters]

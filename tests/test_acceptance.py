@@ -163,9 +163,7 @@ def test_criterion_04_semantic_preservation():
     for i in range(1000):
         d_out, d_in = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         r = int(rng.integers(1, min(d_out, d_in) + 1))
-        ad = LoraAdapter(
-            rng.standard_normal((d_out, r)), rng.standard_normal((r, d_in)), r
-        )
+        ad = LoraAdapter(rng.standard_normal((d_out, r)), rng.standard_normal((r, d_in)))
         rot = haar_random_rotation(r, seed=[40, i])
         before = semantic_update(ad)
         after = semantic_update(apply_alignment(ad, rot))
@@ -195,9 +193,7 @@ def test_criterion_05_lagrange_identity():
         d_out, d_in = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         r = int(rng.integers(1, min(d_out, d_in) + 1))
         ads = [
-            LoraAdapter(
-                rng.standard_normal((d_out, r)), rng.standard_normal((r, d_in)), r
-            )
+            LoraAdapter(rng.standard_normal((d_out, r)), rng.standard_normal((r, d_in)))
             for _ in range(n)
         ]
         ideal = sum(semantic_update(ad) for ad in ads) / len(ads)

@@ -30,9 +30,7 @@ def error_of(adapters):
 
 def random_adapters(rng, n, d_out=5, d_in=4, rank=2):
     return [
-        LoraAdapter(
-            rng.standard_normal((d_out, rank)), rng.standard_normal((rank, d_in)), rank
-        )
+        LoraAdapter(rng.standard_normal((d_out, rank)), rng.standard_normal((rank, d_in)))
         for _ in range(n)
     ]
 
@@ -65,8 +63,8 @@ class TestAggregationError:
         # Two scalar clients with products 0.5 and 1.5: ideal mean is 1.0,
         # factor-wise mean of (2, 0.25) and (1.5, 1.0) gives 1.75 * 0.625.
         ads = [
-            LoraAdapter(np.array([[2.0]]), np.array([[0.25]]), 1),
-            LoraAdapter(np.array([[1.5]]), np.array([[1.0]]), 1),
+            LoraAdapter(np.array([[2.0]]), np.array([[0.25]])),
+            LoraAdapter(np.array([[1.5]]), np.array([[1.0]])),
         ]
         err = error_of(ads)
         assert err == pytest.approx(abs(1.75 * 0.625 - 1.0), rel=1e-12)
@@ -74,8 +72,8 @@ class TestAggregationError:
     def test_two_scalar_lagrange_value(self):
         # For N=2 scalars the identity gives E = -(b1-b2)(a1-a2)/4.
         ads = [
-            LoraAdapter(np.array([[1.0]]), np.array([[0.5]]), 1),
-            LoraAdapter(np.array([[2.0]]), np.array([[2.0 / 3.0]]), 1),
+            LoraAdapter(np.array([[1.0]]), np.array([[0.5]])),
+            LoraAdapter(np.array([[2.0]]), np.array([[2.0 / 3.0]])),
         ]
         expected = abs(-(1.0 - 2.0) * (0.5 - 2.0 / 3.0) / 4.0)
         assert error_of(ads) == pytest.approx(expected, rel=1e-12)
@@ -83,7 +81,7 @@ class TestAggregationError:
     def test_identical_clients_zero_error(self):
         rng = np.random.default_rng(5)
         (ad,) = random_adapters(rng, 1)
-        copies = [LoraAdapter(ad.b.copy(), ad.a.copy(), ad.rank) for _ in range(4)]
+        copies = [LoraAdapter(ad.b.copy(), ad.a.copy()) for _ in range(4)]
         assert error_of(copies) == 0.0
 
     def test_single_client_zero_error(self):
@@ -130,7 +128,7 @@ class TestAggregationError:
 
 class TestServerStep:
     def _prev(self, rng):
-        return LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 4)), 2)
+        return LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 4)))
 
     def test_fedit_factorwise(self):
         rng = np.random.default_rng(8)
@@ -173,7 +171,7 @@ class TestServerStep:
         # library's functions keep their UsageError for non-finite values,
         # while the server step reads a divergence of the given round.
         huge, tiny = np.array([[1e300]]), np.array([[1e-300]])
-        adapters = [LoraAdapter(huge, tiny, 1), LoraAdapter(tiny, huge, 1)]
+        adapters = [LoraAdapter(huge, tiny), LoraAdapter(tiny, huge)]
         updates = updates_of(adapters)
         assert aggregation_error(updates, aggregate_factorwise(adapters)) == math.inf
         with pytest.raises(DivergenceError, match="aggregation error") as exc:
@@ -181,7 +179,7 @@ class TestServerStep:
         assert exc.value.round_index == 4
         with pytest.raises(UsageError, match="finite matrices"):
             aggregation_error([np.full((1, 1), np.inf)], adapters[0])
-        adapters = [LoraAdapter(np.array([[1e308]]), tiny, 1)] * 2
+        adapters = [LoraAdapter(np.array([[1e308]]), tiny)] * 2
         with pytest.raises(UsageError, match="NaN or Inf"):
             aggregate_factorwise(adapters)
         with pytest.raises(DivergenceError, match="factor mean") as exc:

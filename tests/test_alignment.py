@@ -116,7 +116,7 @@ class TestProcrustes:
                 tol = 1e-9 * np.abs(m).sum()
                 best = np.trace(rot.r @ m)
                 assert all(np.trace(q @ m) <= best + tol for q in haar), case
-                ad = LoraAdapter(rng.standard_normal((8, 4)), local, 4)
+                ad = LoraAdapter(rng.standard_normal((8, 4)), local)
                 update = semantic_update(ad)
                 np.testing.assert_allclose(
                     semantic_update(apply_alignment(ad, rot)),
@@ -346,9 +346,7 @@ class TestApplyAlignment:
     def test_preserves_semantic_update(self):
         rng = np.random.default_rng(13)
         for i in range(50):
-            ad = LoraAdapter(
-                rng.standard_normal((7, 3)), rng.standard_normal((3, 6)), 3
-            )
+            ad = LoraAdapter(rng.standard_normal((7, 3)), rng.standard_normal((3, 6)))
             rot = haar_random_rotation(3, seed=[13, i])
             out = apply_alignment(ad, rot)
             drift = frobenius_norm(semantic_update(out) - semantic_update(ad))
@@ -356,11 +354,11 @@ class TestApplyAlignment:
 
     def test_identity_is_bitwise_noop(self):
         rng = np.random.default_rng(14)
-        ad = LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 5)), 2)
+        ad = LoraAdapter(rng.standard_normal((5, 2)), rng.standard_normal((2, 5)))
         assert apply_alignment(ad, Rotation.identity(2)) is ad
 
     def test_rank_mismatch_rejected(self):
-        ad = LoraAdapter(np.ones((4, 2)), np.ones((2, 4)), 2)
+        ad = LoraAdapter(np.ones((4, 2)), np.ones((2, 4)))
         with pytest.raises(UsageError):
             apply_alignment(ad, Rotation.identity(3))
 
@@ -369,7 +367,7 @@ class TestApplyAlignment:
     def test_property_round_trip(self, seed):
         # Applying a rotation and then its inverse restores the factors.
         rng = np.random.default_rng(seed)
-        ad = LoraAdapter(rng.standard_normal((6, 3)), rng.standard_normal((3, 6)), 3)
+        ad = LoraAdapter(rng.standard_normal((6, 3)), rng.standard_normal((3, 6)))
         rot = haar_random_rotation(3, seed=seed)
         back = apply_alignment(apply_alignment(ad, rot), Rotation(rot.r.T))
         np.testing.assert_allclose(back.b, ad.b, atol=1e-12)
@@ -436,7 +434,7 @@ class TestHaarRandomRotation:
 class TestReferenceSelection:
     def _history(self, rng, n):
         return [
-            LoraAdapter(rng.standard_normal((4, 2)), rng.standard_normal((2, 4)), 2)
+            LoraAdapter(rng.standard_normal((4, 2)), rng.standard_normal((2, 4)))
             for _ in range(n)
         ]
 
@@ -485,7 +483,7 @@ class TestReferenceSelection:
 
 class TestAlignmentSchedule:
     def test_target_picks_its_factor(self):
-        ad = LoraAdapter(np.ones((3, 2)), np.zeros((2, 4)), 2)
+        ad = LoraAdapter(np.ones((3, 2)), np.zeros((2, 4)))
         assert AlignmentTarget.FACTOR_A.factor(ad) is ad.a
         assert AlignmentTarget.FACTOR_B.factor(ad) is ad.b
 

@@ -622,6 +622,37 @@ def test_rejected_value_located(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def aliased(levels: int) -> str:
+    """A YAML flow sequence of ten 1s, then ``levels`` levels that each hold
+    the level below and nine aliases of it: 10 ** (levels + 1) leaves in a
+    few hundred bytes."""
+    value = "&x0 [" + ", ".join(["1"] * 10) + "]"
+    for k in range(1, levels + 1):
+        value = f"&x{k} [{value}" + f", *x{k - 1}" * 9 + "]"
+    return value
+
+
+# A rejected value is shown shortened, so a file that aliases a node ten
+# million times is rejected at once, in one short line, wherever it is.
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("run", SCALAR.replace("fedit", aliased(6))),
+        ("sweep", grid(f"strategy: [{aliased(6)}]")),
+        ("sweep", grid("lambda: [0.5]") + f"  seeds: [{aliased(6)}]\n"),
+    ],
+    ids=["strategy", "sweep.grid.strategy.0", "sweep.seeds.0"],
+)
+def test_aliased_value_rejected_in_short(tmp_path, capsys, command, text):
+    ((line, column),) = [
+        (n, x.index("&x6") + 1) for n, x in enumerate(text.splitlines(), 1) if "&x6" in x
+    ]
+    assert main([command, write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error (line {line}, column {column}): ")
+    assert len(err.encode("utf-8")) < 1024
+
+
 # One implementation of the grid rules serves the loader and the library:
 # run_sweep rejects each grid the loader rejects, with the same message.
 # Each grid line maps to the grid run_sweep takes, the key run_sweep raises

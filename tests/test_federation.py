@@ -376,7 +376,7 @@ class TestLocalTrain:
     def test_stationary_at_optimum(self):
         task = lowrank_regression_task(6, 5, 2, 1, 0.0, seed=1)
         u, s, vt = np.linalg.svd(task.client_targets[0])
-        opt = LoraAdapter(u[:, :2] * s[:2], vt[:2], 2)
+        opt = LoraAdapter(u[:, :2] * s[:2], vt[:2])
         out, grad_max = local_train(0, opt, task, 5, 0.1, Strategy.FEDIT, 1, 0)
         assert grad_max <= 1e-8
         np.testing.assert_allclose(out.b, opt.b, atol=1e-9)
@@ -386,7 +386,7 @@ class TestLocalTrain:
         task = ScalarToyTask((0.5, 1.0, 1.5))
         b, a = np.array([[0.2]]), np.array([[0.4]])
         prev = task.client_loss(0, b, a)
-        ad = LoraAdapter(b, a, 1)
+        ad = LoraAdapter(b, a)
         for _ in range(50):
             ad, _ = local_train(0, ad, task, 1, 0.05, Strategy.FEDIT, 1, 0)
             cur = task.client_loss(0, ad.b, ad.a)
@@ -401,7 +401,7 @@ class TestLocalTrain:
     def test_rolora_alternates(self):
         # Start from nonzero b so the even-round A update has signal.
         rng = np.random.default_rng(5)
-        start = LoraAdapter(rng.standard_normal((8, 2)), self.start.a.copy(), 2)
+        start = LoraAdapter(rng.standard_normal((8, 2)), self.start.a.copy())
         odd, _ = local_train(0, start, self.task, 10, 0.05, Strategy.ROLORA, 1, 0)
         assert (odd.a == start.a).all() and not (odd.b == start.b).all()
         even, _ = local_train(0, start, self.task, 10, 0.05, Strategy.ROLORA, 2, 0)
@@ -532,7 +532,7 @@ class TestLocalTrainEdgeCases:
     def test_frozen_factor_unchanged_bit_for_bit(self, strategy, round_index, frozen,
                                                  grads):
         # The frozen factor's gradient would overflow it if it were applied.
-        self.start = LoraAdapter(np.full((4, 2), -0.0), self.start.a, 2)
+        self.start = LoraAdapter(np.full((4, 2), -0.0), self.start.a)
         out, grad_norm_max = self.train(
             ScriptedTask(grads), eta=1e10, strategy=strategy, round_index=round_index
         )
@@ -561,7 +561,7 @@ class TestLocalTrainEdgeCases:
         # gradient norm stays finite, so the running norm bound passes 1e300
         # with the factors still finite and the per-step check takes over
         # some steps before they overflow.
-        start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)), 2)
+        start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)))
         step = self.assert_raises_like_reference(
             GrowingTask(1e-150), start, 1000, 1.5e150, strategy, round_index
         )
@@ -572,7 +572,7 @@ class TestLocalTrainEdgeCases:
     def test_non_finite_start_raises_at_reference_step(self, bad, factor):
         # LoraAdapter rejects non-finite factors, so the entry is written
         # after construction.
-        start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)), 2)
+        start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)))
         getattr(start, factor)[1, 1] = bad
         self.assert_raises_like_reference(
             ScriptedTask((0.1, 0.1)), start, 5, 0.1, Strategy.FEDIT, 1
@@ -583,7 +583,7 @@ class TestLocalTrainEdgeCases:
     def test_matches_reference_loop(self, strategy, batch_size):
         task = lowrank_regression_task(8, 6, 2, 3, 0.4, seed=[3, 101], n_probes=40)
         rng = np.random.default_rng(1)
-        start = LoraAdapter(rng.standard_normal((8, 2)), rng.standard_normal((2, 6)), 2)
+        start = LoraAdapter(rng.standard_normal((8, 2)), rng.standard_normal((2, 6)))
         for round_index in (1, 2):
             out, grad_norm_max = local_train(
                 1, start, task, 30, 0.02, strategy, round_index, 9, batch_size=batch_size
@@ -654,7 +654,7 @@ class TestClientRound:
         # A zero local factor leaves the rescaling undefined: the client
         # reports its trained factors, and the round logs why.
         config = regression_config(strategy=Strategy.SCALAR_RESCALE, learning_rate=0.0)
-        start = LoraAdapter(self.broadcast.b, np.zeros((2, 6)), 2)
+        start = LoraAdapter(self.broadcast.b, np.zeros((2, 6)))
         trained = self.train(config, 0, 3, start)
         with caplog.at_level(logging.WARNING, logger="fedrot.federation"):
             reported, rotation, _ = client_round(0, trained, self.broadcast, config, 3)
@@ -867,7 +867,7 @@ class TestRunFederation:
 
         def server_step_overflowing_in_round_3(adapters, updates, prev, strategy, t):
             if t == 3:
-                adapters = [LoraAdapter(np.full_like(ad.b, 1e308), ad.a, ad.rank)
+                adapters = [LoraAdapter(np.full_like(ad.b, 1e308), ad.a)
                             for ad in adapters]
             return real_server_step(adapters, updates, prev, strategy, t)
 
@@ -947,6 +947,7 @@ class TestRunSweep:
         assert len(cells) == 6
         assert [c.params["lambda"] for c in cells] == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
         assert [c.seed for c in cells] == [0, 1, 0, 1, 0, 1]
+        assert "seed" not in [f.name for f in dataclasses.fields(cells[0])]  # read from config
 
     def test_cells_match_direct_runs(self):
         base = regression_config(rounds=3, local_steps=5)

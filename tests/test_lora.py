@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,7 @@ from fedrot.numerics import frobenius_norm
 
 
 def make_adapter(rng, d_out=6, d_in=5, rank=3):
-    return LoraAdapter(
-        rng.standard_normal((d_out, rank)), rng.standard_normal((rank, d_in)), rank
-    )
+    return LoraAdapter(rng.standard_normal((d_out, rank)), rng.standard_normal((rank, d_in)))
 
 
 class TestLoraAdapter:
@@ -21,13 +21,18 @@ class TestLoraAdapter:
         ad = make_adapter(np.random.default_rng(0))
         assert ad.dims == (6, 5)
 
+    def test_rank_is_the_shared_inner_dimension(self):
+        ad = make_adapter(np.random.default_rng(1))
+        assert ad.rank == 3
+        assert [f.name for f in dataclasses.fields(LoraAdapter)] == ["b", "a"]
+
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            LoraAdapter(np.zeros((4, 2)), np.zeros((3, 4)), 2)
+        with pytest.raises(UsageError, match=r"\(4, 2\) and \(3, 4\) do not share"):
+            LoraAdapter(np.zeros((4, 2)), np.zeros((3, 4)))
 
     def test_rank_exceeding_dims_rejected(self):
-        with pytest.raises(UsageError):
-            LoraAdapter(np.zeros((2, 3)), np.zeros((3, 2)), 3)
+        with pytest.raises(UsageError, match=r"rank 3 out of range for dims \(2, 2\)"):
+            LoraAdapter(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestSemanticUpdate:
@@ -36,7 +41,7 @@ class TestSemanticUpdate:
         np.testing.assert_array_equal(semantic_update(ad), ad.b @ ad.a)
 
     def test_scalar_case(self):
-        ad = LoraAdapter(np.array([[2.0]]), np.array([[0.5]]), 1)
+        ad = LoraAdapter(np.array([[2.0]]), np.array([[0.5]]))
         assert semantic_update(ad)[0, 0] == pytest.approx(1.0)
 
 

@@ -11,7 +11,7 @@ from fedrot.metrics import alignment_gain, dispersion, factor_distances
 
 def random_adapters(rng, n, d=5, rank=2):
     return [
-        LoraAdapter(rng.standard_normal((d, rank)), rng.standard_normal((rank, d)), rank)
+        LoraAdapter(rng.standard_normal((d, rank)), rng.standard_normal((rank, d)))
         for _ in range(n)
     ]
 
@@ -20,7 +20,7 @@ class TestDispersion:
     def test_zero_for_equal_factors(self):
         rng = np.random.default_rng(0)
         (ref,) = random_adapters(rng, 1)
-        ads = [LoraAdapter(ref.b.copy(), ref.a.copy(), ref.rank) for _ in range(3)]
+        ads = [LoraAdapter(ref.b.copy(), ref.a.copy()) for _ in range(3)]
         dists = factor_distances(ads, ref, AlignmentTarget.FACTOR_A)
         assert dists == [0.0, 0.0, 0.0]
         assert dispersion(dists) == 0.0
@@ -30,7 +30,7 @@ class TestDispersion:
         (ref,) = random_adapters(rng, 1)
         bump = rng.standard_normal(ref.a.shape)
         bump /= np.linalg.norm(bump)
-        ad = LoraAdapter(ref.b.copy(), ref.a + bump, ref.rank)
+        ad = LoraAdapter(ref.b.copy(), ref.a + bump)
         dists = factor_distances([ad], ref, AlignmentTarget.FACTOR_A)
         assert dispersion(dists) == pytest.approx(1.0)
 

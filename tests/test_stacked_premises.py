@@ -36,6 +36,44 @@ def test_stacked_matmul_matches_per_client_dot(n, d_out, d_in, rank):
             assert ga[i].tobytes() == np.dot(b[i].T, g[i]).tobytes()
 
 
+def test_stacked_logistic_step_matches_per_client_kernel():
+    # One logistic_sweep step (10 clients, a batch of 32 rows, 8 features,
+    # 4 classes, rank 4): each stacked call against LogisticTask's per-client
+    # np.dot kernel, stage by stage from the same inputs.
+    n, batch, d_in, d_out, rank = 10, 32, 8, 4, 4
+    rng = np.random.default_rng([n, batch, d_in, d_out, rank])
+    for _ in range(20):
+        scale = 10.0 ** rng.uniform(-2, 2)
+        b = scale * rng.standard_normal((n, d_out, rank))
+        a = rng.standard_normal((n, rank, d_in)) / scale
+        x = rng.standard_normal((n, batch, d_in)) + 5.0 * rng.standard_normal((n, 1, d_in))
+        mask = rng.integers(0, d_out, (n, batch))[..., None] == np.arange(d_out)
+        w = np.matmul(b, a)
+        z = np.matmul(x, w.transpose(0, 2, 1))
+        row_max = np.maximum.reduce(z, axis=2, keepdims=True)
+        p = np.exp(z - row_max)
+        row_sum = np.add.reduce(p, axis=2)
+        p = p / row_sum[..., None] - mask
+        g = np.matmul(p.transpose(0, 2, 1), x) / batch
+        gb = np.matmul(g, a.transpose(0, 2, 1))
+        ga = np.matmul(b.transpose(0, 2, 1), g)
+        for i in range(n):
+            wi = np.dot(b[i], a[i])
+            assert w[i].tobytes() == wi.tobytes()
+            zi = np.dot(x[i], wi.T)
+            assert z[i].tobytes() == zi.tobytes()
+            assert row_max[i].tobytes() == np.maximum.reduce(zi, axis=1, keepdims=True).tobytes()
+            pi = np.exp(zi - row_max[i])
+            assert row_sum[i].tobytes() == np.add.reduce(pi, axis=1).tobytes()
+            pi /= row_sum[i][:, None]
+            pi -= mask[i]
+            gi = np.dot(pi.T, x[i])
+            gi /= batch
+            assert g[i].tobytes() == gi.tobytes()
+            assert gb[i].tobytes() == np.dot(gi, a[i].T).tobytes()
+            assert ga[i].tobytes() == np.dot(b[i].T, gi).tobytes()
+
+
 @pytest.mark.parametrize("rank", [1, 4, 16, 64])
 def test_stacked_svd_and_det_match_single_calls(rank):
     # The alignment solves one r x r SVD per client and checks det(R).
