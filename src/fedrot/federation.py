@@ -35,7 +35,7 @@ from .errors import DivergenceError
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
-from .tasks import ScalarToyTask, TaskKind, logistic_task, lowrank_regression_task
+from .tasks import LowRankRegressionTask, TaskKind, logistic_task, lowrank_regression_task
 
 __all__ = [
     "RoundRecord",
@@ -84,10 +84,12 @@ class RunResult:
 
 
 def build_task(config: FederationConfig):
-    """Instantiate the task a config describes, including data partitioning."""
+    """Instantiate the task a config describes, including data partitioning.
+    The scalar toy is a low-rank regression with one 1x1 target per client
+    and no probes, so it always trains on its full batch."""
     spec = config.task
     if spec.kind is TaskKind.SCALAR_TOY:
-        return ScalarToyTask(spec.targets)
+        return LowRankRegressionTask([np.array([[t]]) for t in spec.targets])
     if spec.kind is TaskKind.LOWRANK_REGRESSION:
         return lowrank_regression_task(
             config.dims[0],
@@ -229,7 +231,8 @@ def client_round(
     transformation of its trained factors.  Returns the reported adapter
     (``trained`` itself when the strategy reports them unchanged), the
     applied rotation (FedRot's soft one or the Haar draw) and FedRot's
-    Procrustes rotation, each ``None`` when none is made."""
+    Procrustes rotation, each ``None`` when none is made.  A scalar rescale
+    that overflows a factor has diverged: that raises."""
     if not aligns(config.strategy, round_index, config.align_from_round):
         return trained, None, None
     target = alignment_schedule(round_index, config.schedule)
@@ -247,9 +250,15 @@ def client_round(
         log.warning("degenerate scalar rescaling on client %d round %d; skipping",
                     client, round_index)
         return trained, None, None
-    if target is AlignmentTarget.FACTOR_A:
-        return LoraAdapter(trained.b / c, trained.a * c), None, None
-    return LoraAdapter(trained.b * c, trained.a / c), None, None
+    with np.errstate(over="ignore"):
+        if target is AlignmentTarget.FACTOR_A:
+            b, a = trained.b / c, trained.a * c
+        else:
+            b, a = trained.b * c, trained.a / c
+    if not (np.isfinite(b).all() and np.isfinite(a).all()):
+        raise DivergenceError(f"non-finite rescaled factors on client {client}",
+                              round_index=round_index)
+    return LoraAdapter(b, a), None, None
 
 
 def round_record(

@@ -1,16 +1,17 @@
 """Desk-scale training objectives with analytic gradients.
 
-Three task families: the scalar toy problem, low-rank matrix regression,
-and Dirichlet-partitioned logistic classification.  A client's objective
-sees its LoRA factors only through their product ``w = b a``, so a task
-defines ``product_loss(i, w)`` and ``product_grad(i, w, sample_idx)``, the
-gradient in ``w``, which may overwrite ``w`` and return it.  The base class
-``_Task`` holds the chain rule once: ``client_grads(i, b, a,
-sample_idx=None, out=None)`` writes ``g a^T`` and ``b^T g`` into the
-caller's arrays ``out = (gb, ga)`` and returns them; without ``out`` it
-writes into fresh arrays.  Local training passes views into one packed
-buffer per client-round.  ``global_loss`` forms ``b a`` once for every
-client's ``product_loss``, which only reads ``w``.
+Two task families: low-rank matrix regression, whose 1x1 case is the
+scalar toy problem, and Dirichlet-partitioned logistic classification.  A
+client's objective sees its LoRA factors only through their product
+``w = b a``, so a task defines ``product_loss(i, w)`` and
+``product_grad(i, w, sample_idx)``, the gradient in ``w``, which may
+overwrite ``w`` and return it.  The base class ``_Task`` holds the chain
+rule once: ``client_grads(i, b, a, sample_idx=None, out=None)`` writes
+``g a^T`` and ``b^T g`` into the caller's arrays ``out = (gb, ga)`` and
+returns them; without ``out`` it writes into fresh arrays.  Local training
+passes views into one packed buffer per client-round.  ``global_loss``
+forms ``b a`` once for every client's ``product_loss``, which only reads
+``w``.
 
 The kernels call ``np.dot`` where their formulas read ``@``: for these 2-D
 products both reach the same BLAS call, so they give the same bits, and
@@ -35,11 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .numerics import square
 
 __all__ = [
     "TaskKind",
-    "ScalarToyTask",
     "LowRankRegressionTask",
     "LogisticTask",
     "lowrank_regression_task",
@@ -76,35 +75,13 @@ class _Task:
 
 
 @dataclass(eq=False)
-class ScalarToyTask(_Task):
-    """Client i minimizes ``(B A - target_i)^2`` with scalar factors."""
-
-    targets: tuple[float, ...]
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.targets)
-
-    def product_loss(self, i, w) -> float:
-        return square(float(w[0, 0]) - self.targets[i])
-
-    def product_grad(self, i, w, sample_idx):
-        # In Python floats: two in-place ufuncs on a 1x1 array would cost
-        # more than the step's three products.
-        w[0, 0] = 2.0 * (float(w[0, 0]) - self.targets[i])
-        return w
-
-    def sample_count(self, i: int) -> int:
-        return 1
-
-
-@dataclass(eq=False)
 class LowRankRegressionTask(_Task):
     """Client i minimizes ``|b a - W_i|_F^2`` for low-rank targets W_i.
 
-    The targets share a common component of the requested rank; each
-    client adds a low-rank perturbation of Frobenius norm
-    ``heterogeneity``.
+    :func:`lowrank_regression_task` draws targets that share a common
+    component of the requested rank; each client adds a low-rank
+    perturbation of Frobenius norm ``heterogeneity``.  The scalar toy's
+    targets are 1x1, and it has no probes.
     """
 
     client_targets: list[np.ndarray]
@@ -114,6 +91,7 @@ class LowRankRegressionTask(_Task):
     def n_clients(self) -> int:
         return len(self.client_targets)
 
+    @np.errstate(over="ignore")  # an overflowing loss is inf
     def product_loss(self, i, w) -> float:
         resid = w - self.client_targets[i]
         return float(np.sum(resid * resid))

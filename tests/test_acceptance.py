@@ -15,11 +15,10 @@ from fedrot.alignment import (
     soft_rotation,
 )
 from fedrot.config import FederationConfig, TaskSpec
-from fedrot.federation import run_federation
+from fedrot.federation import build_task, run_federation
 from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 from fedrot.tasks import (
-    ScalarToyTask,
     TaskKind,
     logistic_task,
     lowrank_regression_task,
@@ -340,7 +339,7 @@ def _fd_check(task, client, b, a):
 def test_criterion_11_gradient_correctness():
     rng = np.random.default_rng(110)
     tasks = {
-        "scalar_toy": (ScalarToyTask((0.5, 1.0, 1.5)), (1, 1), (1, 1), 3),
+        "scalar_toy": (build_task(scalar_toy_config(Strategy.FEDIT)), (1, 1), (1, 1), 3),
         "lowrank_regression": (
             lowrank_regression_task(5, 4, 2, 2, 0.5, seed=11), (5, 2), (2, 4), 2
         ),

@@ -4,6 +4,7 @@ import logging
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from fedrot.federation import (
     run_sweep,
 )
 from fedrot.lora import LoraAdapter, init_adapter, semantic_update
-from fedrot.tasks import ScalarToyTask, TaskKind, lowrank_regression_task
+from fedrot.tasks import TaskKind, lowrank_regression_task
+from fedrot.verify import scalar_toy_config
 
 
 def regression_config(strategy=Strategy.FEDROT, **kwargs):
@@ -383,7 +385,7 @@ class TestLocalTrain:
         np.testing.assert_allclose(out.a, opt.a, atol=1e-9)
 
     def test_scalar_loss_nonincreasing(self):
-        task = ScalarToyTask((0.5, 1.0, 1.5))
+        task = build_task(scalar_toy_config(Strategy.FEDIT))
         b, a = np.array([[0.2]]), np.array([[0.4]])
         prev = task.client_loss(0, b, a)
         ad = LoraAdapter(b, a)
@@ -666,6 +668,21 @@ class TestClientRound:
         for products, _, updates in rounds:
             assert all(u is p for u, p in zip(updates, products, strict=True))
 
+    def test_overflowing_scalar_rescale_diverges(self):
+        # c = 1e-11 rescales A; dividing B's 1e300 entries by it overflows.
+        config = regression_config(
+            strategy=Strategy.SCALAR_RESCALE, rank=1, dims=(2, 2),
+            task=TaskSpec(kind=TaskKind.LOWRANK_REGRESSION, true_rank=1),
+        )
+        trained = LoraAdapter(np.full((2, 1), 1e300), [[1.0, 0.0]])
+        reference = LoraAdapter(np.ones((2, 1)), [[1e-11, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="^non-finite rescaled factors on client 0$") as info:
+                client_round(0, trained, reference, config, 1)
+        assert info.value.round_index == 1
+
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_update_is_product_of_reported_factors(self, monkeypatch, strategy):
         rounds = record_round_phases(monkeypatch)
@@ -878,6 +895,29 @@ class TestRunFederation:
         assert result.divergence.round_index == 3
         assert [r.round for r in result.rounds] == [1, 2]
         assert len(result.history) == 3
+
+    def test_scalar_rescale_overflow_carries_completed_rounds(self, monkeypatch):
+        # A rescaling factor of 1e-310 from round 2 on overflows the factor
+        # divided by it: the run stops as diverged after round 1.
+        real_align = fedrot.federation.scalar_rescale_align
+        calls = []
+
+        def align_tiny_from_round_2(local, reference):
+            calls.append(None)
+            return real_align(local, reference) if len(calls) <= 3 else 1e-310
+
+        monkeypatch.setattr(fedrot.federation, "scalar_rescale_align",
+                            align_tiny_from_round_2)
+        config = regression_config(strategy=Strategy.SCALAR_RESCALE, rounds=4)
+        result = run_federation(config)
+        assert str(result.divergence) == "non-finite rescaled factors on client 0"
+        assert result.divergence.round_index == 2
+        assert [r.round for r in result.rounds] == [1]
+        assert len(result.history) == 2
+        assert len(calls) == 4
+        monkeypatch.setattr(fedrot.federation, "scalar_rescale_align", real_align)
+        full = run_federation(dataclasses.replace(config, rounds=1))
+        assert_runs_bit_identical(result, full)
 
     def test_overflowing_aggregation_error_diverges(self):
         # Finite reported products whose aggregation error overflows.

@@ -4,14 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedrot.aggregation import Strategy
 from fedrot.errors import UsageError
+from fedrot.federation import build_task
+from fedrot.numerics import square
 from fedrot.tasks import (
-    ScalarToyTask,
+    LowRankRegressionTask,
     _distinct_sorted,
     dirichlet_partition,
     logistic_task,
     lowrank_regression_task,
 )
+from fedrot.verify import scalar_toy_config
 
 
 def finite_difference_grads(loss_fn, b, a, h=1e-6):
@@ -38,33 +42,83 @@ def assert_grads_match(task, client, b, a, rel=1e-5):
     assert np.linalg.norm(ga - fa) <= rel * scale
 
 
+def scalar_toy_task():
+    """The task ``build_task`` gives the scalar toy, targets (0.5, 1.0, 1.5)."""
+    return build_task(scalar_toy_config(Strategy.FEDIT))
+
+
+def scalar_toy_reference(target, b, a):
+    """The scalar toy's loss and factor gradients written out in Python
+    floats, ``r ** 2`` with ``r = b a - target``: the oracle for the 1x1
+    regression that ``build_task`` builds."""
+    r = b * a - target
+    g = 2.0 * r
+    return square(r), g * a, b * g
+
+
 class TestScalarToy:
+    def test_built_as_a_full_batch_1x1_regression(self):
+        task = scalar_toy_task()
+        assert isinstance(task, LowRankRegressionTask)
+        assert [t.tolist() for t in task.client_targets] == [[[0.5]], [[1.0]], [[1.5]]]
+        assert [task.sample_count(i) for i in range(3)] == [1, 1, 1]
+
+    def test_matches_the_python_float_formulas(self):
+        # Factors at scales 10^+-160, so that many residuals, squares and
+        # gradients overflow: the gradients keep the old bits, and the loss
+        # is the correctly rounded r * r, within 1 ULP of the old r ** 2.
+        task = scalar_toy_task()
+        rng = np.random.default_rng(29)
+        overflows = 0
+        for _ in range(10_000):
+            i = int(rng.integers(3))
+            b, a = (rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-160, 160, 2)).tolist()
+            bb, aa = np.array([[b]]), np.array([[a]])
+            target = float(task.client_targets[i][0, 0])
+            want_loss, want_gb, want_ga = scalar_toy_reference(target, b, a)
+            with np.errstate(over="ignore"):  # silenced in training as here
+                gb, ga = task.client_grads(i, bb, aa)
+            assert gb.tobytes() == np.float64(want_gb).tobytes()
+            assert ga.tobytes() == np.float64(want_ga).tobytes()
+            # The loss itself is silent where it overflows; np.dot warns
+            # where the product does, as it did for the old toy.
+            with np.errstate(over="ignore" if math.isinf(b * a) else "warn"):
+                loss = task.client_loss(i, bb, aa)
+            r = b * a - target
+            assert loss == r * r
+            if math.isinf(loss) or math.isinf(want_loss):
+                assert loss == want_loss == math.inf
+                overflows += 1
+            else:
+                assert abs(loss - want_loss) <= math.ulp(want_loss)
+        assert overflows >= 1000
+
     def test_losses_at_one(self):
-        task = ScalarToyTask((0.5, 1.0, 1.5))
+        task = scalar_toy_task()
         b, a = np.array([[1.0]]), np.array([[1.0]])
         losses = [task.client_loss(i, b, a) for i in range(3)]
         assert losses == pytest.approx([0.25, 0.0, 0.25])
 
     def test_gradient_zero_at_client_optimum(self):
-        task = ScalarToyTask((0.5, 1.0, 1.5))
+        task = scalar_toy_task()
         gb, ga = task.client_grads(1, np.array([[2.0]]), np.array([[0.5]]))
         assert gb[0, 0] == 0.0 and ga[0, 0] == 0.0
 
     def test_global_optimum_is_target_mean(self):
         # Grid search over the product confirms the global loss is
         # minimized at the mean of the targets.
-        task = ScalarToyTask((0.5, 1.0, 1.5))
+        task = scalar_toy_task()
         grid = np.linspace(-3.0, 3.0, 6001)
         losses = [task.global_loss(np.array([[p]]), np.array([[1.0]])) for p in grid]
         assert grid[int(np.argmin(losses))] == pytest.approx(1.0, abs=1e-3)
 
     def test_overflowing_loss_is_inf(self):
-        task = ScalarToyTask((0.5, 1.0, 1.5))
+        task = scalar_toy_task()
         assert task.client_loss(0, np.array([[1e100]]), np.array([[1e100]])) == math.inf
         assert task.global_loss(np.array([[1e100]]), np.array([[1e100]])) == math.inf
 
     def test_gradients_match_finite_differences(self):
-        task = ScalarToyTask((0.5, 1.0, 1.5))
+        task = scalar_toy_task()
         rng = np.random.default_rng(0)
         for _ in range(100):
             b = rng.standard_normal((1, 1))
@@ -258,7 +312,7 @@ class TestGradientBits:
         # global_loss forms b a once; the bits must be those of averaging
         # client_loss, which forms it once per client.
         if kind == "scalar":
-            task, dims, rank = ScalarToyTask((0.5, 1.0, 1.5)), (1, 1), 1
+            task, dims, rank = scalar_toy_task(), (1, 1), 1
         elif kind == "regression":
             task = lowrank_regression_task(8, 6, 2, 4, 0.5, seed=[5, 101])
             dims, rank = (8, 6), 2
