@@ -105,7 +105,8 @@ def procrustes_rotation(local, reference, target: AlignmentTarget) -> Rotation:
 
     A degenerate (zero) correlation matrix yields the identity rotation
     with a logged warning; this is the round-one situation where the
-    broadcast factors are still ill-conditioned.
+    broadcast factors are still ill-conditioned.  A correlation matrix that
+    overflows is rejected before the SVD, with a :class:`NonFiniteError`.
     """
     local = as_matrix(local)
     reference = as_matrix(reference)
@@ -120,7 +121,7 @@ def procrustes_rotation(local, reference, target: AlignmentTarget) -> Rotation:
     rank = local.shape[0]
     if local.shape[1] < rank:
         raise UsageError(f"factor {layout} with rank <= d, got {shape}")
-    m = reference @ local.T
+    m = as_matrix(reference @ local.T)
     # Exact zero only: the squared norm of tiny nonzero entries underflows
     # to 0, yet those entries still determine the rotation.
     if not m.any():

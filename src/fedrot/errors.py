@@ -17,6 +17,10 @@ class UsageError(FedRotError):
         self.key = key
 
 
+class NonFiniteError(UsageError):
+    """A matrix holds NaN or Inf entries."""
+
+
 class NumericError(FedRotError):
     """A numerical routine failed (an SVD did not converge)."""
 

@@ -31,7 +31,7 @@ from .alignment import (
     soft_rotation,
 )
 from .config import FederationConfig, SweepCell
-from .errors import DivergenceError
+from .errors import DivergenceError, NonFiniteError
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
@@ -223,61 +223,63 @@ def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_
     return trained, products, grad_norms
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def client_round(
-    client: int, trained: LoraAdapter, reference: LoraAdapter,
+    client: int, trained: LoraAdapter, product: np.ndarray, reference: LoraAdapter,
     config: FederationConfig, round_index: int,
-) -> tuple[LoraAdapter, Rotation | None, Rotation | None]:
+) -> tuple[LoraAdapter, np.ndarray, Rotation | None, Rotation | None]:
     """The alignment phase for one client: the strategy's client-side
-    transformation of its trained factors.  Returns the reported adapter
-    (``trained`` itself when the strategy reports them unchanged), the
-    applied rotation (FedRot's soft one or the Haar draw) and FedRot's
-    Procrustes rotation, each ``None`` when none is made.  A scalar rescale
-    that overflows a factor has diverged: that raises."""
-    if not aligns(config.strategy, round_index, config.align_from_round):
-        return trained, None, None
-    target = alignment_schedule(round_index, config.schedule)
-    local, ref = target.factor(trained), target.factor(reference)
-    if config.strategy is Strategy.FEDROT:
-        procrustes = procrustes_rotation(local, ref, target)
-        rotation = soft_rotation(procrustes, config.lam)
-        return apply_alignment(trained, rotation), rotation, procrustes
-    if config.strategy is Strategy.RANDOM_ROTATION:
-        rotation = haar_random_rotation(config.rank,
-                                        seed=[config.seed, 7901, round_index, client])
-        return apply_alignment(trained, rotation), rotation, None
-    c = scalar_rescale_align(local, ref)
-    if c is None:
-        log.warning("degenerate scalar rescaling on client %d round %d; skipping",
-                    client, round_index)
-        return trained, None, None
-    with np.errstate(over="ignore"):
-        if target is AlignmentTarget.FACTOR_A:
-            b, a = trained.b / c, trained.a * c
-        else:
-            b, a = trained.b * c, trained.a / c
-    if not (np.isfinite(b).all() and np.isfinite(a).all()):
-        raise DivergenceError(f"non-finite rescaled factors on client {client}",
-                              round_index=round_index)
-    return LoraAdapter(b, a), None, None
+    transformation of its trained factors and ``product``, their product.
+    Returns the reported adapter (``trained`` itself when the strategy
+    reports them unchanged), its product (``product`` itself then, else
+    formed and checked by :func:`checked_product`), the applied rotation
+    (FedRot's soft one or the Haar draw) and FedRot's Procrustes rotation,
+    each ``None`` when none is made.  A transformation whose correlation or
+    factors overflow has diverged: that raises."""
+    reported, rotation, procrustes = trained, None, None
+    if aligns(config.strategy, round_index, config.align_from_round):
+        target = alignment_schedule(round_index, config.schedule)
+        local, ref = target.factor(trained), target.factor(reference)
+        try:
+            if config.strategy is Strategy.FEDROT:
+                procrustes = procrustes_rotation(local, ref, target)
+                rotation = soft_rotation(procrustes, config.lam)
+            elif config.strategy is Strategy.RANDOM_ROTATION:
+                rotation = haar_random_rotation(
+                    config.rank, seed=[config.seed, 7901, round_index, client])
+            elif (c := scalar_rescale_align(local, ref)) is None:
+                log.warning("degenerate scalar rescaling on client %d round %d; skipping",
+                            client, round_index)
+            elif target is AlignmentTarget.FACTOR_A:
+                reported = LoraAdapter(trained.b / c, trained.a * c)
+            else:
+                reported = LoraAdapter(trained.b * c, trained.a / c)
+            if rotation is not None:
+                reported = apply_alignment(trained, rotation)
+        except NonFiniteError as exc:  # dropped: its frames hold the caller's task
+            raise DivergenceError(f"non-finite alignment on client {client}",
+                                  round_index=round_index) from exc.with_traceback(None)
+    update = product if reported is trained else checked_product(reported, client, round_index)
+    return reported, update, rotation, procrustes
 
 
 def round_record(
     config: FederationConfig, t: int, reference: LoraAdapter, trained, products,
-    grad_norms, alignments, updates, err: float, loss: float, t_round: float,
+    grad_norms, alignments, err: float, loss: float, t_round: float,
 ) -> RoundRecord:
     """Round ``t``'s diagnostics, from its training phase (``trained``,
     ``products``, ``grad_norms``), its alignment phase (``alignments``, one
-    :func:`client_round` result per client, and the reported products
-    ``updates``), the server's aggregation error ``err`` and the new global
-    ``loss``; ``t_round`` is the round's ``perf_counter`` start."""
+    :func:`client_round` result per client), the server's aggregation error
+    ``err`` and the new global ``loss``; ``t_round`` is the round's
+    ``perf_counter`` start."""
     target = alignment_schedule(t, config.schedule)
-    reported = [adapter for adapter, _, _ in alignments]
+    reported = [adapter for adapter, _, _, _ in alignments]
     dist = {f: factor_distances(trained, reference, f) for f in AlignmentTarget}
     phi_aligned = dispersion(factor_distances(reported, reference, target))
     eye = np.eye(config.rank)
     kappa = [
         frobenius_norm(procrustes.r - eye) / d
-        for (_, _, procrustes), d in zip(alignments, dist[target])
+        for (_, _, _, procrustes), d in zip(alignments, dist[target])
         if procrustes is not None and d > 0
     ]
     payload = (config.dims[0] + config.dims[1]) * config.rank
@@ -292,7 +294,7 @@ def round_record(
         alignment_gain=alignment_gain(phi_aligned, dispersion(dist[target])),
         rotation_deviation=float(np.mean([
             0.0 if rotation is None else frobenius_norm(rotation.r - eye)
-            for _, rotation, _ in alignments
+            for _, _, rotation, _ in alignments
         ])),
         tau_diag=max(frobenius_norm(ad.b) * frobenius_norm(ad.a) for ad in reported),
         grad_norm_max=max(grad_norms),
@@ -301,7 +303,7 @@ def round_record(
         kappa_max=max(kappa, default=float("nan")),
         semantic_drift_max=max(
             frobenius_norm(update - raw) / max(1.0, frobenius_norm(raw))
-            for update, raw in zip(updates, products)
+            for (_, update, _, _), raw in zip(alignments, products)
         ),
         aligned=aligns(config.strategy, t, config.align_from_round),
         upload_scalars=payload,
@@ -315,10 +317,10 @@ def run_federation(config: FederationConfig) -> RunResult:
     """Run the full protocol for ``config.rounds`` rounds.
 
     Deterministic for a fixed config.  The run stops when any loss,
-    gradient, parameter, product or server aggregate blows up, as read from
-    the values, not from numpy warnings; its result then holds the completed
-    rounds and, as ``divergence``, the :class:`DivergenceError` that stopped
-    it.  A round's diagnostics record an overflow as ``inf`` or ``nan``.
+    gradient, parameter, product, alignment or server aggregate blows up, as
+    read from the values, not from numpy warnings; its result then holds the
+    completed rounds and, as ``divergence``, the :class:`DivergenceError` that
+    stopped it.  A round's diagnostics record an overflow as ``inf`` or ``nan``.
     """
     t_start = time.perf_counter()
     task = build_task(config)
@@ -338,23 +340,18 @@ def run_federation(config: FederationConfig) -> RunResult:
         broadcast = history[-1]
         try:
             trained, products, grad_norms = train_clients(broadcast, task, config, t)
-            alignments = [client_round(i, adapter, reference, config, t)
-                          for i, adapter in enumerate(trained)]
-            snapshots = [reported for reported, _, _ in alignments]
-            # A client that reports its trained factors reports their product.
-            updates = [
-                raw if reported is adapter else checked_product(reported, client, t)
-                for client, (reported, adapter, raw)
-                in enumerate(zip(snapshots, trained, products))
-            ]
+            alignments = [client_round(i, adapter, raw, reference, config, t)
+                          for i, (adapter, raw) in enumerate(zip(trained, products))]
+            snapshots = [reported for reported, _, _, _ in alignments]
+            updates = [update for _, update, _, _ in alignments]
             model, err = server_step(snapshots, updates, broadcast, config.strategy, t)
         except DivergenceError as exc:
             divergence = exc.with_traceback(None)  # its frames hold the task
             break
         loss = task.global_loss(model.b, model.a)
         records.append(round_record(
-            config, t, reference, trained, products, grad_norms, alignments,
-            updates, err, loss, t_round,
+            config, t, reference, trained, products, grad_norms, alignments, err, loss,
+            t_round,
         ))
         del trained, products, grad_norms, alignments, updates  # before the next round
         history.append(model)

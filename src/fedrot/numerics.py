@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NonFiniteError, NumericError, UsageError
 
 __all__ = [
     "as_matrix",
@@ -23,14 +23,14 @@ __all__ = [
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array, rejecting non-finite entries."""
+    """Coerce ``a`` to a 2-D float64 array; NaN or Inf entries raise NonFiniteError."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise UsageError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         raise UsageError(f"expected a non-empty matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise UsageError("matrix contains NaN or Inf entries")
+        raise NonFiniteError("matrix contains NaN or Inf entries")
     return m
 
 

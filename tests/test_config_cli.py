@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import fedrot.alignment
 import fedrot.federation
 from fedrot.aggregation import Strategy
-from fedrot.cli import main
+from fedrot.cli import ROUNDS_COLUMNS, main
 from fedrot.config import (
     FederationConfig,
     TaskSpec,
@@ -463,6 +463,58 @@ def test_server_overflow_diverges_under_every_strategy(tmp_path, capsys, strateg
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["status"] == "diverged"
+
+
+# Clients that align from round 1, with the learning rate and the initial
+# A's entries left to set.
+ALIGNING = (
+    MINIMAL.replace("rounds: 4", "rounds: 3").replace("local_steps: 10", "local_steps: 5")
+    .replace("lambda: 0.7", "lambda: 0.5")
+)
+
+
+def aligning(strategy: str, init_a: str, learning_rate: str) -> str:
+    text = ALIGNING.replace("strategy: fedrot", f"strategy: {strategy}")
+    text = text.replace("learning_rate: 0.05", f"learning_rate: {learning_rate}")
+    return text + f"  init_a_value: {init_a}\n"
+
+
+@pytest.mark.parametrize("strategy", ["fedrot", "random_rotation", "scalar_rescale"])
+@pytest.mark.parametrize("init_a", ["1.0e+100", "1.0e+154", "1.0e+160", "1.0e+300"])
+@pytest.mark.parametrize("learning_rate", ["1.0e-320", "1.0e-300", "1.0e-10"])
+def test_extreme_factors_end_as_ok_or_diverged(tmp_path, capsys, strategy, init_a,
+                                               learning_rate):
+    # Whichever transform overflows, the run ends as ok or diverged and
+    # writes both of its files.
+    out = tmp_path / "out"
+    text = aligning(strategy, init_a, learning_rate)
+    assert main(["run", write(tmp_path, text), "--out", str(out)]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "rounds.csv").is_file() and (out / "summary.json").is_file()
+
+
+def test_alignment_overflow_diverges(tmp_path, capsys):
+    # FedRot's A-correlation overflows on client 0 in round 1: the run ends
+    # as diverged with no completed round, and a sweep writes its cell.  The
+    # FedIT cell's global loss passes the divergence limit in round 1, so
+    # every cell fails and the sweep exits 1, with both directories written.
+    text = aligning("fedrot", "1.0e+160", "1.0e-320")
+    run_out = tmp_path / "run"
+    assert main(["run", write(tmp_path, text), "--out", str(run_out)]) == 3
+    assert capsys.readouterr().err == "error: non-finite alignment on client 0\n"
+    summary = json.loads((run_out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "diverged"
+    assert summary["metrics"]["rounds_completed"] == 0
+    rows = (run_out / "rounds.csv").read_text(encoding="utf-8").splitlines()
+    assert rows == [",".join(ROUNDS_COLUMNS)]
+    sweep = "sweep:\n  grid:\n    strategy: [fedit, fedrot]\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", write(tmp_path, text + sweep, "sweep.yaml"), "--out", str(out)]) == 1
+    fedit_dir, fedrot_dir = sorted(p for p in out.iterdir() if p.is_dir())
+    assert sweep_outputs(fedrot_dir) == sweep_outputs(run_out)
+    assert sweep_outputs(fedit_dir)["summary.json"]["metrics"]["rounds_completed"] == 1
+    status = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[2].split(",")[-1]
+    assert status == "DivergenceError: non-finite alignment on client 0"
 
 
 def test_sweep_builds_each_cell_config_once(tmp_path, monkeypatch):

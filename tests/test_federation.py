@@ -615,9 +615,11 @@ class TestClientRound:
 
     def test_no_alignment_before_align_from_round(self):
         trained = self.train(self.config, 0, 1)
-        reported, rotation, procrustes = client_round(
-            0, trained, self.broadcast, self.config, 1
+        product = semantic_update(trained)
+        reported, update, rotation, procrustes = client_round(
+            0, trained, product, self.broadcast, self.config, 1
         )
+        assert reported is trained and update is product
         assert rotation is None and procrustes is None
         assert (reported.b == trained.b).all()
         assert (reported.a == trained.a).all()
@@ -625,7 +627,9 @@ class TestClientRound:
     def test_fedit_reports_raw_factors(self):
         config = regression_config(strategy=Strategy.FEDIT)
         trained = self.train(config, 0, 3)
-        reported, _, _ = client_round(0, trained, self.broadcast, config, 3)
+        reported, _, _, _ = client_round(
+            0, trained, semantic_update(trained), self.broadcast, config, 3
+        )
         assert (reported.b == trained.b).all()
         assert (reported.a == trained.a).all()
 
@@ -633,12 +637,16 @@ class TestClientRound:
         trained = self.train(self.config, 1, 3)
         hard = procrustes_rotation(trained.a, trained.a, AlignmentTarget.FACTOR_A)
         assert np.linalg.norm(hard.r - np.eye(2)) <= 1e-10
-        _, _, procrustes = client_round(1, trained, trained, self.config, 3)
+        _, _, _, procrustes = client_round(
+            1, trained, semantic_update(trained), trained, self.config, 3
+        )
         assert np.linalg.norm(procrustes.r - np.eye(2)) <= 1e-10
 
     def test_alignment_preserves_semantics(self):
         trained = self.train(self.config, 2, 3)
-        reported, _, _ = client_round(2, trained, self.broadcast, self.config, 3)
+        reported, _, _, _ = client_round(
+            2, trained, semantic_update(trained), self.broadcast, self.config, 3
+        )
         np.testing.assert_allclose(
             semantic_update(reported), semantic_update(trained), atol=1e-12
         )
@@ -646,7 +654,9 @@ class TestClientRound:
     def test_random_rotation_changes_factors_not_product(self):
         config = regression_config(strategy=Strategy.RANDOM_ROTATION)
         trained = self.train(config, 0, 2)
-        reported, _, _ = client_round(0, trained, self.broadcast, config, 2)
+        reported, _, _, _ = client_round(
+            0, trained, semantic_update(trained), self.broadcast, config, 2
+        )
         assert not (reported.b == trained.b).all()
         np.testing.assert_allclose(
             semantic_update(reported), semantic_update(trained), atol=1e-12
@@ -659,7 +669,9 @@ class TestClientRound:
         start = LoraAdapter(self.broadcast.b, np.zeros((2, 6)))
         trained = self.train(config, 0, 3, start)
         with caplog.at_level(logging.WARNING, logger="fedrot.federation"):
-            reported, rotation, _ = client_round(0, trained, self.broadcast, config, 3)
+            reported, _, rotation, _ = client_round(
+                0, trained, semantic_update(trained), self.broadcast, config, 3
+            )
         assert reported is trained and rotation is None
         assert len(caplog.records) == 1
         # The server then gets the trained product itself.
@@ -679,9 +691,56 @@ class TestClientRound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError,
-                               match="^non-finite rescaled factors on client 0$") as info:
-                client_round(0, trained, reference, config, 1)
+                               match="^non-finite alignment on client 0$") as info:
+                client_round(0, trained, semantic_update(trained), reference, config, 1)
         assert info.value.round_index == 1
+
+    def fedrot_overflow(self):
+        """A FedRot client whose A-correlation with its reference overflows:
+        the trained and reference A's entries are 1e160, B's 1e-20."""
+        config = regression_config(lam=0.5, align_from_round=1)
+        trained = LoraAdapter(np.full((8, 2), 1e-20), np.full((2, 6), 1e160))
+        reference = LoraAdapter(np.zeros((8, 2)), np.full((2, 6), 1e160))
+        return config, trained, reference
+
+    def assert_alignment_diverges(self, config, trained, reference, round_index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="^non-finite alignment on client 0$") as info:
+                client_round(0, trained, semantic_update(trained), reference, config,
+                             round_index)
+        assert info.value.round_index == round_index
+
+    def test_overflowing_procrustes_correlation_diverges(self):
+        self.assert_alignment_diverges(*self.fedrot_overflow(), 1)
+
+    def test_overflowing_correlation_diverges_where_svd_raises(self, monkeypatch):
+        # A LAPACK whose SVD raises on a non-finite input gives the same
+        # outcome: the correlation is rejected before the SVD.
+        real_svd = np.linalg.svd
+
+        def svd_raising_on_non_finite(a, *args, **kwargs):
+            if not np.isfinite(a).all():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_raising_on_non_finite)
+        self.assert_alignment_diverges(*self.fedrot_overflow(), 1)
+
+    @pytest.mark.parametrize("round_index", [2, 3, 4, 6])
+    def test_overflowing_random_rotation_diverges(self, round_index):
+        # B's entries of 1.5e308 overflow under these rounds' Haar draws.
+        config = regression_config(strategy=Strategy.RANDOM_ROTATION, seed=0)
+        trained = LoraAdapter(np.full((8, 2), 1.5e308), np.full((2, 6), 1e-300))
+        self.assert_alignment_diverges(config, trained, self.broadcast, round_index)
+
+    def test_reference_of_another_shape_is_a_usage_error(self):
+        config, trained, _ = self.fedrot_overflow()
+        reference = LoraAdapter(np.zeros((8, 2)), np.ones((2, 5)))
+        with pytest.raises(UsageError, match="shape mismatch") as info:
+            client_round(0, trained, semantic_update(trained), reference, config, 1)
+        assert type(info.value) is UsageError
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_update_is_product_of_reported_factors(self, monkeypatch, strategy):
@@ -910,7 +969,7 @@ class TestRunFederation:
                             align_tiny_from_round_2)
         config = regression_config(strategy=Strategy.SCALAR_RESCALE, rounds=4)
         result = run_federation(config)
-        assert str(result.divergence) == "non-finite rescaled factors on client 0"
+        assert str(result.divergence) == "non-finite alignment on client 0"
         assert result.divergence.round_index == 2
         assert [r.round for r in result.rounds] == [1]
         assert len(result.history) == 2
@@ -918,6 +977,18 @@ class TestRunFederation:
         monkeypatch.setattr(fedrot.federation, "scalar_rescale_align", real_align)
         full = run_federation(dataclasses.replace(config, rounds=1))
         assert_runs_bit_identical(result, full)
+
+    def test_alignment_divergence_holds_no_frames(self):
+        # A's entries of 1e160 overflow FedRot's round-1 correlation.  The
+        # stored divergence and the error it was raised from keep no
+        # traceback, whose frames would hold the run's task.
+        result = run_federation(regression_config(
+            rounds=3, local_steps=5, learning_rate=1e-320, lam=0.5, init_a_value=1e160,
+        ))
+        assert str(result.divergence) == "non-finite alignment on client 0"
+        assert result.rounds == []
+        chain = [result.divergence, result.divergence.__cause__, result.divergence.__context__]
+        assert [exc.__traceback__ for exc in chain] == [None, None, None]
 
     def test_overflowing_aggregation_error_diverges(self):
         # Finite reported products whose aggregation error overflows.
