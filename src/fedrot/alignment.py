@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericError, UsageError
 from .lora import LoraAdapter
 from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
 
@@ -54,7 +54,9 @@ class ScheduleAblation(enum.Enum):
 
 @dataclass(eq=False)
 class Rotation:
-    """Special-orthogonal rank x rank matrix with verified invariants."""
+    """Special-orthogonal rank x rank matrix with verified invariants.  A
+    square matrix that fails them is a :class:`NumericError`: the routine
+    that computed it failed."""
 
     r: np.ndarray
 
@@ -65,10 +67,10 @@ class Rotation:
             raise UsageError(f"rotation must be square, got {self.r.shape}")
         dev = frobenius_norm(self.r.T @ self.r - np.eye(n))
         if dev > _ORTHO_TOL:
-            raise UsageError(f"matrix is not orthogonal (|R^T R - I| = {dev:.3e})")
+            raise NumericError(f"matrix is not orthogonal (|R^T R - I| = {dev:.3e})")
         det = float(np.linalg.det(self.r))
         if abs(det - 1.0) > _ORTHO_TOL:
-            raise UsageError(f"rotation must have det +1, got {det!r}")
+            raise NumericError(f"rotation must have det +1, got {det!r}")
 
     @property
     def rank(self) -> int:

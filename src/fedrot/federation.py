@@ -31,7 +31,7 @@ from .alignment import (
     soft_rotation,
 )
 from .config import FederationConfig, SweepCell
-from .errors import DivergenceError, NonFiniteError
+from .errors import DivergenceError, NonFiniteError, NumericError
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
@@ -61,12 +61,7 @@ class RoundRecord:
     alignment_gain: float  # 1 - phi(lambda)/phi(0), nan when undefined
     rotation_deviation: float  # mean |R_soft - I|_F over clients
     tau_diag: float  # max over clients of |B|_F |A|_F
-    grad_norm_max: float
-    dist_a_min: float
-    dist_b_min: float
-    kappa_max: float  # max |R*-I| / aligned-factor drift
     semantic_drift_max: float
-    aligned: bool
     upload_scalars: int  # per client, this round
     download_scalars: int
     wall_ms: float
@@ -127,15 +122,14 @@ def local_train(
 ):
     """Deterministic (full-batch) gradient descent on the client's shard.
 
-    Returns the trained adapter and the largest gradient norm observed.
-    The client-round allocates its state once: one packed parameter array
-    (B's entries, then A's) with ``b`` and ``a`` as views into it, and a
-    packed gradient array of the same layout.  Each step calls
-    ``task.client_grads(client, b, a, sample_idx, out=(gb, ga))``, which
-    writes the gradients into the views ``gb`` and ``ga``.  Mini-batching,
-    when enabled, draws seeded batches from ``(seed, client, round)`` so
-    results never depend on scheduling.  Divergence is read from the
-    values, so numpy's overflow warnings are silenced, as in
+    Returns the trained adapter.  The client-round allocates its state
+    once: one packed parameter array (B's entries, then A's) with ``b`` and
+    ``a`` as views into it, and a packed gradient array of the same layout.
+    Each step calls ``task.client_grads(client, b, a, sample_idx, out=(gb,
+    ga))``, which writes the gradients into the views ``gb`` and ``ga``.
+    Mini-batching, when enabled, draws seeded batches from ``(seed, client,
+    round)`` so results never depend on scheduling.  Divergence is read from
+    the values, so numpy's overflow warnings are silenced, as in
     :func:`run_federation`.
     """
     nb = start.b.size
@@ -164,9 +158,6 @@ def local_train(
     # a non-finite start gives an infinite or NaN bound, which is checked.
     step_scale = abs(eta)
     bound = sqrt(updated.dot(updated))  # updated is 1-D
-    # sqrt is monotone and correctly rounded, so the square root of the
-    # largest squared norm is the largest norm.
-    sq_max = 0.0
     for step in range(steps):
         idx = None
         if rng is not None:
@@ -181,7 +172,6 @@ def local_train(
                 round_index=round_index,
                 step_index=step,
             )
-        sq_max = max(sq_max, sq_b, sq_a)
         update *= eta
         updated -= update
         # A frozen factor keeps its start value, so only the updated
@@ -193,7 +183,7 @@ def local_train(
                 round_index=round_index,
                 step_index=step,
             )
-    return LoraAdapter(b, a), sqrt(sq_max)
+    return LoraAdapter(b, a)
 
 
 def checked_product(adapter: LoraAdapter, client: int, round_index: int) -> np.ndarray:
@@ -208,42 +198,40 @@ def checked_product(adapter: LoraAdapter, client: int, round_index: int) -> np.n
 
 def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_index: int):
     """The training phase: :func:`local_train` on every client from
-    ``broadcast``, in client order.  Returns the trained adapters, their
-    products and their largest gradient norms.  A product that overflows
-    raises before the next client trains."""
-    trained, products, grad_norms = [], [], []
+    ``broadcast``, in client order.  Returns the trained adapters and their
+    products.  A product that overflows raises before the next client
+    trains."""
+    trained, products = [], []
     for client in range(config.n_clients):
-        adapter, grad_norm = local_train(
+        adapter = local_train(
             client, broadcast, task, config.local_steps, config.learning_rate,
             config.strategy, round_index, config.seed, batch_size=config.batch_size,
         )
         trained.append(adapter)
         products.append(checked_product(adapter, client, round_index))
-        grad_norms.append(grad_norm)
-    return trained, products, grad_norms
+    return trained, products
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def client_round(
     client: int, trained: LoraAdapter, product: np.ndarray, reference: LoraAdapter,
     config: FederationConfig, round_index: int,
-) -> tuple[LoraAdapter, np.ndarray, Rotation | None, Rotation | None]:
+) -> tuple[LoraAdapter, np.ndarray, Rotation | None]:
     """The alignment phase for one client: the strategy's client-side
     transformation of its trained factors and ``product``, their product.
     Returns the reported adapter (``trained`` itself when the strategy
     reports them unchanged), its product (``product`` itself then, else
-    formed and checked by :func:`checked_product`), the applied rotation
-    (FedRot's soft one or the Haar draw) and FedRot's Procrustes rotation,
-    each ``None`` when none is made.  A transformation whose correlation or
-    factors overflow has diverged: that raises."""
-    reported, rotation, procrustes = trained, None, None
+    formed and checked by :func:`checked_product`) and the applied rotation
+    (FedRot's soft one or the Haar draw; ``None`` when none is made).  A
+    transformation whose correlation or factors overflow, or whose SVD or
+    rotation fails, has diverged: that raises."""
+    reported, rotation = trained, None
     if aligns(config.strategy, round_index, config.align_from_round):
         target = alignment_schedule(round_index, config.schedule)
         local, ref = target.factor(trained), target.factor(reference)
         try:
             if config.strategy is Strategy.FEDROT:
-                procrustes = procrustes_rotation(local, ref, target)
-                rotation = soft_rotation(procrustes, config.lam)
+                rotation = soft_rotation(procrustes_rotation(local, ref, target), config.lam)
             elif config.strategy is Strategy.RANDOM_ROTATION:
                 rotation = haar_random_rotation(
                     config.rank, seed=[config.seed, 7901, round_index, client])
@@ -259,29 +247,28 @@ def client_round(
         except NonFiniteError as exc:  # dropped: its frames hold the caller's task
             raise DivergenceError(f"non-finite alignment on client {client}",
                                   round_index=round_index) from exc.with_traceback(None)
+        except NumericError as exc:
+            raise DivergenceError(f"failed alignment on client {client}: {exc}",
+                                  round_index=round_index) from exc.with_traceback(None)
     update = product if reported is trained else checked_product(reported, client, round_index)
-    return reported, update, rotation, procrustes
+    return reported, update, rotation
 
 
 def round_record(
     config: FederationConfig, t: int, reference: LoraAdapter, trained, products,
-    grad_norms, alignments, err: float, loss: float, t_round: float,
+    alignments, err: float, loss: float, t_round: float,
 ) -> RoundRecord:
     """Round ``t``'s diagnostics, from its training phase (``trained``,
-    ``products``, ``grad_norms``), its alignment phase (``alignments``, one
+    ``products``), its alignment phase (``alignments``, one
     :func:`client_round` result per client), the server's aggregation error
     ``err`` and the new global ``loss``; ``t_round`` is the round's
-    ``perf_counter`` start."""
+    ``perf_counter`` start.  The factor distances are of the round's target
+    factor alone."""
     target = alignment_schedule(t, config.schedule)
-    reported = [adapter for adapter, _, _, _ in alignments]
-    dist = {f: factor_distances(trained, reference, f) for f in AlignmentTarget}
+    reported = [adapter for adapter, _, _ in alignments]
     phi_aligned = dispersion(factor_distances(reported, reference, target))
+    phi_raw = dispersion(factor_distances(trained, reference, target))
     eye = np.eye(config.rank)
-    kappa = [
-        frobenius_norm(procrustes.r - eye) / d
-        for (_, _, _, procrustes), d in zip(alignments, dist[target])
-        if procrustes is not None and d > 0
-    ]
     payload = (config.dims[0] + config.dims[1]) * config.rank
     # A random-client reference costs one extra adapter download, once
     # there are last-round client adapters to draw from.
@@ -291,21 +278,16 @@ def round_record(
         loss=loss,
         agg_error=err,
         dispersion=phi_aligned,
-        alignment_gain=alignment_gain(phi_aligned, dispersion(dist[target])),
+        alignment_gain=alignment_gain(phi_aligned, phi_raw),
         rotation_deviation=float(np.mean([
             0.0 if rotation is None else frobenius_norm(rotation.r - eye)
-            for _, _, rotation, _ in alignments
+            for _, _, rotation in alignments
         ])),
         tau_diag=max(frobenius_norm(ad.b) * frobenius_norm(ad.a) for ad in reported),
-        grad_norm_max=max(grad_norms),
-        dist_a_min=min(dist[AlignmentTarget.FACTOR_A]),
-        dist_b_min=min(dist[AlignmentTarget.FACTOR_B]),
-        kappa_max=max(kappa, default=float("nan")),
         semantic_drift_max=max(
             frobenius_norm(update - raw) / max(1.0, frobenius_norm(raw))
-            for (_, update, _, _), raw in zip(alignments, products)
+            for (_, update, _), raw in zip(alignments, products)
         ),
-        aligned=aligns(config.strategy, t, config.align_from_round),
         upload_scalars=payload,
         download_scalars=2 * payload if random_client and t > 1 else payload,
         wall_ms=(time.perf_counter() - t_round) * 1e3,
@@ -339,21 +321,20 @@ def run_federation(config: FederationConfig) -> RunResult:
         )
         broadcast = history[-1]
         try:
-            trained, products, grad_norms = train_clients(broadcast, task, config, t)
+            trained, products = train_clients(broadcast, task, config, t)
             alignments = [client_round(i, adapter, raw, reference, config, t)
                           for i, (adapter, raw) in enumerate(zip(trained, products))]
-            snapshots = [reported for reported, _, _, _ in alignments]
-            updates = [update for _, update, _, _ in alignments]
+            snapshots = [reported for reported, _, _ in alignments]
+            updates = [update for _, update, _ in alignments]
             model, err = server_step(snapshots, updates, broadcast, config.strategy, t)
         except DivergenceError as exc:
             divergence = exc.with_traceback(None)  # its frames hold the task
             break
         loss = task.global_loss(model.b, model.a)
         records.append(round_record(
-            config, t, reference, trained, products, grad_norms, alignments, err, loss,
-            t_round,
+            config, t, reference, trained, products, alignments, err, loss, t_round,
         ))
-        del trained, products, grad_norms, alignments, updates  # before the next round
+        del trained, products, alignments, updates  # before the next round
         history.append(model)
         if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
             divergence = DivergenceError(

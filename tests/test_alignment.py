@@ -20,7 +20,7 @@ from fedrot.alignment import (
     soft_rotation,
 )
 from fedrot.config import ReferenceMode
-from fedrot.errors import UsageError
+from fedrot.errors import NumericError, UsageError
 from fedrot.lora import LoraAdapter, semantic_update
 from fedrot.numerics import frobenius_norm
 
@@ -35,12 +35,16 @@ class TestRotation:
         Rotation(rotation_2d(0.7))
 
     def test_rejects_reflection(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(NumericError, match="det \\+1"):
             Rotation(np.diag([1.0, -1.0]))
 
     def test_rejects_non_orthogonal(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(NumericError, match="not orthogonal"):
             Rotation(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_non_square_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="must be square"):
+            Rotation(np.ones((2, 3)))
 
     def test_identity(self):
         assert Rotation.identity(3).is_identity()

@@ -11,6 +11,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -515,6 +516,59 @@ def test_alignment_overflow_diverges(tmp_path, capsys):
     assert sweep_outputs(fedit_dir)["summary.json"]["metrics"]["rounds_completed"] == 1
     status = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[2].split(",")[-1]
     assert status == "DivergenceError: non-finite alignment on client 0"
+
+
+# The two ways an alignment SVD can fail on a finite input, each with the
+# start of its cause.
+SVD_FAULTS = {
+    "svd_raises": "SVD failed for shape (2, 2): SVD did not converge",
+    "u_perturbed": "matrix is not orthogonal",
+}
+
+
+def fault_8th_svd(monkeypatch, fault):
+    """From now on, the 8th ``np.linalg.svd`` call raises ``LinAlgError``
+    (``svd_raises``) or returns its ``u`` shifted by 1e-8 (``u_perturbed``)."""
+    real_svd, calls = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 8 and fault == "svd_raises":
+            raise np.linalg.LinAlgError("SVD did not converge")
+        u, sigma, vt = real_svd(a, *args, **kwargs)
+        return (u + 1e-8 if len(calls) == 8 else u), sigma, vt
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+@pytest.mark.parametrize("fault", SVD_FAULTS)
+def test_failed_alignment_diverges_after_completed_rounds(tmp_path, capsys, monkeypatch,
+                                                          fault):
+    # Each FedRot client makes two SVDs a round at lambda 0.5, so the 8th is
+    # client 0's soft rotation in round 2.  Its failure ends the run as
+    # diverged with round 1 written, and a sweep writes the cell's directory.
+    text = MINIMAL.replace("lambda: 0.7", "lambda: 0.5")
+    run_out = tmp_path / "run"
+    fault_8th_svd(monkeypatch, fault)
+    assert main(["run", write(tmp_path, text), "--out", str(run_out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: failed alignment on client 0: {SVD_FAULTS[fault]}")
+    assert "Traceback" not in err
+    summary = json.loads((run_out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "diverged"
+    assert summary["metrics"]["rounds_completed"] == 1
+    rows = (run_out / "rounds.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1"]
+    # The FedIT cell runs first and makes no SVD.
+    fault_8th_svd(monkeypatch, fault)
+    sweep = "sweep:\n  grid:\n    strategy: [fedit, fedrot]\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", write(tmp_path, text + sweep, "sweep.yaml"), "--out", str(out)]) == 0
+    fedit_dir, fedrot_dir = sorted(p for p in out.iterdir() if p.is_dir())
+    assert sweep_outputs(fedrot_dir) == sweep_outputs(run_out)
+    assert sweep_outputs(fedit_dir)["summary.json"]["status"] == "ok"
+    status = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[2].split(",")[-1]
+    assert status.startswith("DivergenceError: failed alignment on client 0: ")
 
 
 def test_sweep_builds_each_cell_config_once(tmp_path, monkeypatch):
