@@ -322,15 +322,15 @@ def _fd_check(task, client, b, a):
         plus, minus = b.copy(), b.copy()
         plus[idx] += h
         minus[idx] -= h
-        fb[idx] = (task.client_loss(client, plus, a)
-                   - task.client_loss(client, minus, a)) / (2 * h)
+        fb[idx] = (task.product_loss(client, np.dot(plus, a))
+                   - task.product_loss(client, np.dot(minus, a))) / (2 * h)
     fa = np.zeros_like(a)
     for idx in np.ndindex(a.shape):
         plus, minus = a.copy(), a.copy()
         plus[idx] += h
         minus[idx] -= h
-        fa[idx] = (task.client_loss(client, b, plus)
-                   - task.client_loss(client, b, minus)) / (2 * h)
+        fa[idx] = (task.product_loss(client, np.dot(b, plus))
+                   - task.product_loss(client, np.dot(b, minus))) / (2 * h)
     scale = max(1.0, float(np.linalg.norm(fb)), float(np.linalg.norm(fa)))
     err = max(float(np.linalg.norm(gb - fb)), float(np.linalg.norm(ga - fa)))
     return err / scale

@@ -32,6 +32,8 @@ from fedrot.config import (
 from fedrot.errors import ConfigError, UsageError
 from fedrot.federation import run_sweep
 
+from cli_cases import check
+
 MINIMAL = """\
 experiment:
   strategy: fedrot
@@ -90,13 +92,6 @@ def write(tmp_path, text, name="config.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def rounds_csv_without_wall_ms(path):
-    # wall_ms (the last column) is the one timing field allowed to vary
-    # between reruns; everything else must be byte-identical.
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return "\n".join(line.rsplit(",", 1)[0] for line in lines)
 
 
 class TestLoadConfig:
@@ -229,9 +224,7 @@ class TestRunCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", config, "--out", str(a)]) == 0
         assert main(["run", config, "--out", str(b)]) == 0
-        assert rounds_csv_without_wall_ms(a / "rounds.csv") == rounds_csv_without_wall_ms(
-            b / "rounds.csv"
-        )
+        assert check.outputs(a) == check.outputs(b)
 
     def test_seed_override_echoed(self, tmp_path):
         out = tmp_path / "out"
@@ -257,40 +250,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert calls == []
-
-    # Bytes that are not UTF-8, an unprintable character and nesting deeper
-    # than any schema are config errors at their line and column too.
-    @pytest.mark.parametrize(
-        "data, where, what",
-        [
-            (b"experiment:\n  strategy: fedit\xff\n", "(line 2, column 18)", "not valid UTF-8"),
-            (b"experiment:\n  strategy: fed\x01it\n", "(line 2, column 16)", "unacceptable"),
-            (b"experiment: " + b"[" * 1000 + b"]" * 1000 + b"\n", "(line 1, column ", "nesting"),
-            # Bare CR line ends count as line breaks for either kind of byte.
-            (
-                b"experiment:\r  strategy: fedit\r  rank: 2\xff\r",
-                "(line 3, column 10)",
-                "not valid UTF-8",
-            ),
-            (b"experiment:\r  strategy: fedit\r  rank: 2\x01\r", "(line 3, column 10)", "unacceptable"),
-            # So do YAML's NEL and LS line breaks.
-            (
-                b"experiment:\xc2\x85  strategy: fedit\xe2\x80\xa8  rank: 2\xff\n",
-                "(line 3, column 10)",
-                "not valid UTF-8",
-            ),
-        ],
-        ids=["not-utf8", "unprintable", "nested-1000", "not-utf8-cr", "unprintable-cr",
-             "not-utf8-nel-ls"],
-    )
-    def test_malformed_file_located(self, tmp_path, capsys, data, where, what):
-        path = tmp_path / "config.yaml"
-        path.write_bytes(data)
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error {where}") and what in err
-        assert not out.exists()
 
     def test_jobs_is_a_usage_error(self, tmp_path, capsys):
         # A single run is sequential, so it takes no --jobs.
@@ -399,85 +358,55 @@ class TestRunCommand:
         assert not out.exists()
 
 
-def regression_8x8(strategy: str, local_steps: int, learning_rate: str) -> str:
-    return f"""\
-experiment:
-  strategy: {strategy}
-  n_clients: 3
-  rank: 2
-  dims: [8, 8]
-  rounds: 4
-  local_steps: {local_steps}
-  learning_rate: {learning_rate}
-  task:
-    kind: lowrank_regression
-"""
+def case_text(name: str) -> str:
+    """The config text of the CLI contract case ``name`` (tests/cli_cases)."""
+    return (check.HERE / f"{name}.yaml").read_text(encoding="utf-8")
 
 
 # Runs whose overflow is past the clients: in the diagnostics, in the
-# scalar toy's loss and at the server.  (config text, learning rate of a
-# cell that does not diverge, the error message's start)
+# scalar toy's loss and at the server.  (CLI case, whose exit, message and
+# summary the manifest checks; learning rate of a cell that does not diverge)
 DIVERGING = {
-    "dispersion": (
-        regression_8x8("fedit", 2, "2.6e52"), "0.05", "global loss diverged at round 1"
-    ),
-    "scalar_toy_loss": (
-        SCALAR.replace("rounds: 2", "rounds: 5").replace("local_steps: 5", "local_steps: 3")
-        .replace("learning_rate: 0.01", "learning_rate: 5.0") + "  init_a_value: 0.44\n",
-        "0.01",
-        "global loss diverged at round 2",
-    ),
-    "server_factor_mean": (
-        regression_8x8("fedit", 1, "1.0e308"), "0.05", "non-finite factor mean at the server"
-    ),
+    "dispersion": ("overflow_dispersion", "0.05"),
+    "scalar_toy_loss": ("overflow_scalar_toy", "0.01"),
+    "server_factor_mean": ("overflow_server", "0.05"),
 }
 
 
 @pytest.mark.parametrize("case", DIVERGING)
-def test_overflow_past_the_clients_diverges(tmp_path, capsys, case):
-    # The run ends as diverged with its completed rounds, and a sweep writes
-    # the diverged cell's directory as `fedrot run` writes it.
-    text, ok_rate, message = DIVERGING[case]
+def test_overflow_past_the_clients_diverges(tmp_path, case):
+    # The run writes its completed rounds, and a sweep writes the diverged
+    # cell's directory as `fedrot run` writes it.
+    name, ok_rate = DIVERGING[case]
+    text = case_text(name)
     run_out = tmp_path / "run"
     assert main(["run", write(tmp_path, text), "--out", str(run_out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and "Traceback" not in err
-    summary = json.loads((run_out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["status"] == "diverged"
     rows = (run_out / "rounds.csv").read_text(encoding="utf-8").splitlines()[1:]
-    completed = summary["metrics"]["rounds_completed"]
+    completed = check.summary(run_out)["metrics"]["rounds_completed"]
     assert [row.split(",")[0] for row in rows] == [str(t) for t in range(1, completed + 1)]
     rate = re.search(r"learning_rate: (\S+)", text).group(1)
     sweep = f"sweep:\n  grid:\n    learning_rate: [{ok_rate}, {rate}]\n"
     out = tmp_path / "sweep"
     assert main(["sweep", write(tmp_path, text + sweep, "sweep.yaml"), "--out", str(out)]) == 0
     ok_dir, diverged_dir = sorted(p for p in out.iterdir() if p.is_dir())
-    assert sweep_outputs(diverged_dir) == sweep_outputs(run_out)
-    assert sweep_outputs(ok_dir)["summary.json"]["status"] == "ok"
+    assert check.outputs(diverged_dir) == check.outputs(run_out)
+    assert check.summary(ok_dir)["status"] == "ok"
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
 def test_server_overflow_diverges_under_every_strategy(tmp_path, capsys, strategy):
     out = tmp_path / "out"
-    text = regression_8x8(strategy, 1, "1.0e308")
+    text = case_text("overflow_server").replace("fedit", strategy)
     assert main(["run", write(tmp_path, text), "--out", str(out)]) == 3
     assert "Traceback" not in capsys.readouterr().err
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["status"] == "diverged"
-
-
-# Clients that align from round 1, with the learning rate and the initial
-# A's entries left to set.
-ALIGNING = (
-    MINIMAL.replace("rounds: 4", "rounds: 3").replace("local_steps: 10", "local_steps: 5")
-    .replace("lambda: 0.7", "lambda: 0.5")
-)
+    assert check.summary(out)["status"] == "diverged"
 
 
 def aligning(strategy: str, init_a: str, learning_rate: str) -> str:
-    text = ALIGNING.replace("strategy: fedrot", f"strategy: {strategy}")
-    text = text.replace("learning_rate: 0.05", f"learning_rate: {learning_rate}")
-    return text + f"  init_a_value: {init_a}\n"
+    """The ``overflow_alignment`` case, whose clients align from round 1,
+    with its strategy, initial A's entries and learning rate replaced."""
+    return (case_text("overflow_alignment").replace("fedrot", strategy)
+            .replace("1.0e+160", init_a).replace("1.0e-320", learning_rate))
 
 
 @pytest.mark.parametrize("strategy", ["fedrot", "random_rotation", "scalar_rescale"])
@@ -499,21 +428,19 @@ def test_alignment_overflow_diverges(tmp_path, capsys):
     # as diverged with no completed round, and a sweep writes its cell.  The
     # FedIT cell's global loss passes the divergence limit in round 1, so
     # every cell fails and the sweep exits 1, with both directories written.
-    text = aligning("fedrot", "1.0e+160", "1.0e-320")
+    text = case_text("overflow_alignment")
     run_out = tmp_path / "run"
     assert main(["run", write(tmp_path, text), "--out", str(run_out)]) == 3
     assert capsys.readouterr().err == "error: non-finite alignment on client 0\n"
-    summary = json.loads((run_out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["status"] == "diverged"
-    assert summary["metrics"]["rounds_completed"] == 0
+    assert check.summary(run_out)["metrics"]["rounds_completed"] == 0
     rows = (run_out / "rounds.csv").read_text(encoding="utf-8").splitlines()
     assert rows == [",".join(ROUNDS_COLUMNS)]
     sweep = "sweep:\n  grid:\n    strategy: [fedit, fedrot]\n"
     out = tmp_path / "sweep"
     assert main(["sweep", write(tmp_path, text + sweep, "sweep.yaml"), "--out", str(out)]) == 1
     fedit_dir, fedrot_dir = sorted(p for p in out.iterdir() if p.is_dir())
-    assert sweep_outputs(fedrot_dir) == sweep_outputs(run_out)
-    assert sweep_outputs(fedit_dir)["summary.json"]["metrics"]["rounds_completed"] == 1
+    assert check.outputs(fedrot_dir) == check.outputs(run_out)
+    assert check.summary(fedit_dir)["metrics"]["rounds_completed"] == 1
     status = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[2].split(",")[-1]
     assert status == "DivergenceError: non-finite alignment on client 0"
 
@@ -565,8 +492,8 @@ def test_failed_alignment_diverges_after_completed_rounds(tmp_path, capsys, monk
     out = tmp_path / "sweep"
     assert main(["sweep", write(tmp_path, text + sweep, "sweep.yaml"), "--out", str(out)]) == 0
     fedit_dir, fedrot_dir = sorted(p for p in out.iterdir() if p.is_dir())
-    assert sweep_outputs(fedrot_dir) == sweep_outputs(run_out)
-    assert sweep_outputs(fedit_dir)["summary.json"]["status"] == "ok"
+    assert check.outputs(fedrot_dir) == check.outputs(run_out)
+    assert check.summary(fedit_dir)["status"] == "ok"
     status = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[2].split(",")[-1]
     assert status.startswith("DivergenceError: failed alignment on client 0: ")
 
@@ -963,9 +890,7 @@ class TestSweepCommand:
         echo = write(tmp_path, json.dumps({"experiment": summary["config"]}), "echo.yaml")
         rerun = tmp_path / "rerun"
         assert main(["run", echo, "--out", str(rerun)]) == 0
-        assert rounds_csv_without_wall_ms(rerun / "rounds.csv") == (
-            rounds_csv_without_wall_ms(cell / "rounds.csv")
-        )
+        assert check.outputs(rerun)["rounds.csv"] == check.outputs(cell)["rounds.csv"]
 
     def test_out_is_a_file_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -1018,14 +943,13 @@ class TestSweepCommand:
         assert code == 3
         message = capsys.readouterr().err.strip().removeprefix("error: ")
         assert "global loss diverged" in message
-        cell_files, run_files = sweep_outputs(diverged_dir), sweep_outputs(run_out)
-        assert cell_files == run_files
-        assert cell_files["summary.json"]["status"] == "diverged"
-        assert cell_files["summary.json"]["metrics"]["rounds_completed"] >= 1
+        assert check.outputs(diverged_dir) == check.outputs(run_out)
+        assert check.summary(diverged_dir)["status"] == "diverged"
+        assert check.summary(diverged_dir)["metrics"]["rounds_completed"] >= 1
         rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert rows[1].endswith(",ok")
         assert rows[2] == "1.0,0,nan,nan,DivergenceError: " + message.replace(",", ";")
-        assert sweep_outputs(ok_dir)["summary.json"]["status"] == "ok"
+        assert check.summary(ok_dir)["status"] == "ok"
 
     def test_setup_imports_neither_multiprocessing_nor_numpy_ma(self, tmp_path):
         # Start-up of a run loads only what the run uses: the process pool
@@ -1067,24 +991,6 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  det_correction" in out
-
-
-def sweep_outputs(out: Path) -> dict:
-    """Every file a sweep wrote, with the wall-clock fields dropped."""
-    files = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_dir():
-            continue
-        name = str(path.relative_to(out))
-        if path.name == "rounds.csv":
-            files[name] = rounds_csv_without_wall_ms(path)
-        elif path.name == "summary.json":
-            summary = json.loads(path.read_text(encoding="utf-8"))
-            del summary["metrics"]["wall_time_s"]
-            files[name] = summary
-        else:
-            files[name] = path.read_text(encoding="utf-8")
-    return files
 
 
 # Small grids over the sweepable keys; a learning rate of 50 makes a cell
@@ -1135,6 +1041,6 @@ def test_sweep_jobs_outputs_identical(data):
             with contextlib.redirect_stderr(io.StringIO()):
                 code = main(["sweep", config, "--out", str(out), "--jobs", jobs])
             assert code in (0, 1)
-            outputs.append(sweep_outputs(out))
+            outputs.append(check.outputs(out))
     assert outputs[0] == outputs[1]
     assert outputs[0]

@@ -26,29 +26,10 @@ from fedrot.cli import main
 from fedrot.config import load_config
 from fedrot.federation import RoundRecord, run_federation
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
+from cli_cases import check
+
+GOLDEN_DIR = check.GOLDEN_DIR
 CONFIGS = sorted(GOLDEN_DIR.glob("*.yaml"))
-
-
-def without_wall_clock(out_dir: Path) -> dict[str, str]:
-    """The run's output files as text, with the wall-clock fields dropped."""
-    lines = (out_dir / "rounds.csv").read_text(encoding="utf-8").splitlines()
-    wall = lines[0].split(",").index("wall_ms")
-    rounds = "".join(
-        ",".join(f for j, f in enumerate(line.split(",")) if j != wall) + "\n"
-        for line in lines
-    )
-    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
-    del summary["metrics"]["wall_time_s"]
-    return {
-        "rounds.csv": rounds,
-        "summary.json": json.dumps(summary, indent=2) + "\n",
-    }
-
-
-def run_golden(config: Path, out_dir: Path) -> tuple[int, dict[str, str]]:
-    code = main(["run", str(config), "--out", str(out_dir)])
-    return code, without_wall_clock(out_dir)
 
 
 def records_json(config: Path) -> str:
@@ -81,12 +62,7 @@ def test_configs_cover_the_protocol():
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
 def test_outputs_match_golden(config, tmp_path):
-    code, files = run_golden(config, tmp_path / "out")
-    status = json.loads(files["summary.json"])["status"]
-    assert code == (0 if status == "ok" else 3)
-    for name, text in files.items():
-        golden = (GOLDEN_DIR / config.stem / name).read_text(encoding="utf-8")
-        assert text == golden, f"{config.stem}/{name} differs from the golden file"
+    assert check.check_golden(config.stem, config, check.in_process, tmp_path / "out") == []
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
@@ -118,7 +94,8 @@ if __name__ == "__main__":
 
     for config in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
-            code, files = run_golden(config, Path(tmp) / "out")
+            code = main(["run", str(config), "--out", tmp])
+            files = check.outputs(Path(tmp))
         target = GOLDEN_DIR / config.stem
         target.mkdir(exist_ok=True)
         files["records.json"] = records_json(config)
