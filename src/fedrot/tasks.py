@@ -9,9 +9,11 @@ overwrite ``w`` and return it.  The base class ``_Task`` holds the chain
 rule once: ``client_grads(i, b, a, sample_idx=None, out=None)`` writes
 ``g a^T`` and ``b^T g`` into the caller's arrays ``out = (gb, ga)`` and
 returns them; without ``out`` it writes into fresh arrays.  Local training
-passes views into one packed buffer per client-round.  ``global_loss``
-forms ``b a`` once for every client's ``product_loss``, which only reads
-``w``.
+passes views into one packed buffer per client-round.  ``client_loss(i,
+b, a)`` evaluates ``product_loss`` at ``b a`` with overflow silenced, so a
+regression product or loss that overflows, of any shape, gives ``inf``
+without a warning; ``global_loss`` is the mean of every client's
+``client_loss``.
 
 The kernels call ``np.dot`` where their formulas read ``@``: for these 2-D
 products both reach the same BLAS call, so they give the same bits, and
@@ -59,6 +61,7 @@ class _Task:
     """The factor-level losses and gradients of every task family, from
     the task's ``product_loss`` and ``product_grad``."""
 
+    @np.errstate(over="ignore")  # an overflowing regression loss is inf
     def client_loss(self, i, b, a) -> float:
         return self.product_loss(i, np.dot(b, a))
 
@@ -70,8 +73,7 @@ class _Task:
         return out
 
     def global_loss(self, b, a) -> float:
-        w = np.dot(b, a)
-        return float(np.mean([self.product_loss(i, w) for i in range(self.n_clients)]))
+        return float(np.mean([self.client_loss(i, b, a) for i in range(self.n_clients)]))
 
 
 @dataclass(eq=False)
@@ -91,7 +93,6 @@ class LowRankRegressionTask(_Task):
     def n_clients(self) -> int:
         return len(self.client_targets)
 
-    @np.errstate(over="ignore")  # an overflowing loss is inf
     def product_loss(self, i, w) -> float:
         resid = w - self.client_targets[i]
         return float(np.sum(resid * resid))
@@ -200,10 +201,7 @@ def logistic_task(
     rng = np.random.default_rng([seed, 102])
     means = rng.standard_normal((n_classes, n_features))
     means *= 5.0 / np.linalg.norm(means, axis=1, keepdims=True)
-    labels = np.concatenate(
-        [np.arange(n_classes, dtype=np.int64)] * (n_samples // n_classes)
-        + [np.arange(n_samples % n_classes, dtype=np.int64)]
-    )
+    labels = np.arange(n_samples, dtype=np.int64) % n_classes
     labels = labels[rng.permutation(n_samples)]
     features = means[labels] + rng.standard_normal((n_samples, n_features))
     classes = np.arange(n_classes)

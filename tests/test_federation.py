@@ -11,6 +11,7 @@ import pytest
 
 import fedrot.aggregation
 import fedrot.federation
+import fedrot.tasks
 from fedrot.aggregation import Strategy, frozen_factors
 from fedrot.alignment import AlignmentTarget, ReferenceKind, procrustes_rotation
 from fedrot.config import (
@@ -804,6 +805,29 @@ class TestRunFederation:
         calls = count_products(monkeypatch)
         run_federation(regression_config(strategy=strategy, rounds=2))
         assert len(calls) == 2 * (3 * per_client + 1)
+
+    @pytest.mark.parametrize("config, rounds", [
+        pytest.param(lambda: regression_config(Strategy.FEDIT, rounds=3), 3, id="fedit"),
+        pytest.param(lambda: regression_config(rounds=3), 3, id="fedrot"),
+        pytest.param(lambda: logistic_config(rounds=3, batch_size=8), 3,
+                     id="logistic_batched"),
+        # Round 1's alignment overflows, so no aggregate reaches the loss.
+        pytest.param(lambda: regression_config(
+            rounds=3, local_steps=5, learning_rate=1e-320, lam=0.5, init_a_value=1e160,
+        ), 0, id="diverged_before_aggregation"),
+    ])
+    def test_each_client_loss_evaluated_once_per_round(self, monkeypatch, config, rounds):
+        # A round's global loss is the mean of every client's client_loss.
+        calls, real = [], fedrot.tasks._Task.client_loss
+
+        def counted(task, i, b, a):
+            calls.append(i)
+            return real(task, i, b, a)
+
+        monkeypatch.setattr(fedrot.tasks._Task, "client_loss", counted)
+        result = run_federation(config())
+        assert len(result.rounds) == rounds and (result.divergence is None) == (rounds == 3)
+        assert calls == [0, 1, 2] * rounds
 
     def test_lambda_zero_reports_the_trained_product(self, monkeypatch):
         # The soft rotation at lambda 0 is the identity, whose alignment

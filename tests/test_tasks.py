@@ -80,10 +80,8 @@ class TestScalarToy:
                 gb, ga = task.client_grads(i, bb, aa)
             assert gb.tobytes() == np.float64(want_gb).tobytes()
             assert ga.tobytes() == np.float64(want_ga).tobytes()
-            # The loss itself is silent where it overflows; np.dot warns
-            # where the product does, as it did for the old toy.
-            with np.errstate(over="ignore" if math.isinf(b * a) else "warn"):
-                loss = task.client_loss(i, bb, aa)
+            # The loss is silent where the product or the loss overflows.
+            loss = task.client_loss(i, bb, aa)
             r = b * a - target
             assert loss == r * r
             if math.isinf(loss) or math.isinf(want_loss):
@@ -113,9 +111,13 @@ class TestScalarToy:
         assert grid[int(np.argmin(losses))] == pytest.approx(1.0, abs=1e-3)
 
     def test_overflowing_loss_is_inf(self):
+        # Silent where only the square overflows and where the 1x1 product
+        # itself does, which np.dot's own loop would warn about.
         task = scalar_toy_task()
-        assert task.client_loss(0, np.array([[1e100]]), np.array([[1e100]])) == math.inf
-        assert task.global_loss(np.array([[1e100]]), np.array([[1e100]])) == math.inf
+        for b, a in [(1e100, 1e100), (1.31e157, -2.45e152)]:
+            b, a = np.array([[b]]), np.array([[a]])
+            assert task.client_loss(2, b, a) == math.inf
+            assert task.global_loss(b, a) == math.inf
 
     def test_gradients_match_finite_differences(self):
         task = scalar_toy_task()
