@@ -14,6 +14,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -108,6 +109,57 @@ def build_task(config: FederationConfig):
 _PARAM_BOUND = 1e300
 
 
+def _draws(seed, client: int, round_index: int, n_samples: int, batch_size: int, steps: int):
+    """The client-round's mini-batches, one per step: the indices that
+    ``rng.choice(n_samples, size=batch_size, replace=False)`` draws in step
+    order from ``default_rng([seed, client, round_index])``."""
+    rng = np.random.default_rng([seed, client, round_index])
+    for _ in range(steps):
+        yield rng.choice(n_samples, size=batch_size, replace=False)
+
+
+def _batch_table(key: tuple, dtype) -> np.ndarray:
+    """The ``(steps, batch_size)`` table of :func:`_draws` ``(*key)``, row
+    ``s`` the batch of step ``s``, as ``dtype``."""
+    *_, batch_size, steps = key
+    table = np.empty((steps, batch_size), dtype)
+    for row, idx in zip(table, _draws(*key)):
+        row[:] = idx
+    return table
+
+
+# The bytes of batch tables that one sweep process may hold.
+_BATCH_TABLE_BYTES = 2**24
+
+
+class _BatchTables:
+    """The mini-batch tables that the runs of one sweep process share.
+
+    A client-round's batches depend only on the key ``(seed, client,
+    round_index, n_samples, batch_size, steps)``, never on the strategy,
+    so a table is drawn once per key and held read-only in the smallest
+    unsigned type that holds ``n_samples - 1``.  Once the tables would pass
+    ``_BATCH_TABLE_BYTES``, a new key's batches are drawn step by step, as
+    without tables, and not held."""
+
+    def __init__(self):
+        self.tables: dict[tuple, np.ndarray] = {}
+        self.nbytes = 0
+
+    def batches(self, key: tuple):
+        """The key's batches, one per step, as ``intp`` indices."""
+        table = self.tables.get(key)
+        if table is None:
+            *_, n_samples, batch_size, steps = key
+            dtype = np.min_scalar_type(n_samples - 1)
+            if self.nbytes + steps * batch_size * dtype.itemsize > _BATCH_TABLE_BYTES:
+                return _draws(*key)
+            table = self.tables[key] = _batch_table(key, dtype)
+            table.flags.writeable = False
+            self.nbytes += table.nbytes
+        return table.astype(np.intp)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def local_train(
     client: int,
@@ -119,6 +171,7 @@ def local_train(
     round_index: int,
     seed,
     batch_size: int | None = None,
+    batch_tables: _BatchTables | None = None,
 ):
     """Deterministic (full-batch) gradient descent on the client's shard.
 
@@ -127,10 +180,12 @@ def local_train(
     ``a`` as views into it, and a packed gradient array of the same layout.
     Each step calls ``task.client_grads(client, b, a, sample_idx, out=(gb,
     ga))``, which writes the gradients into the views ``gb`` and ``ga``.
-    Mini-batching, when enabled, draws seeded batches from ``(seed, client,
-    round)`` so results never depend on scheduling.  Divergence is read from
-    the values, so numpy's overflow warnings are silenced, as in
-    :func:`run_federation`.
+    Mini-batching, when enabled, reads step ``s``'s batch from row ``s`` of
+    the client-round's ``(steps, batch_size)`` table, drawn from ``(seed,
+    client, round)`` so results never depend on scheduling: shared through
+    ``batch_tables`` when given, else drawn step by step with the same
+    bits.  Divergence is read from the values, so numpy's overflow warnings
+    are silenced, as in :func:`run_federation`.
     """
     nb = start.b.size
     params = np.concatenate((start.b.ravel(), start.a.ravel()))
@@ -148,9 +203,10 @@ def local_train(
     else:
         updated, update = params, grads
     n_samples = task.sample_count(client)
-    rng = None
+    batches = repeat(None, steps)  # the full batch
     if batch_size is not None and batch_size < n_samples:
-        rng = np.random.default_rng([seed, client, round_index])
+        key = (seed, client, round_index, n_samples, batch_size, steps)
+        batches = _draws(*key) if batch_tables is None else batch_tables.batches(key)
     client_grads = task.client_grads
     isfinite, sqrt = math.isfinite, math.sqrt
     # |updated|_F <= bound after every step, since |p - eta g| <= |p| + |eta| |g|
@@ -158,10 +214,7 @@ def local_train(
     # a non-finite start gives an infinite or NaN bound, which is checked.
     step_scale = abs(eta)
     bound = sqrt(updated.dot(updated))  # updated is 1-D
-    for step in range(steps):
-        idx = None
-        if rng is not None:
-            idx = rng.choice(n_samples, size=batch_size, replace=False)
+    for step, idx in enumerate(batches):
         client_grads(client, b, a, idx, out=out)
         sq_b, sq_a = gb_flat.dot(gb_flat), ga_flat.dot(ga_flat)
         # A finite norm proves every entry finite; a non-finite one may
@@ -196,9 +249,11 @@ def checked_product(adapter: LoraAdapter, client: int, round_index: int) -> np.n
     return product
 
 
-def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_index: int):
+def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_index: int,
+                  batch_tables: _BatchTables | None):
     """The training phase: :func:`local_train` on every client from
-    ``broadcast``, in client order.  Returns the trained adapters and their
+    ``broadcast``, in client order, reading its batches from
+    ``batch_tables`` unless it is ``None``.  Returns the trained adapters and their
     products.  A product that overflows raises before the next client
     trains."""
     trained, products = [], []
@@ -206,6 +261,7 @@ def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_
         adapter = local_train(
             client, broadcast, task, config.local_steps, config.learning_rate,
             config.strategy, round_index, config.seed, batch_size=config.batch_size,
+            batch_tables=batch_tables,
         )
         trained.append(adapter)
         products.append(checked_product(adapter, client, round_index))
@@ -295,14 +351,17 @@ def round_record(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_federation(config: FederationConfig) -> RunResult:
+def run_federation(config: FederationConfig,
+                   batch_tables: _BatchTables | None = None) -> RunResult:
     """Run the full protocol for ``config.rounds`` rounds.
 
-    Deterministic for a fixed config.  The run stops when any loss,
-    gradient, parameter, product, alignment or server aggregate blows up, as
-    read from the values, not from numpy warnings; its result then holds the
-    completed rounds and, as ``divergence``, the :class:`DivergenceError` that
-    stopped it.  A round's diagnostics record an overflow as ``inf`` or ``nan``.
+    Deterministic for a fixed config, with or without the mini-batch
+    tables ``batch_tables`` that the cells of a sweep share.  The run stops
+    when any loss, gradient, parameter, product, alignment or server
+    aggregate blows up, as read from the values, not from numpy warnings;
+    its result then holds the completed rounds and, as ``divergence``, the
+    :class:`DivergenceError` that stopped it.  A round's diagnostics record
+    an overflow as ``inf`` or ``nan``.
     """
     t_start = time.perf_counter()
     task = build_task(config)
@@ -321,7 +380,7 @@ def run_federation(config: FederationConfig) -> RunResult:
         )
         broadcast = history[-1]
         try:
-            trained, products = train_clients(broadcast, task, config, t)
+            trained, products = train_clients(broadcast, task, config, t, batch_tables)
             alignments = [client_round(i, adapter, raw, reference, config, t)
                           for i, (adapter, raw) in enumerate(zip(trained, products))]
             snapshots = [reported for reported, _, _ in alignments]
@@ -345,11 +404,18 @@ def run_federation(config: FederationConfig) -> RunResult:
     return RunResult(records, config, wall_time, history, divergence)
 
 
+# The batch tables of the running sweep, module-level because the pool maps
+# _run_cell over the cells alone: set by run_sweep for its one call, and
+# copied into the workers that its pool forks.
+_sweep_tables: _BatchTables | None = None
+
+
 def _run_cell(cell: SweepCell) -> SweepCell:
-    """``cell`` with its run's result, diverged runs included, and why it failed."""
+    """``cell`` with its run's result, diverged runs included, and why it
+    failed.  Its run shares the sweep's batch tables."""
     result = None
     try:
-        result = run_federation(cell.config)
+        result = run_federation(cell.config, _sweep_tables)
         failure = result.divergence
     except Exception as exc:  # individual failures recorded, sweep continues
         failure = exc
@@ -360,12 +426,19 @@ def _run_cell(cell: SweepCell) -> SweepCell:
 def run_sweep(cells: list[SweepCell], jobs: int = 1) -> list[SweepCell]:
     """Run the cells, as :func:`fedrot.config.sweep_cells` builds them; with
     ``jobs > 1``, in a process pool.  Returns the run cells, in the order
-    given."""
-    if jobs > 1 and len(cells) > 1:
-        # Imported here: a serial run need not load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+    given.  The cells that one process runs share their mini-batch tables,
+    which are freed when the call returns."""
+    global _sweep_tables
+    _sweep_tables = _BatchTables()
+    try:
+        if jobs > 1 and len(cells) > 1:
+            # Imported here: a serial run need not load multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
 
-        # A forked pool starts all of its workers at once, busy or not.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            return list(pool.map(_run_cell, cells))
-    return [_run_cell(c) for c in cells]
+            # A forked pool starts all of its workers at once, busy or not,
+            # each with its own copy of the empty tables.
+            with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+                return list(pool.map(_run_cell, cells))
+        return [_run_cell(c) for c in cells]
+    finally:
+        _sweep_tables = None

@@ -10,10 +10,10 @@ rule once: ``client_grads(i, b, a, sample_idx=None, out=None)`` writes
 ``g a^T`` and ``b^T g`` into the caller's arrays ``out = (gb, ga)`` and
 returns them; without ``out`` it writes into fresh arrays.  Local training
 passes views into one packed buffer per client-round.  ``client_loss(i,
-b, a)`` evaluates ``product_loss`` at ``b a`` with overflow silenced, so a
-regression product or loss that overflows, of any shape, gives ``inf``
-without a warning; ``global_loss`` is the mean of every client's
-``client_loss``.
+b, a)`` evaluates ``product_loss`` at ``b a`` with overflow and invalid
+values silenced, so a regression product or loss that overflows, of any
+shape, gives ``inf`` and a logistic one ``nan``, without a warning;
+``global_loss`` is the mean of every client's ``client_loss``.
 
 The kernels call ``np.dot`` where their formulas read ``@``: for these 2-D
 products both reach the same BLAS call, so they give the same bits, and
@@ -61,7 +61,9 @@ class _Task:
     """The factor-level losses and gradients of every task family, from
     the task's ``product_loss`` and ``product_grad``."""
 
-    @np.errstate(over="ignore")  # an overflowing regression loss is inf
+    # An overflowing regression loss is inf; overflowing logistic logits
+    # meet inf - inf and give nan.
+    @np.errstate(over="ignore", invalid="ignore")
     def client_loss(self, i, b, a) -> float:
         return self.product_loss(i, np.dot(b, a))
 

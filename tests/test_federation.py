@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -1070,6 +1071,29 @@ def logistic_config(**kwargs):
     return regression_config(dims=(4, 8), task=task, **kwargs)
 
 
+def minibatch_sweep(config):
+    """Mini-batch cells of four strategies over two seeds: each (seed,
+    client, round) draws the same batches in the cells of all four."""
+    base = config(rounds=3, local_steps=5, batch_size=16)
+    strategies = [Strategy.FEDIT, Strategy.FEDROT, Strategy.ROLORA, Strategy.RANDOM_ROTATION]
+    return sweep_cells(base, {"strategy": strategies}, seeds=[0, 1])
+
+
+def counted_batch_tables(monkeypatch):
+    """Count the draws of ``federation._batch_table``: returns the list to
+    which each draw appends its key and weak references to its table and
+    to the sweep's tables that hold it."""
+    real_batch_table, draws = fedrot.federation._batch_table, []
+
+    def batch_table(key, dtype):
+        table = real_batch_table(key, dtype)
+        draws.append((key, weakref.ref(table), weakref.ref(fedrot.federation._sweep_tables)))
+        return table
+
+    monkeypatch.setattr(fedrot.federation, "_batch_table", batch_table)
+    return draws
+
+
 class TestRunSweep:
     def test_grid_size_and_order(self):
         cells = run_sweep(sweep_cells(
@@ -1088,6 +1112,41 @@ class TestRunSweep:
         direct = run_federation(dataclasses.replace(base, lam=0.4, seed=7))
         assert cell.error is None
         assert_runs_bit_identical(cell.result, direct)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("config", [logistic_config, regression_config])
+    def test_minibatch_cells_match_direct_runs(self, config, jobs):
+        # The cells share their batch tables, and each keeps the bits of
+        # its own run, which draws its batches step by step.
+        cells = run_sweep(minibatch_sweep(config), jobs=jobs)
+        for cell in cells:
+            assert cell.error is None
+            assert_runs_bit_identical(cell.result, run_federation(cell.config))
+
+    def test_batch_table_drawn_once_per_client_round(self, monkeypatch):
+        draws = counted_batch_tables(monkeypatch)
+        cells = run_sweep(minibatch_sweep(regression_config))
+        assert all(cell.error is None for cell in cells)
+        # 3 clients x 3 rounds x 2 seeds, each drawn for the first of the
+        # four strategies' cells and read by the other three, into one
+        # set of tables that the sweep frees when it returns.
+        keys = [key for key, _, _ in draws]
+        assert len(keys) == len(set(keys)) == 3 * 3 * 2
+        assert {key[:3] for key in keys} == {
+            (seed, client, t) for seed in (0, 1) for client in range(3) for t in (1, 2, 3)
+        }
+        assert all(table() is None and tables() is None for _, table, tables in draws)
+        assert fedrot.federation._sweep_tables is None
+
+    def test_batch_tables_capped(self, monkeypatch):
+        # Two 5 x 16 tables of uint8 indices fit under the cap; every later
+        # client-round draws its batches step by step, with the same bits.
+        monkeypatch.setattr(fedrot.federation, "_BATCH_TABLE_BYTES", 2 * 5 * 16 + 79)
+        draws = counted_batch_tables(monkeypatch)
+        cells = run_sweep(minibatch_sweep(regression_config))
+        assert len(draws) == 2
+        for cell in cells:
+            assert_runs_bit_identical(cell.result, run_federation(cell.config))
 
     def test_failed_cell_recorded_not_raised(self):
         base = regression_config(rounds=3, local_steps=30)

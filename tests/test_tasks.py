@@ -184,6 +184,14 @@ class TestLogistic:
         a = np.zeros((2, 6))
         assert task.client_loss(0, b, a) == pytest.approx(math.log(4), rel=1e-12)
 
+    def test_overflowing_loss_is_nan(self):
+        # Overflowing logits meet inf - inf: a non-finite loss, without the
+        # "invalid value" warning that the test settings make an error.
+        task = logistic_task(8, 4, 300, 3, 0.5, seed=9)
+        b, a = np.full((4, 2), 1e160), np.full((2, 8), 1e160)
+        assert not math.isfinite(task.global_loss(b, a))
+        assert not math.isfinite(task.client_loss(0, b, a))
+
     def test_gradients_match_finite_differences(self):
         task = logistic_task(5, 3, 60, 1, 1.0, seed=6)
         rng = np.random.default_rng(6)
