@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,11 +53,13 @@ def _write_rounds_csv(path: Path, records) -> None:
 
 def _summary_payload(result: RunResult) -> dict:
     records = result.rounds
+    loss = records[-1].loss if records else math.nan
+    agg_error = float(np.mean([r.agg_error for r in records])) if records else math.nan
     final = {
-        "final_loss": records[-1].loss if records else None,
-        "mean_agg_error": float(np.mean([r.agg_error for r in records]))
-        if records
-        else None,
+        # Strict JSON has no inf or nan: a metric that is not finite, or
+        # that no completed round gives, reads null.
+        "final_loss": loss if math.isfinite(loss) else None,
+        "mean_agg_error": agg_error if math.isfinite(agg_error) else None,
         "rounds_completed": len(records),
         "wall_time_s": result.wall_time,
     }
@@ -121,8 +124,8 @@ def cmd_sweep(config_path, out_dir, jobs: int = 1) -> int:
         if cell.error is None:
             row = values + [
                 str(cell.seed),
-                _fmt(metrics["final_loss"]),
-                _fmt(metrics["mean_agg_error"]),
+                *(_fmt(math.nan if metrics[k] is None else metrics[k])
+                  for k in ("final_loss", "mean_agg_error")),
                 "ok",
             ]
         else:

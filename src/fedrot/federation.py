@@ -102,13 +102,6 @@ def build_task(config: FederationConfig):
     )
 
 
-# While a running bound on the trained factors' Frobenius norm stays below
-# this, they are provably finite and their per-step check is skipped.  The gap to
-# the largest double (~1.8e308) dwarfs the rounding of any feasible number
-# of bound updates.
-_PARAM_BOUND = 1e300
-
-
 def _draws(seed, client: int, round_index: int, n_samples: int, batch_size: int, steps: int):
     """The client-round's mini-batches, one per step: the indices that
     ``rng.choice(n_samples, size=batch_size, replace=False)`` draws in step
@@ -184,42 +177,33 @@ def local_train(
     the client-round's ``(steps, batch_size)`` table, drawn from ``(seed,
     client, round)`` so results never depend on scheduling: shared through
     ``batch_tables`` when given, else drawn step by step with the same
-    bits.  Divergence is read from the values, so numpy's overflow warnings
-    are silenced, as in :func:`run_federation`.
+    bits.  Divergence is read from each step's sums of squares, of both
+    factors' gradients and of the trained parameters, and from their
+    entries only when a sum is not finite; numpy's overflow warnings are
+    silenced, as in :func:`run_federation`.
     """
     nb = start.b.size
     params = np.concatenate((start.b.ravel(), start.a.ravel()))
     grads = np.empty_like(params)
     b = params[:nb].reshape(start.b.shape)
     a = params[nb:].reshape(start.a.shape)
-    gb_flat, ga_flat = grads[:nb], grads[nb:]
-    out = (gb_flat.reshape(b.shape), ga_flat.reshape(a.shape))
+    out = (grads[:nb].reshape(b.shape), grads[nb:].reshape(a.shape))
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
-    # The update runs on the factors the strategy trains this round.
-    if freeze_b:
-        updated, update = params[nb:], ga_flat
-    elif freeze_a:
-        updated, update = params[:nb], gb_flat
-    else:
-        updated, update = params, grads
+    # The update runs on the factors the strategy trains this round; a
+    # frozen factor keeps its start value, so only these need the check.
+    trained = slice(nb if freeze_b else 0, nb if freeze_a else None)
+    updated, update = params[trained], grads[trained]
     n_samples = task.sample_count(client)
     batches = repeat(None, steps)  # the full batch
     if batch_size is not None and batch_size < n_samples:
         key = (seed, client, round_index, n_samples, batch_size, steps)
         batches = _draws(*key) if batch_tables is None else batch_tables.batches(key)
-    client_grads = task.client_grads
-    isfinite, sqrt = math.isfinite, math.sqrt
-    # |updated|_F <= bound after every step, since |p - eta g| <= |p| + |eta| |g|
-    # and |g| <= |gb| + |ga| (Python floats: an overflow is inf, not a warning);
-    # a non-finite start gives an infinite or NaN bound, which is checked.
-    step_scale = abs(eta)
-    bound = sqrt(updated.dot(updated))  # updated is 1-D
+    client_grads, isfinite = task.client_grads, math.isfinite
     for step, idx in enumerate(batches):
         client_grads(client, b, a, idx, out=out)
-        sq_b, sq_a = gb_flat.dot(gb_flat), ga_flat.dot(ga_flat)
-        # A finite norm proves every entry finite; a non-finite one may
-        # only be an overflowing sum of squares of finite entries.
-        if not (isfinite(sq_b) and isfinite(sq_a)) and not np.isfinite(grads).all():
+        # A finite sum of squares proves every entry finite; a non-finite
+        # one may only be an overflowing sum of finite entries.
+        if not isfinite(grads.dot(grads)) and not np.isfinite(grads).all():
             raise DivergenceError(
                 f"non-finite gradient on client {client}",
                 round_index=round_index,
@@ -227,10 +211,7 @@ def local_train(
             )
         update *= eta
         updated -= update
-        # A frozen factor keeps its start value, so only the updated
-        # factors need the check.
-        bound += step_scale * (sqrt(sq_b) + sqrt(sq_a))
-        if not (bound < _PARAM_BOUND or np.isfinite(updated).all()):
+        if not isfinite(updated.dot(updated)) and not np.isfinite(updated).all():
             raise DivergenceError(
                 f"non-finite parameters on client {client}",
                 round_index=round_index,

@@ -10,6 +10,7 @@ directory under ``--out`` (``.`` for a run) whose summary must read
 diverged.  Every case also prints no traceback, one that exits 2 writes no
 ``--out``, one that exits 3 opens stderr with ``error: ``, and one run
 with ``--jobs`` writes the same files without it, wall-clock fields aside.
+Every ``summary.json`` the checker reads must parse as strict JSON.
 
 An invoker takes a ``fedrot`` command line without the program name and
 returns its exit code and stderr.  ``tests/test_cli_cases.py`` runs each
@@ -39,9 +40,18 @@ def cases() -> dict[str, dict]:
     return json.loads((HERE / "manifest.json").read_text(encoding="utf-8"))
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON, which has no ``NaN`` or ``Infinity``."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def summary(out: Path) -> dict:
-    """The ``summary.json`` in the run directory ``out``."""
-    return json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    """The ``summary.json`` in the run directory ``out``, as strict JSON."""
+    return strict_json((out / "summary.json").read_text(encoding="utf-8"))
 
 
 def in_process(argv: list[str]) -> tuple[int, str]:
@@ -64,14 +74,15 @@ def console(command: str):
 def outputs(out: Path) -> dict[str, str]:
     """Every file under ``out`` as text, without the wall-clock fields:
     ``rounds.csv`` loses its last column, ``wall_ms``, and ``summary.json``
-    its ``metrics.wall_time_s``, re-dumped as the CLI writes it."""
+    its ``metrics.wall_time_s``, parsed as strict JSON and re-dumped as the
+    CLI writes it."""
     files = {}
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         text = path.read_text(encoding="utf-8")
         if path.name == "rounds.csv":
             text = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
         elif path.name == "summary.json":
-            summary = json.loads(text)
+            summary = strict_json(text)
             del summary["metrics"]["wall_time_s"]
             text = json.dumps(summary, indent=2) + "\n"
         files[path.relative_to(out).as_posix()] = text
@@ -119,7 +130,7 @@ def check_golden(name: str, config: Path, invoke, out: Path) -> list[str]:
     golden files, wall-clock fields aside."""
     golden = {f: (GOLDEN_DIR / name / f).read_text(encoding="utf-8")
               for f in ("rounds.csv", "summary.json")}
-    want = 3 if json.loads(golden["summary.json"])["status"] == "diverged" else 0
+    want = 3 if strict_json(golden["summary.json"])["status"] == "diverged" else 0
     code, _ = invoke(["run", str(config), "--out", str(out)])
     problems = [] if code == want else [f"exit {code}, wanted {want}"]
     got = outputs(out)

@@ -312,6 +312,15 @@ class TestRunCommand:
         assert summary["metrics"]["rounds_completed"] == 0
         assert summary["metrics"]["final_loss"] is None
 
+    @pytest.mark.parametrize("name", ["overflow_dispersion", "overflow_scalar_toy"])
+    def test_overflowing_loss_reads_null_in_summary(self, tmp_path, capsys, name):
+        # rounds.csv keeps the overflow; strict JSON has no Infinity.
+        out = tmp_path / "out"
+        assert main(["run", str(check.HERE / f"{name}.yaml"), "--out", str(out)]) == 3
+        assert check.summary(out)["metrics"]["final_loss"] is None
+        last = (out / "rounds.csv").read_text(encoding="utf-8").splitlines()[-1]
+        assert last.split(",")[1] == "inf"
+
     def test_overflowing_update_exit_3(self, tmp_path, capsys):
         # Finite trained factors whose product overflows are a divergence,
         # not a usage error.

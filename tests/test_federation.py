@@ -513,6 +513,21 @@ class TestLocalTrainEdgeCases:
         assert np.isfinite(out.b).all() and np.isfinite(out.a).all()
         assert task.calls == 3
 
+    @pytest.mark.parametrize(
+        "strategy,round_index",
+        [(Strategy.FEDIT, 1), (Strategy.FFA_LORA, 1), (Strategy.ROLORA, 1),
+         (Strategy.ROLORA, 2)],
+    )
+    def test_overflowing_parameter_norm_is_not_divergence(self, strategy, round_index):
+        # Every trained entry is finite; only their sum of squares overflows.
+        self.start = LoraAdapter(np.full((4, 2), 1e200), np.full((2, 3), 1e200))
+        task = ScriptedTask((0.0, 0.0))
+        out = self.train(task, steps=3, strategy=strategy, round_index=round_index)
+        assert task.calls == 3
+        # A zero gradient keeps every factor, frozen or trained, at its start bits.
+        assert out.b.tobytes() == self.start.b.tobytes()
+        assert out.a.tobytes() == self.start.a.tobytes()
+
     def test_parameter_overflow_raises(self):
         task = ScriptedTask((0.0, 0.0), (1e300, 0.0))
         with pytest.raises(DivergenceError, match="non-finite parameters") as exc:
@@ -558,10 +573,9 @@ class TestLocalTrainEdgeCases:
     )
     def test_slow_parameter_growth_overflows_at_reference_step(self, strategy,
                                                                round_index):
-        # Each updated factor grows by 2.5x per step while every squared
-        # gradient norm stays finite, so the running norm bound passes 1e300
-        # with the factors still finite and the per-step check takes over
-        # some steps before they overflow.
+        # Each updated factor grows by 2.5x per step, so the factors' sum
+        # of squares overflows hundreds of steps before they do, and the
+        # entry-wise check must pass those steps.
         start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)))
         step = self.assert_raises_like_reference(
             GrowingTask(1e-150), start, 1000, 1.5e150, strategy, round_index

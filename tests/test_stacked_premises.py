@@ -36,11 +36,16 @@ def test_stacked_matmul_matches_per_client_dot(n, d_out, d_in, rank):
             assert ga[i].tobytes() == np.dot(b[i].T, g[i]).tobytes()
 
 
-def test_stacked_logistic_step_matches_per_client_kernel():
-    # One logistic_sweep step (10 clients, a batch of 32 rows, 8 features,
-    # 4 classes, rank 4): each stacked call against LogisticTask's per-client
-    # np.dot kernel, stage by stage from the same inputs.
-    n, batch, d_in, d_out, rank = 10, 32, 8, 4, 4
+@pytest.mark.parametrize(
+    "n,batch,d_in,d_out,rank",
+    [(10, 32, 8, 4, 4), (10, 32, 64, 10, 4), (3, 100, 20, 10, 8), (5, 16, 8, 2, 2),
+     (4, 64, 32, 16, 8), (8, 1, 8, 4, 4), (10, 256, 8, 4, 4)],
+)
+def test_stacked_logistic_step_matches_per_client_kernel(n, batch, d_in, d_out, rank):
+    # One logistic step of n clients, a batch of rows, d_in features, d_out
+    # classes and the rank (logistic_sweep's is the first shape): each
+    # stacked call against LogisticTask's per-client np.dot kernel, stage
+    # by stage from the same inputs.
     rng = np.random.default_rng([n, batch, d_in, d_out, rank])
     for _ in range(20):
         scale = 10.0 ** rng.uniform(-2, 2)
