@@ -385,18 +385,13 @@ def run_federation(config: FederationConfig,
     return RunResult(records, config, wall_time, history, divergence)
 
 
-# The batch tables of the running sweep, module-level because the pool maps
-# _run_cell over the cells alone: set by run_sweep for its one call, and
-# copied into the workers that its pool forks.
-_sweep_tables: _BatchTables | None = None
-
-
-def _run_cell(cell: SweepCell) -> SweepCell:
-    """``cell`` with its run's result, diverged runs included, and why it
-    failed.  Its run shares the sweep's batch tables."""
+def _run_cell(args: tuple[SweepCell, _BatchTables]) -> SweepCell:
+    """The cell of ``args = (cell, tables)`` with its run's result, diverged
+    runs included, and why it failed.  The run reads ``tables``."""
+    cell, tables = args
     result = None
     try:
-        result = run_federation(cell.config, _sweep_tables)
+        result = run_federation(cell.config, tables)
         failure = result.divergence
     except Exception as exc:  # individual failures recorded, sweep continues
         failure = exc
@@ -404,22 +399,27 @@ def _run_cell(cell: SweepCell) -> SweepCell:
     return replace(cell, result=result, error=error)
 
 
-def run_sweep(cells: list[SweepCell], jobs: int = 1) -> list[SweepCell]:
-    """Run the cells, as :func:`fedrot.config.sweep_cells` builds them; with
-    ``jobs > 1``, in a process pool.  Returns the run cells, in the order
-    given.  The cells that one process runs share their mini-batch tables,
-    which are freed when the call returns."""
-    global _sweep_tables
-    _sweep_tables = _BatchTables()
-    try:
-        if jobs > 1 and len(cells) > 1:
-            # Imported here: a serial run need not load multiprocessing.
-            from concurrent.futures import ProcessPoolExecutor
+def _run_cells(cells: list[SweepCell]) -> list[SweepCell]:
+    """:func:`_run_cell` on each of ``cells`` in turn, all reading one set of
+    batch tables, which is freed when the last one ends."""
+    tables = _BatchTables()
+    return [_run_cell((cell, tables)) for cell in cells]
 
-            # A forked pool starts all of its workers at once, busy or not,
-            # each with its own copy of the empty tables.
-            with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-                return list(pool.map(_run_cell, cells))
-        return [_run_cell(c) for c in cells]
-    finally:
-        _sweep_tables = None
+
+def run_sweep(cells: list[SweepCell], jobs: int = 1) -> list[SweepCell]:
+    """Run the cells, as :func:`fedrot.config.sweep_cells` builds them, and
+    return them in the order given, all in one :func:`_run_cells` unless
+    ``jobs > 1``.  Then a process pool maps it over ``min(jobs, len(cells))``
+    contiguous slices of at most ``ceil(len(cells) / jobs)`` of the cells,
+    stably sorted by seed, which opens every batch key; none is rebalanced."""
+    n = min(jobs, len(cells))
+    if n <= 1:
+        return _run_cells(cells)
+    order = sorted(range(len(cells)), key=lambda i: cells[i].seed)
+    slices = [[cells[i] for i in order[k * len(cells) // n:(k + 1) * len(cells) // n]]
+              for k in range(n)]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run need not load it
+
+    with ProcessPoolExecutor(max_workers=n) as pool:  # forked: all n start at once
+        ran = [cell for run in pool.map(_run_cells, slices) for cell in run]
+    return [cell for _, cell in sorted(zip(order, ran))]  # the indices are distinct

@@ -1,7 +1,10 @@
+import collections
 import concurrent.futures
 import dataclasses
+import json
 import logging
 import math
+import os
 import time
 import tracemalloc
 import warnings
@@ -1094,18 +1097,49 @@ def minibatch_sweep(config):
 
 
 def counted_batch_tables(monkeypatch):
-    """Count the draws of ``federation._batch_table``: returns the list to
-    which each draw appends its key and weak references to its table and
-    to the sweep's tables that hold it."""
-    real_batch_table, draws = fedrot.federation._batch_table, []
+    """Count the draws of ``federation._batch_table`` and the sets of tables
+    that ``federation._BatchTables`` makes: returns the list to which each
+    draw appends its key and a weak reference to its table, and the list of
+    weak references to each set of tables."""
+    real_batch_table, draws, made = fedrot.federation._batch_table, [], []
+
+    class BatchTables(fedrot.federation._BatchTables):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
 
     def batch_table(key, dtype):
         table = real_batch_table(key, dtype)
-        draws.append((key, weakref.ref(table), weakref.ref(fedrot.federation._sweep_tables)))
+        draws.append((key, weakref.ref(table)))
         return table
 
+    monkeypatch.setattr(fedrot.federation, "_BatchTables", BatchTables)
     monkeypatch.setattr(fedrot.federation, "_batch_table", batch_table)
-    return draws
+    return draws, made
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A process pool that runs in this process: returns the lists of the
+    pool sizes asked for and of the slices of cells mapped."""
+    sizes, slices = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            slices.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes, slices
 
 
 class TestRunSweep:
@@ -1138,25 +1172,48 @@ class TestRunSweep:
             assert_runs_bit_identical(cell.result, run_federation(cell.config))
 
     def test_batch_table_drawn_once_per_client_round(self, monkeypatch):
-        draws = counted_batch_tables(monkeypatch)
+        draws, made = counted_batch_tables(monkeypatch)
         cells = run_sweep(minibatch_sweep(regression_config))
         assert all(cell.error is None for cell in cells)
         # 3 clients x 3 rounds x 2 seeds, each drawn for the first of the
         # four strategies' cells and read by the other three, into one
         # set of tables that the sweep frees when it returns.
-        keys = [key for key, _, _ in draws]
+        keys = [key for key, _ in draws]
         assert len(keys) == len(set(keys)) == 3 * 3 * 2
         assert {key[:3] for key in keys} == {
             (seed, client, t) for seed in (0, 1) for client in range(3) for t in (1, 2, 3)
         }
-        assert all(table() is None and tables() is None for _, table, tables in draws)
-        assert fedrot.federation._sweep_tables is None
+        assert len(made) == 1
+        assert all(table() is None for _, table in draws)
+        assert all(tables() is None for tables in made)
+
+    def test_batch_table_drawn_once_over_the_workers(self, monkeypatch, tmp_path):
+        # At --jobs 2 each worker runs one seed's four cells, so each of the
+        # 3 clients x 3 rounds x 2 seeds is drawn in one worker alone, but
+        # for seed 0's client 1, whose 7 samples train as a full batch.
+        log, real_batch_table = tmp_path / "draws", fedrot.federation._batch_table
+
+        def batch_table(key, dtype):
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), *key]) + "\n")
+            return real_batch_table(key, dtype)
+
+        monkeypatch.setattr(fedrot.federation, "_batch_table", batch_table)
+        cells = run_sweep(minibatch_sweep(logistic_config), jobs=2)
+        assert all(cell.error is None for cell in cells)
+        draws = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        keys = [tuple(key) for _, *key in draws]
+        assert len(keys) == len(set(keys)) == 3 * 3 * 2 - 3
+        seeds = collections.defaultdict(set)
+        for pid, seed, *_ in draws:
+            seeds[pid].add(seed)
+        assert sorted(map(sorted, seeds.values())) == [[0], [1]] and os.getpid() not in seeds
 
     def test_batch_tables_capped(self, monkeypatch):
         # Two 5 x 16 tables of uint8 indices fit under the cap; every later
         # client-round draws its batches step by step, with the same bits.
         monkeypatch.setattr(fedrot.federation, "_BATCH_TABLE_BYTES", 2 * 5 * 16 + 79)
-        draws = counted_batch_tables(monkeypatch)
+        draws, _ = counted_batch_tables(monkeypatch)
         cells = run_sweep(minibatch_sweep(regression_config))
         assert len(draws) == 2
         for cell in cells:
@@ -1210,24 +1267,32 @@ class TestRunSweep:
         assert exc.value.key == key
         assert runs == []
 
-    def test_pool_no_larger_than_grid(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pool_no_larger_than_grid(self, serial_pool):
+        sizes, _ = serial_pool
         base = regression_config(rounds=1, local_steps=1)
         cells = run_sweep(sweep_cells(base, {"lambda": [0.0, 1.0]}, seeds=[0]), jobs=64)
         assert sizes == [2]
+        assert all(c.result is not None for c in cells)
+
+    def test_slices_seed_ordered_cells_grid_ordered(self, serial_pool):
+        # Two slices of three cells in seed order, seed 1's cells split
+        # between them; the cells come back in grid order.
+        sizes, slices = serial_pool
+        base = regression_config(rounds=1, local_steps=1)
+        grid = sweep_cells(base, {"lambda": [0.0, 1.0]}, seeds=[0, 1, 2])
+        cells = run_sweep(grid, jobs=2)
+        assert sizes == [2]
+        assert [[(c.params["lambda"], c.seed) for c in s] for s in slices] == [
+            [(0.0, 0), (1.0, 0), (0.0, 1)], [(1.0, 1), (0.0, 2), (1.0, 2)]]
+        assert [(c.params, c.seed) for c in cells] == [(c.params, c.seed) for c in grid]
+        assert all(c.result is not None for c in cells)
+
+    def test_no_cells_or_jobs_below_one_run_without_pool(self, serial_pool):
+        sizes, _ = serial_pool
+        assert run_sweep([], jobs=2) == []
+        grid = sweep_cells(regression_config(rounds=1, local_steps=1), {"lambda": [0.0, 1.0]},
+                           seeds=[0, 1])
+        cells = run_sweep(grid, jobs=0)
+        assert sizes == []
+        assert [(c.params, c.seed) for c in cells] == [(c.params, c.seed) for c in grid]
         assert all(c.result is not None for c in cells)

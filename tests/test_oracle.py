@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from fedrot.aggregation import Strategy
 from fedrot.alignment import ReferenceKind, ScheduleAblation
-from fedrot.config import FederationConfig, ReferenceMode, TaskSpec
-from fedrot.federation import build_task, run_federation
+from fedrot.config import FederationConfig, ReferenceMode, TaskSpec, sweep_cells
+from fedrot.federation import build_task, run_federation, run_sweep
 from fedrot.tasks import TaskKind
 
 LOSS_LIMIT = 1e12  # a larger global loss ends the run
@@ -182,10 +182,10 @@ def configs(draw):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(configs())
-def test_run_federation_matches_the_oracle(config):
-    result = run_federation(config)
+def assert_matches_oracle(result):
+    """``result``, a run's, holds ``reference_run``'s history bit for bit,
+    its records and the round its divergence names, if any."""
+    config = result.config
     history, records = reference_run(config)
     assert len(result.history) == len(history)
     for got, (b, a) in zip(result.history, history):
@@ -195,5 +195,41 @@ def test_run_federation_matches_the_oracle(config):
     for record, (loss, err) in zip(result.rounds, records):
         assert record.loss.hex() == loss.hex()
         assert math.isclose(record.agg_error, err, rel_tol=1e-12, abs_tol=1e-300)
-    diverged = len(records) < config.rounds or not records[-1][0] <= LOSS_LIMIT
-    assert (result.divergence is not None) == diverged
+    # A loss past the limit ends the run at its own, completed round; any
+    # other divergence at the first round that did not complete.
+    if records and not records[-1][0] <= LOSS_LIMIT:
+        diverged_at = len(records)
+    else:
+        diverged_at = len(records) + 1 if len(records) < config.rounds else None
+    got = None if result.divergence is None else result.divergence.round_index
+    assert got == diverged_at
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_run_federation_matches_the_oracle(config):
+    assert_matches_oracle(run_federation(config))
+
+
+@st.composite
+def sweeps(draw):
+    """A base config, a grid of 2-3 strategies or lambda values, and 2-3 seeds."""
+    base = draw(configs())
+    key = draw(st.sampled_from(["strategy", "lambda"]))
+    values = st.sampled_from(Strategy if key == "strategy" else [0.0, 0.3, 0.7, 1.0])
+    grid = {key: draw(st.lists(values, min_size=2, max_size=3, unique=True))}
+    seeds = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))
+    return sweep_cells(base, grid, seeds)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sweeps())
+def test_sweep_cells_match_the_oracle(cells):
+    # Serially every cell reads one set of batch tables; at jobs=2 each
+    # worker reads its own, and a seed's cells may run in both.
+    for jobs in (1, 2):
+        done = run_sweep(cells, jobs=jobs)
+        assert [c.config for c in done] == [c.config for c in cells]
+        for cell in done:
+            assert (cell.error is None) == (cell.result.divergence is None)
+            assert_matches_oracle(cell.result)
