@@ -473,20 +473,26 @@ def _dataclass(node, cls, name: str):
 
 def _check_reads(node) -> None:
     """Reject each key of the experiment mapping ``node`` that its task kind
-    does not read, before any value is checked; an unknown or repeated key
-    is rejected first.  A missing or invalid kind is left for
-    :class:`TaskSpec` to reject."""
+    does not read, before any value is checked; an unknown or repeated key,
+    at the top or in a nested mapping, is rejected first.  A missing or
+    invalid kind is left for :class:`TaskSpec` to reject."""
+    schema = _schema(FederationConfig)
     top = _mapping_items(node, "experiment")
-    _check_keys(top, _schema(FederationConfig), "experiment")
-    task = _mapping_items(top["task"][1], "task") if "task" in top else {}
-    _check_keys(task, _schema(TaskSpec), "task")
+    _check_keys(top, schema, "experiment")
+    levels = {"": (FederationConfig, top)}  # key prefix -> (dataclass, its items)
+    for key, (_, value_node) in top.items():
+        if is_dataclass(cls := schema[key][1]):
+            items = _mapping_items(value_node, key)
+            _check_keys(items, _schema(cls), key)
+            levels[f"{key}."] = cls, items
+    task = levels.get("task.", (TaskSpec, {}))[1]
     kind = FederationConfig.task.kind
     if "task" in top:
         kind = _convert(_value(task["kind"][1]), TaskKind) if "kind" in task else None
     if not isinstance(kind, TaskKind):
         return
-    for cls, prefix, level in ((FederationConfig, "", top), (TaskSpec, "task.", task)):
-        for key, (key_node, _) in level.items():
+    for prefix, (cls, items) in levels.items():
+        for key, (key_node, _) in items.items():
             _located(key_node, check_read, kind, prefix + key, _schema(cls)[key][0])
 
 
@@ -545,7 +551,7 @@ def load_config(path, need_sweep: bool = False) -> ExperimentFile:
             raise ConfigError(str(exc), line=mark.line + 1, column=mark.column + 1)
         raise ConfigError(str(exc))
     if root is None:
-        raise ConfigError("config file is empty")
+        raise ConfigError("config file is empty", **_after(text))
     items = _mapping_items(root, "config file")
     _check_keys(items, {"experiment", "sweep"}, "config file")
     if "experiment" not in items:

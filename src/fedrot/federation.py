@@ -111,44 +111,36 @@ def _draws(seed, client: int, round_index: int, n_samples: int, batch_size: int,
         yield rng.choice(n_samples, size=batch_size, replace=False)
 
 
-def _batch_table(key: tuple, dtype) -> np.ndarray:
-    """The ``(steps, batch_size)`` table of :func:`_draws` ``(*key)``, row
-    ``s`` the batch of step ``s``, as ``dtype``."""
-    *_, batch_size, steps = key
-    table = np.empty((steps, batch_size), dtype)
-    for row, idx in zip(table, _draws(*key)):
-        row[:] = idx
-    return table
-
-
 # The bytes of batch tables that one sweep process may hold.
 _BATCH_TABLE_BYTES = 2**24
 
 
-class _BatchTables:
-    """The mini-batch tables that the runs of one sweep process share.
+class _BatchTables(dict):
+    """The mini-batch tables that the runs of one sweep process share, by key.
 
     A client-round's batches depend only on the key ``(seed, client,
     round_index, n_samples, batch_size, steps)``, never on the strategy,
-    so a table is drawn once per key and held read-only in the smallest
-    unsigned type that holds ``n_samples - 1``.  Once the tables would pass
-    ``_BATCH_TABLE_BYTES``, a new key's batches are drawn step by step, as
-    without tables, and not held."""
+    so a table is drawn once per key: the ``(steps, batch_size)`` table of
+    :func:`_draws` ``(*key)``, row ``s`` the batch of step ``s``, held
+    read-only in the smallest unsigned type that holds ``n_samples - 1``.
+    Once the tables would pass ``_BATCH_TABLE_BYTES``, a new key's batches
+    are drawn step by step, as without tables, and not held."""
 
-    def __init__(self):
-        self.tables: dict[tuple, np.ndarray] = {}
-        self.nbytes = 0
+    nbytes = 0
 
     def batches(self, key: tuple):
         """The key's batches, one per step, as ``intp`` indices."""
-        table = self.tables.get(key)
+        table = self.get(key)
         if table is None:
             *_, n_samples, batch_size, steps = key
             dtype = np.min_scalar_type(n_samples - 1)
             if self.nbytes + steps * batch_size * dtype.itemsize > _BATCH_TABLE_BYTES:
                 return _draws(*key)
-            table = self.tables[key] = _batch_table(key, dtype)
+            table = np.empty((steps, batch_size), dtype)
+            for row, idx in zip(table, _draws(*key)):
+                row[:] = idx
             table.flags.writeable = False
+            self[key] = table
             self.nbytes += table.nbytes
         return table.astype(np.intp)
 
@@ -260,8 +252,8 @@ def client_round(
     reports them unchanged), its product (``product`` itself then, else
     formed and checked by :func:`checked_product`) and the applied rotation
     (FedRot's soft one or the Haar draw; ``None`` when none is made).  A
-    transformation whose correlation or factors overflow, or whose SVD or
-    rotation fails, has diverged: that raises."""
+    transformation whose correlation or factors overflow, or whose SVD,
+    QR, determinant or rotation fails, has diverged: that raises."""
     reported, rotation = trained, None
     if aligns(config.strategy, round_index, config.align_from_round):
         target = alignment_schedule(round_index, config.schedule)
@@ -284,7 +276,7 @@ def client_round(
         except NonFiniteError as exc:  # dropped: its frames hold the caller's task
             raise DivergenceError(f"non-finite alignment on client {client}",
                                   round_index=round_index) from exc.with_traceback(None)
-        except NumericError as exc:
+        except (NumericError, np.linalg.LinAlgError) as exc:
             raise DivergenceError(f"failed alignment on client {client}: {exc}",
                                   round_index=round_index) from exc.with_traceback(None)
     update = product if reported is trained else checked_product(reported, client, round_index)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import io
@@ -507,6 +508,64 @@ def test_failed_alignment_diverges_after_completed_rounds(tmp_path, capsys, monk
     assert status.startswith("DivergenceError: failed alignment on client 0: ")
 
 
+def lapack_faults(monkeypatch, fault=None):
+    """Count the calls of ``np.linalg``'s ``svd``, ``qr`` and ``det`` by
+    name; the call that ``fault = (name, k)`` names raises ``LinAlgError``."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            if (name, calls[name]) == fault:
+                raise np.linalg.LinAlgError(f"injected {name} failure")
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("svd", "qr", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+@pytest.mark.parametrize("strategy, names", [
+    ("fedrot", {"svd", "det"}), ("random_rotation", {"qr", "det"}), ("scalar_rescale", set()),
+])
+def test_every_lapack_failure_diverges(tmp_path, capsys, monkeypatch, strategy, names):
+    # Each LAPACK call the run makes, failing in turn, ends the run as
+    # diverged, with the rounds before its own written as a clean run
+    # writes them.  FedRot at lambda 0.5 makes 2 SVDs and 4 determinants
+    # per client-round, the Haar control a QR and 2 determinants.
+    text = MINIMAL.replace("fedrot", strategy).replace("lambda: 0.7", "lambda: 0.5")
+    config, clean = write(tmp_path, text), tmp_path / "clean"
+    with monkeypatch.context() as patch:
+        calls = lapack_faults(patch)
+        assert main(["run", config, "--out", str(clean)]) == 0
+    assert set(calls) == names
+    clean_rows = check.outputs(clean)["rounds.csv"].splitlines(keepends=True)
+    for name, k in [(name, k) for name, n in calls.items() for k in range(1, n + 1)]:
+        out = tmp_path / f"{name}-{k}"
+        with monkeypatch.context() as patch:
+            lapack_faults(patch, (name, k))
+            assert main(["run", config, "--out", str(out)]) == 3, (name, k)
+        err = capsys.readouterr().err
+        assert err.startswith("error: failed alignment on client ")
+        assert err.endswith(f": injected {name} failure\n")
+        summary = check.summary(out)
+        assert summary["status"] == "diverged"
+        done = summary["metrics"]["rounds_completed"]
+        assert "".join(clean_rows[:done + 1]) == check.outputs(out)["rounds.csv"]
+    if strategy == "random_rotation":
+        # The 9th determinant is client 1's Haar draw in round 2; a sweep
+        # writes the failing cell's directory as the run wrote its own.
+        sweep = "sweep:\n  grid:\n    strategy: [fedit, random_rotation]\n"
+        out = tmp_path / "sweep"
+        lapack_faults(monkeypatch, ("det", 9))
+        assert main(["sweep", write(tmp_path, text + sweep, "sweep.yaml"),
+                     "--out", str(out)]) == 0
+        _, cell_dir = sorted(p for p in out.iterdir() if p.is_dir())
+        assert check.outputs(cell_dir) == check.outputs(tmp_path / "det-9")
+        assert check.summary(cell_dir)["metrics"]["rounds_completed"] == 1
+
+
 def test_sweep_builds_each_cell_config_once(tmp_path, monkeypatch):
     # The loader builds the experiment and, per grid value and then per
     # seed, each cell's config: 1 + 6 + 12 for 6 strategies x 2 seeds.
@@ -959,6 +1018,29 @@ class TestSweepCommand:
         assert rows[1].endswith(",ok")
         assert rows[2] == "1.0,0,nan,nan,DivergenceError: " + message.replace(",", ";")
         assert check.summary(ok_dir)["status"] == "ok"
+
+    def test_raising_cell_writes_its_row_not_its_directory(self, tmp_path, monkeypatch):
+        # A cell whose run raises other than by diverging has no result:
+        # its row holds why, and the other cells run and write theirs.
+        build_task = fedrot.federation.build_task
+
+        def failing(config):
+            if config.lam == 0.7:
+                raise ValueError("no task")
+            return build_task(config)
+
+        monkeypatch.setattr(fedrot.federation, "build_task", failing)
+        config = write(tmp_path, grid("lambda: [0.0, 0.7, 1.0]"))
+        cells = run_sweep(load_config(config).sweep)
+        assert [c.error for c in cells] == [None, "ValueError: no task", None]
+        assert [c.result is None for c in cells] == [False, True, False]
+        out = tmp_path / "sweep"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[2] == "0.7,0,nan,nan,ValueError: no task"
+        assert rows[1].endswith(",ok") and rows[3].endswith(",ok")
+        assert [p.name[:8] for p in sorted(out.iterdir()) if p.is_dir()] == [
+            "cell-000", "cell-002"]
 
     def test_setup_imports_neither_multiprocessing_nor_numpy_ma(self, tmp_path):
         # Start-up of a run loads only what the run uses: the process pool

@@ -1097,24 +1097,22 @@ def minibatch_sweep(config):
 
 
 def counted_batch_tables(monkeypatch):
-    """Count the draws of ``federation._batch_table`` and the sets of tables
-    that ``federation._BatchTables`` makes: returns the list to which each
-    draw appends its key and a weak reference to its table, and the list of
-    weak references to each set of tables."""
-    real_batch_table, draws, made = fedrot.federation._batch_table, [], []
+    """Count the tables that ``federation._BatchTables`` holds and the sets
+    of tables it makes: returns the list to which each held table appends
+    its key and a weak reference to it, and the list of weak references to
+    each set of tables."""
+    draws, made = [], []
 
     class BatchTables(fedrot.federation._BatchTables):
         def __init__(self):
             super().__init__()
             made.append(weakref.ref(self))
 
-    def batch_table(key, dtype):
-        table = real_batch_table(key, dtype)
-        draws.append((key, weakref.ref(table)))
-        return table
+        def __setitem__(self, key, table):
+            draws.append((key, weakref.ref(table)))
+            super().__setitem__(key, table)
 
     monkeypatch.setattr(fedrot.federation, "_BatchTables", BatchTables)
-    monkeypatch.setattr(fedrot.federation, "_batch_table", batch_table)
     return draws, made
 
 
@@ -1191,14 +1189,15 @@ class TestRunSweep:
         # At --jobs 2 each worker runs one seed's four cells, so each of the
         # 3 clients x 3 rounds x 2 seeds is drawn in one worker alone, but
         # for seed 0's client 1, whose 7 samples train as a full batch.
-        log, real_batch_table = tmp_path / "draws", fedrot.federation._batch_table
+        log = tmp_path / "draws"
 
-        def batch_table(key, dtype):
-            with log.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps([os.getpid(), *key]) + "\n")
-            return real_batch_table(key, dtype)
+        class BatchTables(fedrot.federation._BatchTables):
+            def __setitem__(self, key, table):
+                with log.open("a", encoding="utf-8") as fh:
+                    fh.write(json.dumps([os.getpid(), *key]) + "\n")
+                super().__setitem__(key, table)
 
-        monkeypatch.setattr(fedrot.federation, "_batch_table", batch_table)
+        monkeypatch.setattr(fedrot.federation, "_BatchTables", BatchTables)
         cells = run_sweep(minibatch_sweep(logistic_config), jobs=2)
         assert all(cell.error is None for cell in cells)
         draws = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
@@ -1218,6 +1217,19 @@ class TestRunSweep:
         assert len(draws) == 2
         for cell in cells:
             assert_runs_bit_identical(cell.result, run_federation(cell.config))
+
+    def test_held_table_narrow_and_read_only(self):
+        # 300 samples take uint16 indices; each read hands out a writable
+        # intp copy with the bits of the step-by-step draws.
+        tables = fedrot.federation._BatchTables()
+        key = (3, 1, 2, 300, 16, 5)
+        batches = tables.batches(key)
+        (held,) = tables.values()
+        assert held.dtype == np.uint16 and not held.flags.writeable
+        assert tables.nbytes == held.nbytes == 5 * 16 * 2
+        assert batches.dtype == np.intp and batches.flags.writeable
+        assert batches.tolist() == [idx.tolist() for idx in fedrot.federation._draws(*key)]
+        assert tables.batches(key) is not batches and len(tables) == 1
 
     def test_failed_cell_recorded_not_raised(self):
         base = regression_config(rounds=3, local_steps=30)
