@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, NonFiniteError, UsageError
 from .lora import LoraAdapter, semantic_update
 from .numerics import frobenius_norm
 
@@ -41,17 +41,12 @@ def _check_adapters(adapters: list[LoraAdapter]) -> None:
                              f"vs {first.dims} rank {first.rank}")
 
 
-def _factor_means(adapters: list[LoraAdapter]) -> tuple[np.ndarray, np.ndarray]:
-    """``(mean b_i, mean a_i)`` of consistent adapters; a sum of finite
-    factors that overflows leaves non-finite entries."""
+def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
+    """Naive factor-wise mean ``(mean b_i, mean a_i)``; rank stays r.  A
+    sum of finite factors that overflows raises :class:`NonFiniteError`."""
     _check_adapters(adapters)
     n = len(adapters)
-    return sum(ad.b for ad in adapters) / n, sum(ad.a for ad in adapters) / n
-
-
-def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
-    """Naive factor-wise mean ``(mean b_i, mean a_i)``; rank stays r."""
-    return LoraAdapter(*_factor_means(adapters))
+    return LoraAdapter(sum(ad.b for ad in adapters) / n, sum(ad.a for ad in adapters) / n)
 
 
 def aggregation_error(updates: list[np.ndarray], factorwise: LoraAdapter) -> float:
@@ -123,14 +118,15 @@ def server_step(
     Finite client values whose factor mean or aggregation error overflows
     have diverged: that raises a :class:`DivergenceError` for ``round_index``.
     """
-    b, a = _factor_means(adapters)
-    if not (np.isfinite(b).all() and np.isfinite(a).all()):
+    try:
+        averaged = aggregate_factorwise(adapters)
+    except NonFiniteError as exc:  # dropped: its frames hold the round's adapters
         raise DivergenceError("non-finite factor mean at the server",
-                              round_index=round_index)
-    averaged = LoraAdapter(b, a)
+                              round_index=round_index) from exc.with_traceback(None)
     err = aggregation_error(updates, averaged)
     if not math.isfinite(err):
         raise DivergenceError("non-finite aggregation error at the server",
                               round_index=round_index)
     freeze_b, freeze_a = frozen_factors(strategy, round_index)
-    return LoraAdapter(prev.b if freeze_b else b, prev.a if freeze_a else a), err
+    b, a = prev.b if freeze_b else averaged.b, prev.a if freeze_a else averaged.a
+    return LoraAdapter(b, a), err

@@ -13,7 +13,7 @@ import enum
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import config_to_dict, load_config
 from .errors import ConfigError, FedRotError
-from .federation import RunResult, run_federation, run_sweep
+from .federation import RoundRecord, RunResult, run_federation, run_sweep
 from .verify import run_checks
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify"]
@@ -36,6 +36,8 @@ ROUNDS_COLUMNS = (
     "tau_diag",
     "wall_ms",
 )
+# Every RoundRecord field but its timing: a field added later is written too.
+DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(RoundRecord) if f.name != "wall_ms")
 
 
 def _fmt(value) -> str:
@@ -44,10 +46,10 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_rounds_csv(path: Path, records) -> None:
-    lines = [",".join(ROUNDS_COLUMNS)]
+def _write_csv(path: Path, columns, records) -> None:
+    lines = [",".join(columns)]
     for r in records:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in ROUNDS_COLUMNS))
+        lines.append(",".join(_fmt(getattr(r, c)) for c in columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -73,9 +75,10 @@ def _summary_payload(result: RunResult) -> dict:
 
 
 def _write_run_outputs(out_dir: Path, result: RunResult) -> dict:
-    """Write ``rounds.csv`` and ``summary.json``; return the summary's metrics."""
+    """Write ``rounds.csv``, ``diagnostics.csv`` and ``summary.json``; return its metrics."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_rounds_csv(out_dir / "rounds.csv", result.rounds)
+    _write_csv(out_dir / "rounds.csv", ROUNDS_COLUMNS, result.rounds)
+    _write_csv(out_dir / "diagnostics.csv", DIAGNOSTICS_COLUMNS, result.rounds)
     payload = _summary_payload(result)
     (out_dir / "summary.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"

@@ -186,12 +186,12 @@ def local_train(
     trained = slice(nb if freeze_b else 0, nb if freeze_a else None)
     updated, update = params[trained], grads[trained]
     n_samples = task.sample_count(client)
-    batches = repeat(None, steps)  # the full batch
+    batches = repeat(None)  # the full batch
     if batch_size is not None and batch_size < n_samples:
         key = (seed, client, round_index, n_samples, batch_size, steps)
         batches = _draws(*key) if batch_tables is None else batch_tables.batches(key)
     client_grads, isfinite = task.client_grads, math.isfinite
-    for step, idx in enumerate(batches):
+    for step, idx in zip(range(steps), batches):
         client_grads(client, b, a, idx, out=out)
         # A finite sum of squares proves every entry finite; a non-finite
         # one may only be an overflowing sum of finite entries.

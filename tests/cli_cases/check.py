@@ -126,15 +126,16 @@ def check_case(name: str, invoke, out: Path) -> list[str]:
 
 def check_golden(name: str, config: Path, invoke, out: Path) -> list[str]:
     """What a run of ``config`` did wrong against ``tests/golden/<name>``: it
-    must exit 3 if the golden summary reads diverged, else 0, and write the
-    golden files, wall-clock fields aside."""
-    golden = {f: (GOLDEN_DIR / name / f).read_text(encoding="utf-8")
-              for f in ("rounds.csv", "summary.json")}
+    must exit 3 if the golden summary reads diverged, else 0, and write
+    exactly the golden files, wall-clock fields aside."""
+    golden = {path.name: path.read_text(encoding="utf-8")
+              for path in (GOLDEN_DIR / name).iterdir()}
     want = 3 if strict_json(golden["summary.json"])["status"] == "diverged" else 0
     code, _ = invoke(["run", str(config), "--out", str(out)])
     problems = [] if code == want else [f"exit {code}, wanted {want}"]
     got = outputs(out)
-    problems += [f"{f} differs from the golden one" for f in golden if got.get(f) != golden[f]]
+    problems += [f"{f} is missing, extra or different" for f in sorted(golden.keys() | got.keys())
+                 if got.get(f) != golden.get(f)]
     return [f"{config.name}: {problem}" for problem in problems]
 
 

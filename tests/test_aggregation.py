@@ -144,7 +144,7 @@ class TestServerStep:
     def test_checks_and_averages_once(self, monkeypatch):
         # One factor-wise mean per round serves both the new global model
         # and the aggregation error.
-        calls = {"_check_adapters": 0, "_factor_means": 0, "aggregation_error": 0}
+        calls = {"_check_adapters": 0, "aggregate_factorwise": 0, "aggregation_error": 0}
         for name in calls:
             real = getattr(fedrot.aggregation, name)
 
@@ -156,7 +156,7 @@ class TestServerStep:
         rng = np.random.default_rng(11)
         adapters = random_adapters(rng, 3)
         server_step(adapters, updates_of(adapters), self._prev(rng), Strategy.FEDIT, 1)
-        assert calls == {"_check_adapters": 1, "_factor_means": 1, "aggregation_error": 1}
+        assert calls == {"_check_adapters": 1, "aggregate_factorwise": 1, "aggregation_error": 1}
 
     def test_rejects_inconsistent_adapters(self):
         rng = np.random.default_rng(12)
@@ -185,6 +185,7 @@ class TestServerStep:
         with pytest.raises(DivergenceError, match="factor mean") as exc:
             server_step(adapters, updates_of(adapters), adapters[0], Strategy.FEDIT, 2)
         assert exc.value.round_index == 2
+        assert exc.value.__cause__.__traceback__ is None  # it holds no frames
 
     def test_ffa_keeps_global_a_bitwise(self):
         rng = np.random.default_rng(9)

@@ -531,7 +531,7 @@ def lapack_faults(monkeypatch, fault=None):
 ])
 def test_every_lapack_failure_diverges(tmp_path, capsys, monkeypatch, strategy, names):
     # Each LAPACK call the run makes, failing in turn, ends the run as
-    # diverged, with the rounds before its own written as a clean run
+    # diverged, with the CSV rows of the rounds before as a clean run
     # writes them.  FedRot at lambda 0.5 makes 2 SVDs and 4 determinants
     # per client-round, the Haar control a QR and 2 determinants.
     text = MINIMAL.replace("fedrot", strategy).replace("lambda: 0.7", "lambda: 0.5")
@@ -540,7 +540,8 @@ def test_every_lapack_failure_diverges(tmp_path, capsys, monkeypatch, strategy, 
         calls = lapack_faults(patch)
         assert main(["run", config, "--out", str(clean)]) == 0
     assert set(calls) == names
-    clean_rows = check.outputs(clean)["rounds.csv"].splitlines(keepends=True)
+    clean_rows = {f: rows.splitlines(keepends=True)
+                  for f, rows in check.outputs(clean).items() if f.endswith(".csv")}
     for name, k in [(name, k) for name, n in calls.items() for k in range(1, n + 1)]:
         out = tmp_path / f"{name}-{k}"
         with monkeypatch.context() as patch:
@@ -552,7 +553,9 @@ def test_every_lapack_failure_diverges(tmp_path, capsys, monkeypatch, strategy, 
         summary = check.summary(out)
         assert summary["status"] == "diverged"
         done = summary["metrics"]["rounds_completed"]
-        assert "".join(clean_rows[:done + 1]) == check.outputs(out)["rounds.csv"]
+        got = check.outputs(out)
+        for f, rows in clean_rows.items():
+            assert "".join(rows[:done + 1]) == got[f], (name, k, f)
     if strategy == "random_rotation":
         # The 9th determinant is client 1's Haar draw in round 2; a sweep
         # writes the failing cell's directory as the run wrote its own.
@@ -958,7 +961,7 @@ class TestSweepCommand:
         echo = write(tmp_path, json.dumps({"experiment": summary["config"]}), "echo.yaml")
         rerun = tmp_path / "rerun"
         assert main(["run", echo, "--out", str(rerun)]) == 0
-        assert check.outputs(rerun)["rounds.csv"] == check.outputs(cell)["rounds.csv"]
+        assert check.outputs(rerun) == check.outputs(cell)
 
     def test_out_is_a_file_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -504,6 +504,14 @@ class TestLocalTrainEdgeCases:
         assert exc.value.step_index == 3
         assert exc.value.round_index == 4
 
+    def test_steps_past_ssize_t_run_until_divergence(self):
+        # A count too large for a C ssize_t runs like any other.
+        task = ScriptedTask((0.1, 0.1), (0.1, 0.1), (0.1, 0.1), (0.1, np.nan))
+        with pytest.raises(DivergenceError, match="non-finite gradient") as exc:
+            self.train(task, steps=10**20)
+        assert exc.value.step_index == 3
+        assert task.calls == 4
+
     def test_inf_gradient_raises(self):
         with pytest.raises(DivergenceError, match="non-finite gradient") as exc:
             self.train(ScriptedTask((-np.inf, 0.0)))

@@ -1,21 +1,24 @@
 """Golden trajectories: fixed configs whose outputs must not change by a bit.
 
-Each ``tests/golden/<name>.yaml`` is run with ``fedrot run``; its
-``rounds.csv`` and ``summary.json`` must equal ``tests/golden/<name>/``
-byte for byte once the wall-clock fields (the ``wall_ms`` column and
-``metrics.wall_time_s``) are dropped.  ``records.json`` pins every
-``RoundRecord`` field but ``wall_ms``, floats as ``float.hex``, since
-``rounds.csv`` holds only some of them.  The configs cover every strategy,
-all three tasks, mini-batching, the random-client and older-global
-references, and a run that trips the global-loss divergence guard.  Each
-golden ``summary.json`` ``config`` block, under ``experiment``, loads as the
-config it echoes, so a run directory runs again from its own summary.
+Each ``tests/golden/<name>.yaml`` is run with ``fedrot run``; the files it
+writes must be exactly those of ``tests/golden/<name>/``, byte for byte once
+the wall-clock fields (the ``wall_ms`` column and ``metrics.wall_time_s``)
+are dropped.  ``diagnostics.csv`` pins every ``RoundRecord`` field but
+``wall_ms`` as ``%.17g``, which a double round-trips exactly: the records
+``run_federation`` returns, read back from the golden file, must equal it bit
+for bit, so the file holds every field and loses no bit of one.  The configs
+cover every strategy, all three tasks, mini-batching, the random-client and
+older-global references, and a run that trips the global-loss divergence
+guard.  Each golden ``summary.json`` ``config`` block, under ``experiment``,
+loads as the config it echoes, so a run directory runs again from its own
+summary.
 
-To rewrite the golden files after a deliberate change of the numbers::
+To rewrite the golden files as a run writes them after a deliberate change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -30,21 +33,6 @@ from cli_cases import check
 
 GOLDEN_DIR = check.GOLDEN_DIR
 CONFIGS = sorted(GOLDEN_DIR.glob("*.yaml"))
-
-
-def records_json(config: Path) -> str:
-    """Every ``RoundRecord`` field of the run but ``wall_ms``, as JSON text."""
-    records = run_federation(load_config(config).experiment).rounds
-    pinned = [f for f in fields(RoundRecord) if f.name != "wall_ms"]
-    rows = [
-        {
-            f.name: float(getattr(r, f.name)).hex() if f.type == "float"
-            else getattr(r, f.name)
-            for f in pinned
-        }
-        for r in records
-    ]
-    return json.dumps(rows, indent=1) + "\n"
 
 
 def test_configs_cover_the_protocol():
@@ -67,8 +55,23 @@ def test_outputs_match_golden(config, tmp_path):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
 def test_records_match_golden(config):
-    golden = (GOLDEN_DIR / config.stem / "records.json").read_text(encoding="utf-8")
-    assert records_json(config) == golden, f"{config.stem}/records.json differs"
+    # Every ``RoundRecord`` field but ``wall_ms``, as the library computes it,
+    # equals the golden ``diagnostics.csv`` value bit for bit (floats as
+    # ``float.hex``, so a NaN matches a NaN).
+    with (GOLDEN_DIR / config.stem / "diagnostics.csv").open(encoding="utf-8") as f:
+        golden = list(csv.DictReader(f))
+    pinned = [f for f in fields(RoundRecord) if f.name != "wall_ms"]
+    records = run_federation(load_config(config).experiment).rounds
+    assert list(golden[0]) == [f.name for f in pinned]
+    assert [
+        {f.name: float(getattr(r, f.name)).hex() if f.type == "float"
+         else getattr(r, f.name) for f in pinned}
+        for r in records
+    ] == [
+        {f.name: float(row[f.name]).hex() if f.type == "float"
+         else int(row[f.name]) for f in pinned}
+        for row in golden
+    ], f"{config.stem} records differ from its diagnostics.csv"
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
@@ -98,7 +101,8 @@ if __name__ == "__main__":
             files = check.outputs(Path(tmp))
         target = GOLDEN_DIR / config.stem
         target.mkdir(exist_ok=True)
-        files["records.json"] = records_json(config)
+        for stale in {p.name for p in target.iterdir()} - set(files):
+            (target / stale).unlink()
         for name, text in files.items():
             (target / name).write_text(text, encoding="utf-8")
         print(f"{config.stem}: exit {code}")
