@@ -395,8 +395,9 @@ def _located(node, check, *args, **kwargs):
         _fail(_node_at(node, exc.key), str(exc))
 
 
-def _mapping_items(node, context: str) -> dict[str, tuple]:
-    """Mapping node -> {key: (key_node, value_node)}; rejects duplicates."""
+def _mapping_items(node, context: str, allowed=None) -> dict[str, tuple]:
+    """Mapping node -> {key: (key_node, value_node)}; rejects a non-scalar
+    or repeated key, then a key not in ``allowed``, if given."""
     if not isinstance(node, yaml.MappingNode):
         _fail(node, f"{context} must be a mapping")
     out = {}
@@ -407,17 +408,11 @@ def _mapping_items(node, context: str) -> dict[str, tuple]:
         if key in out:
             _fail(key_node, f"duplicate key {key!r} in {context}")
         out[key] = (key_node, value_node)
+    for key, (key_node, _) in out.items():
+        if allowed is not None and key not in allowed:
+            _fail(key_node, f"unknown key {key!r} in {context} "
+                            f"(allowed: {', '.join(sorted(allowed))})")
     return out
-
-
-def _check_keys(items: dict, allowed, context: str) -> None:
-    for key, (key_node, _) in items.items():
-        if key not in allowed:
-            _fail(
-                key_node,
-                f"unknown key {key!r} in {context} "
-                f"(allowed: {', '.join(sorted(allowed))})",
-            )
 
 
 def _value(node):
@@ -452,55 +447,46 @@ def _convert(value, tp):
     return value
 
 
-def _dataclass(node, cls, name: str):
-    """A mapping node as an instance of the config dataclass ``cls``; the
-    top-level experiment has the empty ``name``."""
-    context = name or "experiment"
-    prefix = f"{name}." if name else ""
-    items = _mapping_items(node, context)
-    schema = _schema(cls)
-    _check_keys(items, schema, context)
-    kwargs = {}
-    for key, (_, value_node) in items.items():
-        f, tp = schema[key]
-        kwargs[f.name] = (_dataclass(value_node, tp, prefix + key) if is_dataclass(tp)
-                          else _convert(_value(value_node), tp))
-    for key, (f, _) in schema.items():
-        if f.name not in kwargs and f.default is MISSING:
-            _fail(node, f"{context} is missing required key {key!r}")
-    return _located(node, cls, **kwargs)
-
-
-def _check_reads(node) -> None:
-    """Reject each key of the experiment mapping ``node`` that its task kind
-    does not read, before any value is checked; an unknown or repeated key,
-    at the top or in a nested mapping, is rejected first.  A missing or
-    invalid kind is left for :class:`TaskSpec` to reject."""
+def _experiment(node) -> FederationConfig:
+    """The experiment mapping ``node`` as a config.  Every key of it and of
+    its nested mappings is checked before any value is read: a non-scalar,
+    repeated or unknown key, then one that the task kind does not read.  A
+    missing or invalid kind is left for :class:`TaskSpec` to reject."""
     schema = _schema(FederationConfig)
-    top = _mapping_items(node, "experiment")
-    _check_keys(top, schema, "experiment")
-    levels = {"": (FederationConfig, top)}  # key prefix -> (dataclass, its items)
+    top = _mapping_items(node, "experiment", schema)
+    levels = {"": (FederationConfig, node, top)}  # key prefix -> (dataclass, node, items)
     for key, (_, value_node) in top.items():
         if is_dataclass(cls := schema[key][1]):
-            items = _mapping_items(value_node, key)
-            _check_keys(items, _schema(cls), key)
-            levels[f"{key}."] = cls, items
-    task = levels.get("task.", (TaskSpec, {}))[1]
+            levels[f"{key}."] = cls, value_node, _mapping_items(value_node, key, _schema(cls))
     kind = FederationConfig.task.kind
-    if "task" in top:
+    if "task." in levels:
+        task = levels["task."][2]
         kind = _convert(_value(task["kind"][1]), TaskKind) if "kind" in task else None
-    if not isinstance(kind, TaskKind):
-        return
-    for prefix, (cls, items) in levels.items():
-        for key, (key_node, _) in items.items():
-            _located(key_node, check_read, kind, prefix + key, _schema(cls)[key][0])
+    if isinstance(kind, TaskKind):
+        for prefix, (cls, _, items) in levels.items():
+            for key, (key_node, _) in items.items():
+                _located(key_node, check_read, kind, prefix + key, _schema(cls)[key][0])
+
+    def build(prefix: str):
+        # Values convert in file order, a nested config built at its key.
+        cls, mapping, items = levels[prefix]
+        kwargs = {}
+        for key, (_, value_node) in items.items():
+            f, tp = _schema(cls)[key]
+            kwargs[f.name] = (build(f"{prefix}{key}.") if is_dataclass(tp)
+                              else _convert(_value(value_node), tp))
+        for key, (f, _) in _schema(cls).items():
+            if f.name not in kwargs and f.default is MISSING:
+                _fail(mapping, f"{prefix[:-1] or 'experiment'} is missing required key {key!r}")
+        return _located(mapping, cls, **kwargs)
+
+    return build("")
 
 
 def _sweep(root, node, experiment: FederationConfig) -> list[SweepCell]:
     """The sweep section's cells.  Each grid key is looked up where it is
     written, as its values convert by its field's annotation."""
-    items = _mapping_items(node, "sweep")
-    _check_keys(items, {"grid", "seeds"}, "sweep")
+    items = _mapping_items(node, "sweep", {"grid", "seeds"})
     if "grid" not in items:
         _fail(node, "sweep requires a 'grid' mapping")
     grid, grid_node = {}, items["grid"][1]
@@ -552,15 +538,12 @@ def load_config(path, need_sweep: bool = False) -> ExperimentFile:
         raise ConfigError(str(exc))
     if root is None:
         raise ConfigError("config file is empty", **_after(text))
-    items = _mapping_items(root, "config file")
-    _check_keys(items, {"experiment", "sweep"}, "config file")
+    items = _mapping_items(root, "config file", {"experiment", "sweep"})
     if "experiment" not in items:
         _fail(root, "config file requires an 'experiment' section")
     if need_sweep and "sweep" not in items:
         _fail(root, "sweep command requires a 'sweep' section in the config")
-    node = items["experiment"][1]
-    _check_reads(node)
-    experiment = _dataclass(node, FederationConfig, "")
+    experiment = _experiment(items["experiment"][1])
     sweep = _sweep(root, items["sweep"][1], experiment) if "sweep" in items else None
     return ExperimentFile(experiment=experiment, sweep=sweep)
 

@@ -15,11 +15,14 @@ Every ``summary.json`` the checker reads must parse as strict JSON.
 An invoker takes a ``fedrot`` command line without the program name and
 returns its exit code and stderr.  ``tests/test_cli_cases.py`` runs each
 case through :func:`in_process`.  Run as a script, the checker runs each
-case through an installed console script, then each golden config and its
-summary's config echo, writing their outputs in the working directory; it
-imports nothing from fedrot::
+case through a command line, split as a shell splits it, then each golden
+config and its summary's config echo, writing their outputs in the working
+directory; it imports nothing from fedrot.  The command is the installed
+console script, or the module run from a checkout::
 
     python tests/cli_cases/check.py --console fedrot
+    PYTHONPATH=/path/to/fedrot/src python3 /path/to/fedrot/tests/cli_cases/check.py \
+        --console "python3 -m fedrot.cli"
 """
 
 import argparse
@@ -27,6 +30,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -64,9 +68,11 @@ def in_process(argv: list[str]) -> tuple[int, str]:
 
 
 def console(command: str):
-    """The invoker that runs the console script ``command`` in a new process."""
+    """The invoker that runs the shell-style command line ``command`` in a new process."""
+    program = shlex.split(command)
+
     def invoke(argv: list[str]) -> tuple[int, str]:
-        done = subprocess.run([command, *argv], capture_output=True, check=False)
+        done = subprocess.run([*program, *argv], capture_output=True, check=False)
         return done.returncode, done.stderr.decode("utf-8", "surrogateescape")
     return invoke
 
@@ -157,5 +163,6 @@ def main(command: str) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("--console", required=True, metavar="COMMAND",
-                        help="the installed fedrot console script")
+                        help="the fedrot command line, split as a shell splits it: "
+                             "the installed script or \"python3 -m fedrot.cli\"")
     sys.exit(main(parser.parse_args().console))
