@@ -36,7 +36,7 @@ from .tasks import DEFAULT_SCALAR_TARGETS, TaskKind, data_footprint
 
 __all__ = [
     "MAX_FOOTPRINT", "ReferenceMode", "TaskSpec", "FederationConfig", "SweepCell",
-    "ExperimentFile", "apply_overrides", "sweep_cells", "load_config", "config_to_dict",
+    "ExperimentFile", "sweep_cells", "load_config", "config_to_dict",
 ]
 
 # The most float64 entries a run may hold (2 GiB); see FederationConfig.
@@ -267,16 +267,6 @@ def grid_field(config: FederationConfig, key: str) -> tuple[type, Field]:
     )
 
 
-def apply_overrides(config: FederationConfig, params: dict) -> FederationConfig:
-    """``config`` with the overrides ``params`` applied: sweep-grid keys to
-    values of their fields' types, a :class:`TaskSpec` field's on the task."""
-    plain, task = {}, {}
-    for key, value in params.items():
-        cls, f = grid_field(config, key)
-        (task if cls is TaskSpec else plain)[f.name] = value
-    return replace(config, task=replace(config.task, **task), **plain)
-
-
 @dataclass(eq=False)
 class SweepCell:
     """One grid point under one seed; the seed is read from its config."""
@@ -307,19 +297,24 @@ def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
     under ``sweep.grid.<key>.<i>`` and a rejected seed under ``sweep.seeds.<i>``."""
     if not grid:
         raise UsageError("sweep grid must contain at least one parameter", key="sweep.grid")
+    fields_of = {}  # grid key -> the (dataclass, field) it varies
     for key, values in grid.items():
-        grid_field(base, key)
+        fields_of[key] = grid_field(base, key)
         if not isinstance(values, (list, tuple)) or not values:
             raise UsageError(f"sweep parameter {key!r} must be a non-empty list", key=key)
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise UsageError("sweep.seeds must be a non-empty list", key="sweep.seeds")
-    # One axis at a time, each value applied to every prefix config: the
-    # product order, with a rejected value blamed on the axis that adds it.
+    # One axis at a time, each value applied to every prefix config, a
+    # TaskSpec field's on its task: the product order, with a rejected value
+    # blamed on the axis that adds it.
     prefixes = [({}, base)]
     for key, values in grid.items():
+        cls, f = fields_of[key]
         prefixes = [
             ({**params, key: value},
-             _under(f"sweep.grid.{key}.{i}", apply_overrides, config, {key: value}))
+             _under(f"sweep.grid.{key}.{i}", replace, config,
+                    **({"task": replace(config.task, **{f.name: value})} if cls is TaskSpec
+                       else {f.name: value})))
             for params, config in prefixes
             for i, value in enumerate(values)
         ]

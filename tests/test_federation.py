@@ -22,7 +22,6 @@ from fedrot.config import (
     FederationConfig,
     ReferenceMode,
     TaskSpec,
-    apply_overrides,
     file_key,
     reads,
     sweep_cells,
@@ -1073,24 +1072,6 @@ class TestRunFederation:
         assert large <= 1000 * max(small, 1e-3)
 
 
-class TestApplyOverrides:
-    def test_lambda_and_task_overrides(self):
-        base = regression_config()
-        out = apply_overrides(base, {"lambda": 0.25, "heterogeneity": 0.9})
-        assert out.lam == 0.25
-        assert out.task.heterogeneity == 0.9
-        assert base.lam == 0.7
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(UsageError):
-            apply_overrides(regression_config(), {"warp_factor": 9})
-
-    def test_key_the_task_kind_does_not_read_rejected(self):
-        with pytest.raises(UsageError) as exc:
-            apply_overrides(logistic_config(), {"heterogeneity": 0.9})
-        assert exc.value.key == "heterogeneity"
-
-
 def logistic_config(**kwargs):
     task = TaskSpec(kind=TaskKind.LOGISTIC, n_features=8, n_classes=4)
     return regression_config(dims=(4, 8), task=task, **kwargs)
@@ -1160,10 +1141,20 @@ class TestRunSweep:
         assert [c.seed for c in cells] == [0, 1, 0, 1, 0, 1]
         assert "seed" not in [f.name for f in dataclasses.fields(cells[0])]  # read from config
 
-    def test_cells_match_direct_runs(self):
+    # A grid value lands on its field, a task field's on the task.
+    @pytest.mark.parametrize(
+        "grid, applied",
+        [
+            ({"lambda": [0.4]}, lambda base: dataclasses.replace(base, lam=0.4, seed=7)),
+            ({"heterogeneity": [0.9]}, lambda base: dataclasses.replace(
+                base, task=dataclasses.replace(base.task, heterogeneity=0.9), seed=7)),
+        ],
+        ids=["lambda", "heterogeneity"],
+    )
+    def test_cells_match_direct_runs(self, grid, applied):
         base = regression_config(rounds=3, local_steps=5)
-        (cell,) = run_sweep(sweep_cells(base, {"lambda": [0.4]}, seeds=[7]))
-        direct = run_federation(dataclasses.replace(base, lam=0.4, seed=7))
+        (cell,) = run_sweep(sweep_cells(base, grid, seeds=[7]))
+        direct = run_federation(applied(base))
         assert cell.error is None
         assert_runs_bit_identical(cell.result, direct)
 
@@ -1262,8 +1253,8 @@ class TestRunSweep:
     # Grids the experiment-file loader rejects: a key no grid may vary (the
     # seed, a task field the regression task never reads, the dims), a key
     # the task kind does not read, an empty value list, a value or seed the
-    # config rejects, even after a valid cell, a float seed and an enum
-    # value's name.
+    # config rejects, even after a valid cell, a float seed, an enum
+    # value's name and a key no config has.
     @pytest.mark.parametrize(
         "config, grid, seeds, key",
         [
@@ -1276,6 +1267,7 @@ class TestRunSweep:
             (regression_config, {"strategy": ["fedrot"]}, [0], "sweep.grid.strategy.0"),
             (regression_config, {"lambda": [0.5]}, [0, -1], "sweep.seeds.1"),
             (regression_config, {"lambda": [0.5]}, [0, 1.5], "sweep.seeds.1"),
+            (regression_config, {"warp_factor": [9]}, [0], "warp_factor"),
         ],
     )
     def test_grid_rejected_before_any_cell_runs(self, monkeypatch, config, grid,
