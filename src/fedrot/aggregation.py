@@ -41,6 +41,7 @@ def _check_adapters(adapters: list[LoraAdapter]) -> None:
                              f"vs {first.dims} rank {first.rank}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
     """Naive factor-wise mean ``(mean b_i, mean a_i)``; rank stays r.  A
     sum of finite factors that overflows raises :class:`NonFiniteError`."""
@@ -49,6 +50,7 @@ def aggregate_factorwise(adapters: list[LoraAdapter]) -> LoraAdapter:
     return LoraAdapter(sum(ad.b for ad in adapters) / n, sum(ad.a for ad in adapters) / n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aggregation_error(updates: list[np.ndarray], factorwise: LoraAdapter) -> float:
     """``|mean(b_i) mean(a_i) - (1/N) sum b_i a_i|_F`` for one LoRA layer.
 

@@ -172,7 +172,7 @@ def local_train(
     bits.  Divergence is read from each step's sums of squares, of both
     factors' gradients and of the trained parameters, and from their
     entries only when a sum is not finite; numpy's overflow warnings are
-    silenced, as in :func:`run_federation`.
+    silenced, as in :func:`run_round`.
     """
     nb = start.b.size
     params = np.concatenate((start.b.ravel(), start.a.ravel()))
@@ -222,25 +222,6 @@ def checked_product(adapter: LoraAdapter, client: int, round_index: int) -> np.n
     return product
 
 
-def train_clients(broadcast: LoraAdapter, task, config: FederationConfig, round_index: int,
-                  batch_tables: _BatchTables | None):
-    """The training phase: :func:`local_train` on every client from
-    ``broadcast``, in client order, reading its batches from
-    ``batch_tables`` unless it is ``None``.  Returns the trained adapters and their
-    products.  A product that overflows raises before the next client
-    trains."""
-    trained, products = [], []
-    for client in range(config.n_clients):
-        adapter = local_train(
-            client, broadcast, task, config.local_steps, config.learning_rate,
-            config.strategy, round_index, config.seed, batch_size=config.batch_size,
-            batch_tables=batch_tables,
-        )
-        trained.append(adapter)
-        products.append(checked_product(adapter, client, round_index))
-    return trained, products
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def client_round(
     client: int, trained: LoraAdapter, product: np.ndarray, reference: LoraAdapter,
@@ -283,18 +264,40 @@ def client_round(
     return reported, update, rotation
 
 
-def round_record(
-    config: FederationConfig, t: int, reference: LoraAdapter, trained, products,
-    alignments, err: float, loss: float, t_round: float,
-) -> RoundRecord:
-    """Round ``t``'s diagnostics, from its training phase (``trained``,
-    ``products``), its alignment phase (``alignments``, one
-    :func:`client_round` result per client), the server's aggregation error
-    ``err`` and the new global ``loss``; ``t_round`` is the round's
-    ``perf_counter`` start.  The factor distances are of the round's target
-    factor alone."""
+@np.errstate(over="ignore", invalid="ignore")
+def run_round(
+    config: FederationConfig, task, t: int, history: list[LoraAdapter],
+    snapshots: list[LoraAdapter], batch_tables: _BatchTables | None = None,
+) -> tuple[LoraAdapter, list[LoraAdapter], RoundRecord]:
+    """Round ``t`` on ``task``, from the global adapters ``history`` and the
+    last round's reported client adapters ``snapshots``.  Every client
+    trains with :func:`local_train` from ``history[-1]``, reading its batches
+    from ``batch_tables`` unless it is ``None``, and has its product checked
+    before the next one trains; then every client aligns, and the server
+    averages.  The first phase that diverges raises its
+    :class:`DivergenceError`.  Returns the new global adapter, the reported
+    adapters and the round's record, whose factor distances are of the
+    round's target factor alone."""
+    t_round = time.perf_counter()
+    reference = select_reference(history, config.reference_mode, snapshots,
+                                 seed=[config.seed, 211, t])
+    broadcast = history[-1]
+    trained, products = [], []
+    for client in range(config.n_clients):
+        adapter = local_train(
+            client, broadcast, task, config.local_steps, config.learning_rate,
+            config.strategy, t, config.seed, batch_size=config.batch_size,
+            batch_tables=batch_tables,
+        )
+        trained.append(adapter)
+        products.append(checked_product(adapter, client, t))
+    reported, updates, rotations = map(list, zip(*[
+        client_round(i, adapter, raw, reference, config, t)
+        for i, (adapter, raw) in enumerate(zip(trained, products))
+    ]))
+    model, err = server_step(reported, updates, broadcast, config.strategy, t)
+    loss = task.global_loss(model.b, model.a)
     target = alignment_schedule(t, config.schedule)
-    reported = [adapter for adapter, _, _ in alignments]
     phi_aligned = dispersion(factor_distances(reported, reference, target))
     phi_raw = dispersion(factor_distances(trained, reference, target))
     eye = np.eye(config.rank)
@@ -302,7 +305,7 @@ def round_record(
     # A random-client reference costs one extra adapter download, once
     # there are last-round client adapters to draw from.
     random_client = config.reference_mode.kind is ReferenceKind.RANDOM_CLIENT
-    return RoundRecord(
+    return model, reported, RoundRecord(
         round=t,
         loss=loss,
         agg_error=err,
@@ -310,12 +313,12 @@ def round_record(
         alignment_gain=alignment_gain(phi_aligned, phi_raw),
         rotation_deviation=float(np.mean([
             0.0 if rotation is None else frobenius_norm(rotation.r - eye)
-            for _, _, rotation in alignments
+            for rotation in rotations
         ])),
         tau_diag=max(frobenius_norm(ad.b) * frobenius_norm(ad.a) for ad in reported),
         semantic_drift_max=max(
             frobenius_norm(update - raw) / max(1.0, frobenius_norm(raw))
-            for (_, update, _), raw in zip(alignments, products)
+            for update, raw in zip(updates, products)
         ),
         upload_scalars=payload,
         download_scalars=2 * payload if random_client and t > 1 else payload,
@@ -326,7 +329,8 @@ def round_record(
 @np.errstate(over="ignore", invalid="ignore")
 def run_federation(config: FederationConfig,
                    batch_tables: _BatchTables | None = None) -> RunResult:
-    """Run the full protocol for ``config.rounds`` rounds.
+    """Run the full protocol for ``config.rounds`` rounds, one
+    :func:`run_round` each.
 
     Deterministic for a fixed config, with or without the mini-batch
     tables ``batch_tables`` that the cells of a sweep share.  The run stops
@@ -347,30 +351,16 @@ def run_federation(config: FederationConfig,
     snapshots: list[LoraAdapter] = []  # the last round's client adapters
     divergence = None
     for t in range(1, config.rounds + 1):
-        t_round = time.perf_counter()
-        reference = select_reference(
-            history, config.reference_mode, snapshots, seed=[config.seed, 211, t]
-        )
-        broadcast = history[-1]
         try:
-            trained, products = train_clients(broadcast, task, config, t, batch_tables)
-            alignments = [client_round(i, adapter, raw, reference, config, t)
-                          for i, (adapter, raw) in enumerate(zip(trained, products))]
-            snapshots = [reported for reported, _, _ in alignments]
-            updates = [update for _, update, _ in alignments]
-            model, err = server_step(snapshots, updates, broadcast, config.strategy, t)
+            model, snapshots, record = run_round(config, task, t, history, snapshots, batch_tables)
         except DivergenceError as exc:
             divergence = exc.with_traceback(None)  # its frames hold the task
             break
-        loss = task.global_loss(model.b, model.a)
-        records.append(round_record(
-            config, t, reference, trained, products, alignments, err, loss, t_round,
-        ))
-        del trained, products, alignments, updates  # before the next round
+        records.append(record)
         history.append(model)
-        if not np.isfinite(loss) or loss > LOSS_DIVERGENCE_LIMIT:
+        if not np.isfinite(record.loss) or record.loss > LOSS_DIVERGENCE_LIMIT:
             divergence = DivergenceError(
-                f"global loss diverged at round {t} (loss={loss!r})", round_index=t
+                f"global loss diverged at round {t} (loss={record.loss!r})", round_index=t
             )
             break
     wall_time = time.perf_counter() - t_start

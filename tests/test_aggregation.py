@@ -165,7 +165,6 @@ class TestServerStep:
             server_step(adapters, updates_of(adapters), self._prev(rng),
                         Strategy.FEDIT, 1)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def test_overflow_diverges_at_the_server_and_not_in_the_library(self):
         # Finite factors whose mean or aggregation error overflows: the
         # library's functions keep their UsageError for non-finite values,

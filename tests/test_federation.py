@@ -778,21 +778,23 @@ class TestClientRound:
 
 
 def record_round_phases(monkeypatch) -> list:
-    """Record, per round, the training phase's products and the adapters and
-    products that ``server_step`` receives."""
+    """Record, per round, the training phase's products, as ``client_round``
+    receives them, and the adapters and products that ``server_step``
+    receives."""
     rounds = []
-    real_train, real_step = fedrot.federation.train_clients, fedrot.federation.server_step
+    real_align, real_step = fedrot.federation.client_round, fedrot.federation.server_step
 
-    def train_clients(*args):
-        trained, products = real_train(*args)
-        rounds.append([products])
-        return trained, products
+    def client_round(client, trained, product, *args):
+        if client == 0:
+            rounds.append([[]])
+        rounds[-1][0].append(product)
+        return real_align(client, trained, product, *args)
 
     def server_step(adapters, updates, *args):
         rounds[-1] += [adapters, updates]
         return real_step(adapters, updates, *args)
 
-    monkeypatch.setattr(fedrot.federation, "train_clients", train_clients)
+    monkeypatch.setattr(fedrot.federation, "client_round", client_round)
     monkeypatch.setattr(fedrot.federation, "server_step", server_step)
     return rounds
 

@@ -27,7 +27,7 @@ import pytest
 
 from fedrot.cli import main
 from fedrot.config import load_config
-from fedrot.federation import RoundRecord, run_federation
+from fedrot.federation import RoundRecord, build_task, run_federation, run_round
 
 from cli_cases import check
 
@@ -72,6 +72,28 @@ def test_records_match_golden(config):
          else int(row[f.name]) for f in pinned}
         for row in golden
     ], f"{config.stem} records differ from its diagnostics.csv"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_rounds_replay_from_the_history(config):
+    # A run is a pure function of its config, so each completed round comes
+    # again from the saved global adapters before it, a freshly built task
+    # and the previous replay's reports: the same new adapter, bit for bit,
+    # and the same record, ``wall_ms`` aside.
+    experiment = load_config(config).experiment
+    result = run_federation(experiment)
+    pinned = [f.name for f in fields(RoundRecord) if f.name != "wall_ms"]
+
+    def exact(record):
+        return [float(getattr(record, name)).hex() for name in pinned]
+
+    snapshots = []
+    for t, ran in enumerate(result.rounds, start=1):
+        model, snapshots, record = run_round(experiment, build_task(experiment), t,
+                                             result.history[:t], snapshots)
+        want = result.history[t]
+        assert (model.b.tobytes(), model.a.tobytes()) == (want.b.tobytes(), want.a.tobytes())
+        assert exact(record) == exact(ran), f"{config.stem} round {t}"
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
