@@ -12,7 +12,9 @@ from .alignment import (
     ReferenceKind,
     Rotation,
     ScheduleAblation,
+    alignment_gain,
     apply_alignment,
+    dispersion,
     haar_random_rotation,
     procrustes_rotation,
     soft_rotation,
@@ -27,7 +29,6 @@ from .errors import (
 )
 from .federation import RunResult, run_federation, run_sweep
 from .lora import LoraAdapter, init_adapter, semantic_update
-from .metrics import alignment_gain, dispersion
 from .tasks import TaskKind, dirichlet_partition
 
 __all__ = [

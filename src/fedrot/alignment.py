@@ -2,8 +2,9 @@
 
 Covers the optimal orthogonal (Procrustes) alignment, its softened
 interpolation, scalar rescaling, Haar-random rotations, the alignment
-schedule, and reference selection.  All transformations preserve the
-semantic update ``b @ a`` up to floating-point rounding.
+schedule, reference selection, and the dispersion and alignment gain
+they are measured by.  All transformations preserve the semantic update
+``b @ a`` up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .lora import LoraAdapter
-from .numerics import as_matrix, frobenius_norm, qr_orthonormal, svd
+from .numerics import as_matrix, frobenius_norm, qr_orthonormal, square, svd
 
 __all__ = [
     "Rotation",
@@ -30,6 +31,8 @@ __all__ = [
     "haar_random_rotation",
     "select_reference",
     "alignment_schedule",
+    "dispersion",
+    "alignment_gain",
 ]
 
 log = logging.getLogger(__name__)
@@ -244,3 +247,20 @@ def alignment_schedule(round_index: int, ablation: ScheduleAblation) -> Alignmen
     if ablation is ScheduleAblation.B_ONLY:
         return AlignmentTarget.FACTOR_B
     return AlignmentTarget.FACTOR_A if round_index % 2 == 1 else AlignmentTarget.FACTOR_B
+
+
+def dispersion(
+    adapters: list[LoraAdapter], reference: LoraAdapter, target: AlignmentTarget
+) -> float:
+    """Mean squared factor distance ``(1/N) sum |A_i - A_ref|_F^2`` (or the
+    B analogue); ``inf`` when a square overflows."""
+    if not adapters:
+        raise UsageError("dispersion requires at least one adapter")
+    ref = target.factor(reference)
+    return float(np.mean([square(frobenius_norm(target.factor(ad) - ref)) for ad in adapters]))
+
+
+def alignment_gain(phi_lambda: float, phi_zero: float) -> float:
+    """Relative dispersion reduction ``1 - phi(lambda) / phi(0)``; NaN when
+    the unaligned dispersion is zero (homogeneous clients)."""
+    return 1.0 - phi_lambda / phi_zero if phi_zero > 0 else float("nan")

@@ -102,6 +102,8 @@ def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
 
 def _grid_text(value) -> str:
     """A sweep-grid value as its cell directory name and sweep.csv write it."""
+    if value is None:  # as the experiment file writes it
+        return "null"
     return str(value.value if isinstance(value, enum.Enum) else value)
 
 

@@ -293,15 +293,16 @@ def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
     """The cells of the ``grid`` x ``seeds`` product, in ``itertools.product``
     order, each with its finished, and so checked, config, which holds the
     cell's seed.  A key that :func:`grid_field` rejects, or one without a
-    non-empty list of values, raises under that grid key, a rejected value
-    under ``sweep.grid.<key>.<i>`` and a rejected seed under ``sweep.seeds.<i>``."""
+    non-empty list of values, raises under ``sweep.grid.<key>``, a value
+    under ``sweep.grid.<key>.<i>`` and a seed under ``sweep.seeds.<i>``."""
     if not grid:
         raise UsageError("sweep grid must contain at least one parameter", key="sweep.grid")
     fields_of = {}  # grid key -> the (dataclass, field) it varies
     for key, values in grid.items():
-        fields_of[key] = grid_field(base, key)
+        fields_of[key] = _under(f"sweep.grid.{key}", grid_field, base, key)
         if not isinstance(values, (list, tuple)) or not values:
-            raise UsageError(f"sweep parameter {key!r} must be a non-empty list", key=key)
+            raise UsageError(f"sweep parameter {key!r} must be a non-empty list",
+                             key=f"sweep.grid.{key}")
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise UsageError("sweep.seeds must be a non-empty list", key="sweep.seeds")
     # One axis at a time, each value applied to every prefix config, a
@@ -489,13 +490,7 @@ def _sweep(root, node, experiment: FederationConfig) -> list[SweepCell]:
         cls, _ = _located(key_node, grid_field, experiment, key)
         grid[key] = _convert(_value(values_node), tuple[_schema(cls)[key][1], ...])
     seeds = _convert(_value(items["seeds"][1]), tuple[int, ...]) if "seeds" in items else (0,)
-    try:
-        return sweep_cells(experiment, grid, seeds)
-    except UsageError as exc:
-        # A grid key's values are rejected under the bare key, which names
-        # them inside the grid; every other key is a path from the top.
-        start = root if exc.key.startswith("sweep.") else grid_node
-        _fail(_node_at(start, exc.key), str(exc))
+    return _located(root, sweep_cells, experiment, grid, seeds)
 
 
 def _after(text: str) -> dict:

@@ -23,8 +23,10 @@ from .alignment import (
     AlignmentTarget,
     ReferenceKind,
     Rotation,
+    alignment_gain,
     alignment_schedule,
     apply_alignment,
+    dispersion,
     haar_random_rotation,
     procrustes_rotation,
     scalar_rescale_align,
@@ -34,7 +36,6 @@ from .alignment import (
 from .config import FederationConfig, SweepCell
 from .errors import DivergenceError, NonFiniteError, NumericError
 from .lora import LoraAdapter, init_adapter, semantic_update
-from .metrics import alignment_gain, dispersion, factor_distances
 from .numerics import frobenius_norm
 from .tasks import LowRankRegressionTask, TaskKind, logistic_task, lowrank_regression_task
 
@@ -298,8 +299,8 @@ def run_round(
     model, err = server_step(reported, updates, broadcast, config.strategy, t)
     loss = task.global_loss(model.b, model.a)
     target = alignment_schedule(t, config.schedule)
-    phi_aligned = dispersion(factor_distances(reported, reference, target))
-    phi_raw = dispersion(factor_distances(trained, reference, target))
+    phi_aligned = dispersion(reported, reference, target)
+    phi_raw = dispersion(trained, reference, target)
     eye = np.eye(config.rank)
     payload = (config.dims[0] + config.dims[1]) * config.rank
     # A random-client reference costs one extra adapter download, once

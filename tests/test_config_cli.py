@@ -762,10 +762,10 @@ def test_aliased_value_rejected_in_short(tmp_path, capsys, command, text):
 # Each grid line maps to the grid run_sweep takes, the key run_sweep raises
 # under, and the token that the file error is located at.
 GRID_ERRORS = {
-    "seed: [1, 2]": ({"seed": [1, 2]}, "seed", "seed"),
-    "n_features: [3, 9]": ({"n_features": [3, 9]}, "n_features", "n_features"),
-    "dims: [[6, 6], [8, 8]]": ({"dims": [(6, 6), (8, 8)]}, "dims", "dims"),
-    "lambda: []": ({"lambda": []}, "lambda", "[]"),
+    "seed: [1, 2]": ({"seed": [1, 2]}, "sweep.grid.seed", "seed"),
+    "n_features: [3, 9]": ({"n_features": [3, 9]}, "sweep.grid.n_features", "n_features"),
+    "dims: [[6, 6], [8, 8]]": ({"dims": [(6, 6), (8, 8)]}, "sweep.grid.dims", "dims"),
+    "lambda: []": ({"lambda": []}, "sweep.grid.lambda", "[]"),
     "lambda: [0.5, 1.5]": ({"lambda": [0.5, 1.5]}, "sweep.grid.lambda.1", "1.5"),
 }
 
@@ -949,6 +949,19 @@ class TestSweepCommand:
         # A row's grid value reads as its directory name writes it.
         for line, cell_dir in zip(lines[1:], cell_dirs):
             assert cell_dir.name.split("_")[1] == "lambda-" + line.split(",")[0]
+
+    def test_grid_text_loads_as_its_cell_config(self, tmp_path):
+        # A row's grid text, written back into the file as its key's value,
+        # loads as the cell's config; a null value is written ``null``.
+        text = grid("batch_size: [null, 16]")
+        out = tmp_path / "sweep"
+        assert main(["sweep", write(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        cells = load_config(write(tmp_path, text)).sweep
+        assert [row.split(",")[0] for row in rows] == ["null", "16"]
+        for row, cell in zip(rows, cells, strict=True):
+            echo = MINIMAL + f"  batch_size: {row.split(',')[0]}\n"
+            assert load_config(write(tmp_path, echo, "cell.yaml")).experiment == cell.config
 
     def test_cell_reruns_from_its_summary(self, tmp_path):
         # A cell's summary.json config block, under ``experiment``, is a file

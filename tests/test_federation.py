@@ -1260,16 +1260,16 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "config, grid, seeds, key",
         [
-            (regression_config, {"lambda": [0.5], "seed": [1, 2]}, [0], "seed"),
-            (regression_config, {"n_features": [3, 9]}, [0], "n_features"),
-            (regression_config, {"dims": [(6, 6), (8, 8)]}, [0], "dims"),
-            (logistic_config, {"heterogeneity": [0.1, 0.9]}, [0], "heterogeneity"),
-            (regression_config, {"lambda": [0.5], "rounds": []}, [0], "rounds"),
+            (regression_config, {"lambda": [0.5], "seed": [1, 2]}, [0], "sweep.grid.seed"),
+            (regression_config, {"n_features": [3, 9]}, [0], "sweep.grid.n_features"),
+            (regression_config, {"dims": [(6, 6), (8, 8)]}, [0], "sweep.grid.dims"),
+            (logistic_config, {"heterogeneity": [0.1, 0.9]}, [0], "sweep.grid.heterogeneity"),
+            (regression_config, {"lambda": [0.5], "rounds": []}, [0], "sweep.grid.rounds"),
             (regression_config, {"lambda": [0.5, 1.5]}, [0], "sweep.grid.lambda.1"),
             (regression_config, {"strategy": ["fedrot"]}, [0], "sweep.grid.strategy.0"),
             (regression_config, {"lambda": [0.5]}, [0, -1], "sweep.seeds.1"),
             (regression_config, {"lambda": [0.5]}, [0, 1.5], "sweep.seeds.1"),
-            (regression_config, {"warp_factor": [9]}, [0], "warp_factor"),
+            (regression_config, {"warp_factor": [9]}, [0], "sweep.grid.warp_factor"),
         ],
     )
     def test_grid_rejected_before_any_cell_runs(self, monkeypatch, config, grid,

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fedrot.alignment import AlignmentTarget
+from fedrot.alignment import AlignmentTarget, alignment_gain, dispersion
 from fedrot.errors import UsageError
 from fedrot.lora import LoraAdapter
-from fedrot.metrics import alignment_gain, dispersion, factor_distances
 
 
 def random_adapters(rng, n, d=5, rank=2):
@@ -16,14 +15,17 @@ def random_adapters(rng, n, d=5, rank=2):
     ]
 
 
+def scalar_adapters(entries):
+    """1x1 adapters whose A entries are ``entries``."""
+    return [LoraAdapter(np.ones((1, 1)), np.full((1, 1), x)) for x in entries]
+
+
 class TestDispersion:
     def test_zero_for_equal_factors(self):
         rng = np.random.default_rng(0)
         (ref,) = random_adapters(rng, 1)
         ads = [LoraAdapter(ref.b.copy(), ref.a.copy()) for _ in range(3)]
-        dists = factor_distances(ads, ref, AlignmentTarget.FACTOR_A)
-        assert dists == [0.0, 0.0, 0.0]
-        assert dispersion(dists) == 0.0
+        assert dispersion(ads, ref, AlignmentTarget.FACTOR_A) == 0.0
 
     def test_unit_perturbation(self):
         rng = np.random.default_rng(1)
@@ -31,8 +33,7 @@ class TestDispersion:
         bump = rng.standard_normal(ref.a.shape)
         bump /= np.linalg.norm(bump)
         ad = LoraAdapter(ref.b.copy(), ref.a + bump)
-        dists = factor_distances([ad], ref, AlignmentTarget.FACTOR_A)
-        assert dispersion(dists) == pytest.approx(1.0)
+        assert dispersion([ad], ref, AlignmentTarget.FACTOR_A) == pytest.approx(1.0)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
@@ -45,24 +46,28 @@ class TestDispersion:
             expected = sum(
                 np.linalg.norm(pick(ad) - pick(ref)) ** 2 for ad in ads
             ) / len(ads)
-            phi = dispersion(factor_distances(ads, ref, target))
+            phi = dispersion(ads, ref, target)
             assert phi == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         ref = random_adapters(rng, 1)[0]
-        dists = factor_distances(random_adapters(rng, 4), ref, AlignmentTarget.FACTOR_B)
-        assert dispersion(dists) >= 0.0
+        assert dispersion(random_adapters(rng, 4), ref, AlignmentTarget.FACTOR_B) >= 0.0
 
     def test_rejects_no_adapters(self):
+        rng = np.random.default_rng(4)
+        (ref,) = random_adapters(rng, 1)
         with pytest.raises(UsageError):
-            dispersion([])
+            dispersion([], ref, AlignmentTarget.FACTOR_A)
 
     def test_overflowing_square_is_inf_and_finite_squares_keep_their_bits(self):
         # ``d ** 2`` raises above ~1.3e154; a diverging run records inf.
-        assert dispersion([1e200, 1.0]) == math.inf
+        (zero,) = scalar_adapters([0.0])
+        huge = scalar_adapters([1e200, 1.0])
+        assert dispersion(huge, zero, AlignmentTarget.FACTOR_A) == math.inf
         dists = [0.1 * k for k in range(1, 200)]
-        assert dispersion(dists) == float(np.mean([d**2 for d in dists]))
+        phi = dispersion(scalar_adapters(dists), zero, AlignmentTarget.FACTOR_A)
+        assert phi == float(np.mean([d**2 for d in dists]))
 
 
 class TestAlignmentGain:
