@@ -8,8 +8,8 @@ parameter ``grid`` and a ``seeds`` list.  The dataclass fields are the
 schema: their annotations type each value, the fields without a default
 are required, and their metadata names the file keys that differ from the
 field names, the keys a grid may vary and the task kinds that read a key.
-The loader only converts values by annotation; the config constructors and
-:func:`sweep_cells` check them.  Every rejection, a bad key's included, is
+The loader only reads values; the config constructors convert and check
+each one by its annotation, for :func:`sweep_cells` too.  Every rejection, a bad key's included, is
 reported with its line and column, and a key that is unknown, repeated or
 not read by the task kind before any value.
 """
@@ -21,6 +21,7 @@ import functools
 import io
 import math
 import numbers
+import operator
 import re
 import reprlib
 import types
@@ -75,11 +76,12 @@ _SHORT.maxlevel, _SHORT.maxstring, _SHORT.maxother = 2, 40, 40
 
 
 def check_fields(config, prefix: str = "") -> None:
-    """Check each field of the config dataclass ``config`` against its
-    annotation and then its ``range``, under its file key after ``prefix``."""
+    """Store each field of the config dataclass ``config`` as its annotated
+    type and then check its ``range``, under its file key after ``prefix``."""
     for key, (f, tp) in _schema(type(config)).items():
-        key, value = prefix + key, getattr(config, f.name)
-        _check_value(key, value, tp)
+        key = prefix + key
+        value = _typed(key, getattr(config, f.name), tp)
+        object.__setattr__(config, f.name, value)  # the classes are frozen
         if "range" in f.metadata and value is not None:
             low, high = f.metadata["range"]
             if not low <= value <= high:
@@ -87,33 +89,36 @@ def check_fields(config, prefix: str = "") -> None:
                 raise UsageError(f"{key} must {bound}, got {value}", key=key)
 
 
-def _check_value(key: str, value, tp) -> None:
-    """Reject ``value``, set as the file key ``key``, unless it is of the
-    annotated type ``tp``: ``int`` takes any ``numbers.Integral``, ``float``
-    any ``numbers.Real`` that is finite as a float, a bool neither, a tuple
-    its elements' types and any other type its instances; an enum's message
-    lists its values.  No value is converted."""
+def _typed(key: str, value, tp):
+    """``value``, set as the file key ``key``, as the annotated type ``tp``:
+    a list or tuple of the right length becomes a tuple, element by element,
+    an enum member's value that member and an ``int`` a ``float`` where a
+    float is declared; a value of its type, or a tuple of such, is returned
+    itself.  Any other value is rejected: ``int`` takes any ``Integral``,
+    ``float`` any ``Real`` that is finite as a float, a bool neither, and
+    any other type its instances; an enum's message lists its values."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is types.UnionType:  # ``T | None``
-        if value is not None:
-            _check_value(key, value, args[0])
-        return
+        return value if value is None else _typed(key, value, args[0])
     if typing.get_origin(tp) is tuple:
         variadic = args[-1] is Ellipsis
-        if not isinstance(value, tuple) or not (variadic or len(value) == len(args)):
+        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
             size = "" if variadic else f" of {len(args)} values"
             raise UsageError(f"{key} must be a tuple{size}, got {_SHORT.repr(value)}", key=key)
         elements = args[:1] * len(value) if variadic else args
-        for i, (v, t) in enumerate(zip(value, elements)):
-            _check_value(f"{key}.{i}", v, t)
-        return
+        typed = tuple(_typed(f"{key}.{i}", v, t) for i, (v, t) in enumerate(zip(value, elements)))
+        kept = isinstance(value, tuple) and all(map(operator.is_, typed, value))
+        return value if kept else typed
     kind, what = _NUMBERS.get(tp, (tp, f"a {tp.__name__}"))
     if issubclass(tp, enum.Enum):
         what += f" (one of: {', '.join(m.value for m in tp)})"
+        if isinstance(value, str):  # the config enums' values are strings
+            value = next((m for m in tp if m.value == value), value)
     if not isinstance(value, kind) or (tp in _NUMBERS and isinstance(value, bool)):
         raise UsageError(f"{key} must be {what}, got {_SHORT.repr(value)}", key=key)
     if tp is float:
         try:
+            value = float(value) if type(value) is int else value
             finite = math.isfinite(value)
         except OverflowError:
             raise UsageError(f"{key} is out of range", key=key) from None
@@ -121,6 +126,7 @@ def _check_value(key: str, value, tp) -> None:
             raise UsageError(f"{key} must be finite, got {value}", key=key)
     if is_dataclass(tp):
         check_fields(value, f"{key}.")
+    return value
 
 
 def reads(kind: TaskKind, f: Field) -> bool:
@@ -308,20 +314,22 @@ def sweep_cells(base: FederationConfig, grid: dict, seeds) -> list[SweepCell]:
     # One axis at a time, each value applied to every prefix config, a
     # TaskSpec field's on its task: the product order, with a rejected value
     # blamed on the axis that adds it.
-    prefixes = [({}, base)]
+    configs = [base]
     for key, values in grid.items():
         cls, f = fields_of[key]
-        prefixes = [
-            ({**params, key: value},
-             _under(f"sweep.grid.{key}.{i}", replace, config,
-                    **({"task": replace(config.task, **{f.name: value})} if cls is TaskSpec
-                       else {f.name: value})))
-            for params, config in prefixes
+        configs = [
+            _under(f"sweep.grid.{key}.{i}", replace, config,
+                   **({"task": replace(config.task, **{f.name: value})} if cls is TaskSpec
+                      else {f.name: value}))
+            for config in configs
             for i, value in enumerate(values)
         ]
+    # A cell's params are read back from its config, so they hold its typed values.
     return [
-        SweepCell(params, _under(f"sweep.seeds.{i}", replace, config, seed=seed))
-        for params, config in prefixes
+        SweepCell({key: getattr(config.task if cls is TaskSpec else config, f.name)
+                   for key, (cls, f) in fields_of.items()},
+                  _under(f"sweep.seeds.{i}", replace, config, seed=seed))
+        for config in configs
         for i, seed in enumerate(seeds)
     ]
 
@@ -419,30 +427,6 @@ def _value(node):
         _fail(node, f"malformed value: {exc}")
 
 
-def _convert(value, tp):
-    """``value`` as read from the file, converted by the annotation ``tp``:
-    a list becomes a tuple, element by element, an enum value its member,
-    and an ``int`` a ``float`` where a float is declared, never a bool.
-    Anything else passes through unchanged, for the constructors to reject."""
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is types.UnionType:  # ``T | None``
-        return value if value is None else _convert(value, args[0])
-    if typing.get_origin(tp) is tuple:
-        variadic = args[-1] is Ellipsis
-        if not isinstance(value, list) or not (variadic or len(value) == len(args)):
-            return value
-        elements = args[:1] * len(value) if variadic else args
-        return tuple(_convert(v, t) for v, t in zip(value, elements))
-    if issubclass(tp, enum.Enum):
-        return next((m for m in tp if m.value == value), value)
-    if tp is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            return value
-    return value
-
-
 def _experiment(node) -> FederationConfig:
     """The experiment mapping ``node`` as a config.  Every key of it and of
     its nested mappings is checked before any value is read: a non-scalar,
@@ -457,20 +441,20 @@ def _experiment(node) -> FederationConfig:
     kind = FederationConfig.task.kind
     if "task." in levels:
         task = levels["task."][2]
-        kind = _convert(_value(task["kind"][1]), TaskKind) if "kind" in task else None
-    if isinstance(kind, TaskKind):
+        value = _value(task["kind"][1]) if "kind" in task else None
+        kind = next((m for m in TaskKind if m.value == value), None)
+    if kind is not None:
         for prefix, (cls, _, items) in levels.items():
             for key, (key_node, _) in items.items():
                 _located(key_node, check_read, kind, prefix + key, _schema(cls)[key][0])
 
     def build(prefix: str):
-        # Values convert in file order, a nested config built at its key.
+        # Values are read in file order, a nested config built at its key.
         cls, mapping, items = levels[prefix]
         kwargs = {}
         for key, (_, value_node) in items.items():
             f, tp = _schema(cls)[key]
-            kwargs[f.name] = (build(f"{prefix}{key}.") if is_dataclass(tp)
-                              else _convert(_value(value_node), tp))
+            kwargs[f.name] = build(f"{prefix}{key}.") if is_dataclass(tp) else _value(value_node)
         for key, (f, _) in _schema(cls).items():
             if f.name not in kwargs and f.default is MISSING:
                 _fail(mapping, f"{prefix[:-1] or 'experiment'} is missing required key {key!r}")
@@ -481,15 +465,15 @@ def _experiment(node) -> FederationConfig:
 
 def _sweep(root, node, experiment: FederationConfig) -> list[SweepCell]:
     """The sweep section's cells.  Each grid key is looked up where it is
-    written, as its values convert by its field's annotation."""
+    written, before its values are read."""
     items = _mapping_items(node, "sweep", {"grid", "seeds"})
     if "grid" not in items:
         _fail(node, "sweep requires a 'grid' mapping")
     grid, grid_node = {}, items["grid"][1]
     for key, (key_node, values_node) in _mapping_items(grid_node, "sweep grid").items():
-        cls, _ = _located(key_node, grid_field, experiment, key)
-        grid[key] = _convert(_value(values_node), tuple[_schema(cls)[key][1], ...])
-    seeds = _convert(_value(items["seeds"][1]), tuple[int, ...]) if "seeds" in items else (0,)
+        _located(key_node, grid_field, experiment, key)
+        grid[key] = _value(values_node)
+    seeds = _value(items["seeds"][1]) if "seeds" in items else (0,)
     return _located(root, sweep_cells, experiment, grid, seeds)
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "build_task",
     "local_train",
     "client_round",
+    "run_round",
     "run_federation",
     "run_sweep",
 ]

@@ -412,6 +412,10 @@ class TestHaarRandomRotation:
     def test_rank_one_is_trivial(self):
         assert haar_random_rotation(1, seed=0).r[0, 0] == pytest.approx(1.0)
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(UsageError, match="^rank must be >= 1, got 0$"):
+            haar_random_rotation(0, seed=0)
+
     def test_deterministic(self):
         assert (haar_random_rotation(4, seed=9).r == haar_random_rotation(4, seed=9).r).all()
 

@@ -196,6 +196,23 @@ class TestLoadConfig:
         ]
         assert all(type(c.params["lambda"]) is float for c in cells)
 
+    # The raw values a file holds build the same cells from the library as
+    # from the file: the same configs, and params of the same values and types.
+    def test_library_grid_matches_file_grid(self, tmp_path):
+        grid = {"lambda": [0, 1], "strategy": ["fedit", "fedrot"]}
+        golden = (check.GOLDEN_DIR / "fedrot_regression.yaml").read_text(encoding="utf-8")
+        text = golden + yaml.safe_dump({"sweep": {"grid": grid}}, sort_keys=False)
+        loaded = load_config(write(tmp_path, text))
+        direct = sweep_cells(loaded.experiment, grid, seeds=[0])
+
+        def typed(cells):
+            return [[(k, v, type(v)) for k, v in cell.params.items()] for cell in cells]
+
+        assert typed(direct) == typed(loaded.sweep)
+        assert [c.config for c in direct] == [c.config for c in loaded.sweep]
+        want = [("lambda", 0.0, float), ("strategy", Strategy.FEDROT, Strategy)]
+        assert typed(direct)[1] == want
+
     def test_seed_is_not_a_grid_key(self, tmp_path):
         text = MINIMAL + "sweep:\n  grid:\n    seed: [5, 6]\n"
         with pytest.raises(ConfigError, match="sweep.seeds") as exc:

@@ -17,7 +17,7 @@ import fedrot.aggregation
 import fedrot.federation
 import fedrot.tasks
 from fedrot.aggregation import Strategy, frozen_factors
-from fedrot.alignment import AlignmentTarget, ReferenceKind, procrustes_rotation
+from fedrot.alignment import AlignmentTarget, ReferenceKind, ScheduleAblation, procrustes_rotation
 from fedrot.config import (
     FederationConfig,
     ReferenceMode,
@@ -189,27 +189,49 @@ class TestConfigValidation:
             regression_config(**overrides)
         assert exc.value.key == key
 
-    # An enum field takes a member, never its value's name: the policy code
-    # compares members with ``is``, so a name would run another experiment.
+    # A constructor takes what a file holds: an enum value's name becomes its
+    # member, so the policy code's ``is`` tests hold, a list a tuple and an
+    # int a float where a float is declared, each element of a tuple too.
     @pytest.mark.parametrize(
-        "build, key",
+        "build, read, want",
         [
-            (lambda: regression_config(strategy="fedrot"), "strategy"),
-            (lambda: regression_config(schedule="a_only"), "schedule"),
-            (
-                lambda: regression_config(task=TaskSpec(kind="lowrank_regression")),
-                "task.kind",
-            ),
-            (lambda: ReferenceMode(kind="prev_global"), "kind"),
+            pytest.param(lambda: regression_config(strategy="fedrot"),
+                         lambda c: c.strategy, Strategy.FEDROT, id="strategy"),
+            pytest.param(lambda: regression_config(schedule="a_only"),
+                         lambda c: c.schedule, ScheduleAblation.A_ONLY, id="schedule"),
+            pytest.param(lambda: regression_config(task=TaskSpec(kind="lowrank_regression")),
+                         lambda c: c.task.kind, TaskKind.LOWRANK_REGRESSION, id="task.kind"),
+            pytest.param(lambda: ReferenceMode(kind="prev_global"),
+                         lambda c: c.kind, ReferenceKind.PREV_GLOBAL, id="kind"),
+            pytest.param(lambda: regression_config(dims=[8, 6]),
+                         lambda c: c.dims, (8, 6), id="dims"),
+            pytest.param(lambda: regression_config(learning_rate=1),
+                         lambda c: c.learning_rate, 1.0, id="learning_rate"),
+            pytest.param(lambda: regression_config(
+                             rank=1, dims=(1, 1), task=TaskSpec(TaskKind.SCALAR_TOY, [1, 2, 0.5])),
+                         lambda c: c.task.targets, (1.0, 2.0, 0.5), id="task.targets"),
         ],
     )
-    def test_enum_field_rejects_its_value_name(self, build, key):
-        with pytest.raises(UsageError) as exc:
-            build()
-        assert exc.value.key == key
+    def test_file_shaped_value_converts(self, build, read, want):
+        value = read(build())
+        assert value == want and type(value) is type(want)
+        if isinstance(want, tuple):
+            assert [type(v) for v in value] == [type(v) for v in want]
+
+    # A value already of its type is kept as the same object, so the shared
+    # default task is never rebound.
+    def test_typed_value_kept(self):
+        dims, task = (8, 6), TaskSpec(TaskKind.LOWRANK_REGRESSION, true_rank=2)
+        config = regression_config(dims=dims, task=task, strategy=Strategy.FEDIT)
+        assert config.dims is dims and config.task is task
+        assert config.strategy is Strategy.FEDIT
+        default = FederationConfig.task
+        targets = default.targets
+        assert regression_config(task=default).task is default
+        assert default.targets is targets
 
     # A value of the wrong type is a config error under its key, as the
-    # loader makes it; none is converted, and a bool is not a number.
+    # loader makes it, and a bool is not a number.
     @pytest.mark.parametrize(
         "build, key",
         [
@@ -237,7 +259,7 @@ class TestConfigValidation:
             ),
             (
                 lambda: regression_config(
-                    rank=1, dims=[1, 1],
+                    rank=1, dims=[1],
                     task=TaskSpec(kind=TaskKind.SCALAR_TOY, targets=(0.5, 1.0, 1.5)),
                 ),
                 "dims",
@@ -259,7 +281,8 @@ class TestConfigValidation:
         assert str(exc.value).startswith(f"{key} must be ")
 
     # Every annotated field is checked, so a field added later is covered
-    # here too.  None is wrong wherever the field's default is not None.
+    # here too.  None is wrong wherever the field's default is not None, and
+    # ``[1]`` wherever a list does not convert: it is a valid ``targets``.
     @pytest.mark.parametrize(
         "build, name, key, bad",
         [
@@ -279,7 +302,8 @@ class TestConfigValidation:
             )
             for f in dataclasses.fields(cls)
             for bad in ("1", True, [1], None)
-            if bad is not None or f.default is not None
+            if (bad is not None or f.default is not None)
+            and (bad != [1] or f.name != "targets")
         ],
     )
     def test_every_field_type_checked(self, build, name, key, bad):
@@ -1255,8 +1279,8 @@ class TestRunSweep:
     # Grids the experiment-file loader rejects: a key no grid may vary (the
     # seed, a task field the regression task never reads, the dims), a key
     # the task kind does not read, an empty value list, a value or seed the
-    # config rejects, even after a valid cell, a float seed, an enum
-    # value's name and a key no config has.
+    # config rejects, even after a valid cell, a float seed, a name no enum
+    # member has and a key no config has.
     @pytest.mark.parametrize(
         "config, grid, seeds, key",
         [
@@ -1266,7 +1290,7 @@ class TestRunSweep:
             (logistic_config, {"heterogeneity": [0.1, 0.9]}, [0], "sweep.grid.heterogeneity"),
             (regression_config, {"lambda": [0.5], "rounds": []}, [0], "sweep.grid.rounds"),
             (regression_config, {"lambda": [0.5, 1.5]}, [0], "sweep.grid.lambda.1"),
-            (regression_config, {"strategy": ["fedrot"]}, [0], "sweep.grid.strategy.0"),
+            (regression_config, {"strategy": ["fancy"]}, [0], "sweep.grid.strategy.0"),
             (regression_config, {"lambda": [0.5]}, [0, -1], "sweep.seeds.1"),
             (regression_config, {"lambda": [0.5]}, [0, 1.5], "sweep.seeds.1"),
             (regression_config, {"warp_factor": [9]}, [0], "sweep.grid.warp_factor"),

@@ -451,6 +451,10 @@ class TestDirichletPartition:
         with pytest.raises(UsageError):
             dirichlet_partition([0, 1, 0], 2, 0.0, seed=0)
 
+    def test_no_clients_rejected(self):
+        with pytest.raises(UsageError, match="^n_clients must be >= 1, got 0$"):
+            dirichlet_partition([0, 1, 0], 0, 0.5, seed=0)
+
 
     @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
     def test_non_finite_alpha_rejected(self, alpha):
