@@ -17,7 +17,6 @@ __all__ = [
     "aggregation_error",
     "lagrange_error_oracle",
     "frozen_factors",
-    "aligns",
     "server_step",
 ]
 
@@ -93,13 +92,6 @@ def frozen_factors(strategy: Strategy, round_index: int) -> tuple[bool, bool]:
             return False, True
         return True, False
     return False, False
-
-
-def aligns(strategy: Strategy, round_index: int, align_from_round: int) -> bool:
-    """Whether clients transform their trained factors in this round."""
-    if strategy is Strategy.FEDROT:
-        return round_index >= align_from_round
-    return strategy in (Strategy.SCALAR_RESCALE, Strategy.RANDOM_ROTATION)
 
 
 def server_step(

@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .aggregation import Strategy, aligns, frozen_factors, server_step
+from .aggregation import Strategy, frozen_factors, server_step
 from .alignment import (
     AlignmentTarget,
     ReferenceKind,
@@ -149,18 +149,11 @@ class _BatchTables(dict):
 
 @np.errstate(over="ignore", invalid="ignore")
 def local_train(
-    client: int,
-    start: LoraAdapter,
-    task,
-    steps: int,
-    eta: float,
-    strategy: Strategy,
-    round_index: int,
-    seed,
-    batch_size: int | None = None,
+    client: int, start: LoraAdapter, task, config: FederationConfig, round_index: int,
     batch_tables: _BatchTables | None = None,
 ):
-    """Deterministic (full-batch) gradient descent on the client's shard.
+    """Deterministic gradient descent on the client's shard from ``start``,
+    with ``config``'s local steps, learning rate, strategy, seed and batch size.
 
     Returns the trained adapter.  The client-round allocates its state
     once: one packed parameter array (B's entries, then A's) with ``b`` and
@@ -182,7 +175,8 @@ def local_train(
     b = params[:nb].reshape(start.b.shape)
     a = params[nb:].reshape(start.a.shape)
     out = (grads[:nb].reshape(b.shape), grads[nb:].reshape(a.shape))
-    freeze_b, freeze_a = frozen_factors(strategy, round_index)
+    steps, eta, batch_size = config.local_steps, config.learning_rate, config.batch_size
+    freeze_b, freeze_a = frozen_factors(config.strategy, round_index)
     # The update runs on the factors the strategy trains this round; a
     # frozen factor keeps its start value, so only these need the check.
     trained = slice(nb if freeze_b else 0, nb if freeze_a else None)
@@ -190,7 +184,7 @@ def local_train(
     n_samples = task.sample_count(client)
     batches = repeat(None)  # the full batch
     if batch_size is not None and batch_size < n_samples:
-        key = (seed, client, round_index, n_samples, batch_size, steps)
+        key = (config.seed, client, round_index, n_samples, batch_size, steps)
         batches = _draws(*key) if batch_tables is None else batch_tables.batches(key)
     client_grads, isfinite = task.client_grads, math.isfinite
     for step, idx in zip(range(steps), batches):
@@ -231,66 +225,65 @@ def client_round(
 ) -> tuple[LoraAdapter, np.ndarray, Rotation | None]:
     """The alignment phase for one client: the strategy's client-side
     transformation of its trained factors and ``product``, their product.
+    FedRot rotates from ``config.align_from_round`` on, random rotation and
+    scalar rescale transform in every round, and the other strategies never.
     Returns the reported adapter (``trained`` itself when the strategy
     reports them unchanged), its product (``product`` itself then, else
     formed and checked by :func:`checked_product`) and the applied rotation
     (FedRot's soft one or the Haar draw; ``None`` when none is made).  A
     transformation whose correlation or factors overflow, or whose SVD,
     QR, determinant or rotation fails, has diverged: that raises."""
-    reported, rotation = trained, None
-    if aligns(config.strategy, round_index, config.align_from_round):
-        target = alignment_schedule(round_index, config.schedule)
-        local, ref = target.factor(trained), target.factor(reference)
-        try:
-            if config.strategy is Strategy.FEDROT:
-                rotation = soft_rotation(procrustes_rotation(local, ref, target), config.lam)
-            elif config.strategy is Strategy.RANDOM_ROTATION:
-                rotation = haar_random_rotation(
-                    config.rank, seed=[config.seed, 7901, round_index, client])
-            elif (c := scalar_rescale_align(local, ref)) is None:
-                log.warning("degenerate scalar rescaling on client %d round %d; skipping",
-                            client, round_index)
-            elif target is AlignmentTarget.FACTOR_A:
-                reported = LoraAdapter(trained.b / c, trained.a * c)
-            else:
-                reported = LoraAdapter(trained.b * c, trained.a / c)
-            if rotation is not None:
-                reported = apply_alignment(trained, rotation)
-        except NonFiniteError as exc:  # dropped: its frames hold the caller's task
-            raise DivergenceError(f"non-finite alignment on client {client}",
-                                  round_index=round_index) from exc.with_traceback(None)
-        except (NumericError, np.linalg.LinAlgError) as exc:
-            raise DivergenceError(f"failed alignment on client {client}: {exc}",
-                                  round_index=round_index) from exc.with_traceback(None)
+    strategy, reported, rotation = config.strategy, trained, None
+    target = alignment_schedule(round_index, config.schedule)
+    local, ref = target.factor(trained), target.factor(reference)
+    try:
+        if strategy is Strategy.FEDROT and round_index >= config.align_from_round:
+            rotation = soft_rotation(procrustes_rotation(local, ref, target), config.lam)
+        elif strategy is Strategy.RANDOM_ROTATION:
+            rotation = haar_random_rotation(
+                config.rank, seed=[config.seed, 7901, round_index, client])
+        elif strategy is not Strategy.SCALAR_RESCALE:
+            pass  # FedIT, FFA-LoRA, RoLoRA, and FedRot before its first aligned round
+        elif (c := scalar_rescale_align(local, ref)) is None:
+            log.warning("degenerate scalar rescaling on client %d round %d; skipping",
+                        client, round_index)
+        elif target is AlignmentTarget.FACTOR_A:
+            reported = LoraAdapter(trained.b / c, trained.a * c)
+        else:
+            reported = LoraAdapter(trained.b * c, trained.a / c)
+        if rotation is not None:
+            reported = apply_alignment(trained, rotation)
+    except NonFiniteError as exc:  # dropped: its frames hold the caller's task
+        raise DivergenceError(f"non-finite alignment on client {client}",
+                              round_index=round_index) from exc.with_traceback(None)
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        raise DivergenceError(f"failed alignment on client {client}: {exc}",
+                              round_index=round_index) from exc.with_traceback(None)
     update = product if reported is trained else checked_product(reported, client, round_index)
     return reported, update, rotation
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_round(
-    config: FederationConfig, task, t: int, history: list[LoraAdapter],
+    config: FederationConfig, task, history: list[LoraAdapter],
     snapshots: list[LoraAdapter], batch_tables: _BatchTables | None = None,
 ) -> tuple[LoraAdapter, list[LoraAdapter], RoundRecord]:
-    """Round ``t`` on ``task``, from the global adapters ``history`` and the
-    last round's reported client adapters ``snapshots``.  Every client
-    trains with :func:`local_train` from ``history[-1]``, reading its batches
-    from ``batch_tables`` unless it is ``None``, and has its product checked
-    before the next one trains; then every client aligns, and the server
-    averages.  The first phase that diverges raises its
-    :class:`DivergenceError`.  Returns the new global adapter, the reported
-    adapters and the round's record, whose factor distances are of the
-    round's target factor alone."""
-    t_round = time.perf_counter()
+    """Round ``t = len(history)`` on ``task``, from the global adapters
+    ``history`` and the last round's reported client adapters ``snapshots``.
+    Every client trains with :func:`local_train` from ``history[-1]``,
+    reading its batches from ``batch_tables`` unless it is ``None``, and has
+    its product checked before the next one trains; then every client
+    aligns, and the server averages.  The first phase that diverges raises
+    its :class:`DivergenceError`.  Returns the new global adapter, the
+    reported adapters and the round's record, whose factor distances are of
+    the round's target factor alone."""
+    t_round, t = time.perf_counter(), len(history)
     reference = select_reference(history, config.reference_mode, snapshots,
                                  seed=[config.seed, 211, t])
     broadcast = history[-1]
     trained, products = [], []
     for client in range(config.n_clients):
-        adapter = local_train(
-            client, broadcast, task, config.local_steps, config.learning_rate,
-            config.strategy, t, config.seed, batch_size=config.batch_size,
-            batch_tables=batch_tables,
-        )
+        adapter = local_train(client, broadcast, task, config, t, batch_tables)
         trained.append(adapter)
         products.append(checked_product(adapter, client, t))
     reported, updates, rotations = map(list, zip(*[
@@ -354,7 +347,7 @@ def run_federation(config: FederationConfig,
     divergence = None
     for t in range(1, config.rounds + 1):
         try:
-            model, snapshots, record = run_round(config, task, t, history, snapshots, batch_tables)
+            model, snapshots, record = run_round(config, task, history, snapshots, batch_tables)
         except DivergenceError as exc:
             divergence = exc.with_traceback(None)  # its frames hold the task
             break

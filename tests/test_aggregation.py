@@ -10,7 +10,6 @@ from fedrot.aggregation import (
     Strategy,
     aggregate_factorwise,
     aggregation_error,
-    aligns,
     lagrange_error_oracle,
     server_step,
 )
@@ -202,13 +201,3 @@ class TestServerStep:
         assert (odd.a == prev.a).all()
         even, _ = server_step(adapters, updates, prev, Strategy.ROLORA, 2)
         assert (even.b == prev.b).all()
-
-
-@pytest.mark.parametrize(
-    "strategy,rounds_aligned",
-    [(Strategy.FEDIT, []), (Strategy.FFA_LORA, []), (Strategy.ROLORA, []),
-     (Strategy.FEDROT, [3, 4]), (Strategy.SCALAR_RESCALE, [1, 2, 3, 4]),
-     (Strategy.RANDOM_ROTATION, [1, 2, 3, 4])],
-)
-def test_aligns(strategy, rounds_aligned):
-    assert [t for t in range(1, 5) if aligns(strategy, t, 3)] == rounds_aligned

@@ -57,6 +57,12 @@ def regression_config(strategy=Strategy.FEDROT, **kwargs):
     return FederationConfig(**base)
 
 
+def train_config(steps, eta, strategy=Strategy.FEDIT, seed=0, batch_size=None):
+    """A config holding ``local_train``'s settings: ``steps`` steps at rate ``eta``."""
+    return regression_config(strategy, local_steps=steps, learning_rate=eta, seed=seed,
+                             batch_size=batch_size)
+
+
 def config_with(cls, f, value):
     """A valid config but for the field ``f`` of ``cls`` (``FederationConfig``
     or ``TaskSpec``) set to ``value``, with a task of a kind that reads it."""
@@ -399,7 +405,7 @@ class TestLocalTrain:
         self.start = init_adapter(8, 6, 2, seed=0)
 
     def test_zero_learning_rate_is_identity(self):
-        out = local_train(0, self.start, self.task, 10, 0.0, Strategy.FEDIT, 1, 0)
+        out = local_train(0, self.start, self.task, train_config(10, 0.0), 1)
         assert (out.b == self.start.b).all()
         assert (out.a == self.start.a).all()
 
@@ -411,7 +417,7 @@ class TestLocalTrain:
             0, opt.b, opt.a, out=(np.empty_like(opt.b), np.empty_like(opt.a))
         )
         assert max(np.linalg.norm(gb), np.linalg.norm(ga)) <= 1e-8
-        out = local_train(0, opt, task, 5, 0.1, Strategy.FEDIT, 1, 0)
+        out = local_train(0, opt, task, train_config(5, 0.1), 1)
         np.testing.assert_allclose(out.b, opt.b, atol=1e-9)
         np.testing.assert_allclose(out.a, opt.a, atol=1e-9)
 
@@ -419,15 +425,16 @@ class TestLocalTrain:
         task = build_task(scalar_toy_config(Strategy.FEDIT))
         b, a = np.array([[0.2]]), np.array([[0.4]])
         prev = task.client_loss(0, b, a)
-        ad = LoraAdapter(b, a)
+        ad, config = LoraAdapter(b, a), train_config(1, 0.05)
         for _ in range(50):
-            ad = local_train(0, ad, task, 1, 0.05, Strategy.FEDIT, 1, 0)
+            ad = local_train(0, ad, task, config, 1)
             cur = task.client_loss(0, ad.b, ad.a)
             assert cur <= prev + 1e-15
             prev = cur
 
     def test_ffa_freezes_a(self):
-        out = local_train(0, self.start, self.task, 10, 0.05, Strategy.FFA_LORA, 1, 0)
+        config = train_config(10, 0.05, Strategy.FFA_LORA)
+        out = local_train(0, self.start, self.task, config, 1)
         assert (out.a == self.start.a).all()
         assert not (out.b == self.start.b).all()
 
@@ -435,18 +442,15 @@ class TestLocalTrain:
         # Start from nonzero b so the even-round A update has signal.
         rng = np.random.default_rng(5)
         start = LoraAdapter(rng.standard_normal((8, 2)), self.start.a.copy())
-        odd = local_train(0, start, self.task, 10, 0.05, Strategy.ROLORA, 1, 0)
+        config = train_config(10, 0.05, Strategy.ROLORA)
+        odd = local_train(0, start, self.task, config, 1)
         assert (odd.a == start.a).all() and not (odd.b == start.b).all()
-        even = local_train(0, start, self.task, 10, 0.05, Strategy.ROLORA, 2, 0)
+        even = local_train(0, start, self.task, config, 2)
         assert (even.b == start.b).all() and not (even.a == start.a).all()
 
     def test_batched_training_deterministic(self):
-        runs = [
-            local_train(
-                1, self.start, self.task, 15, 0.02, Strategy.FEDIT, 2, 9, batch_size=16
-            )
-            for _ in range(2)
-        ]
+        config = train_config(15, 0.02, seed=9, batch_size=16)
+        runs = [local_train(1, self.start, self.task, config, 2) for _ in range(2)]
         assert (runs[0].b == runs[1].b).all()
         assert (runs[0].a == runs[1].a).all()
 
@@ -518,7 +522,7 @@ class TestLocalTrainEdgeCases:
         self.start = init_adapter(4, 3, 2, seed=0)
 
     def train(self, task, steps=5, eta=0.1, strategy=Strategy.FEDIT, round_index=1):
-        return local_train(0, self.start, task, steps, eta, strategy, round_index, 0)
+        return local_train(0, self.start, task, train_config(steps, eta, strategy), round_index)
 
     def test_nan_gradient_raises_at_its_step(self):
         task = ScriptedTask((0.1, 0.1), (0.1, 0.1), (0.1, 0.1), (0.1, np.nan))
@@ -595,7 +599,7 @@ class TestLocalTrainEdgeCases:
             local_train_reference(0, start, task, steps, eta, strategy, round_index, 0)
         task.calls = 0  # restart a scripted task
         with pytest.raises(DivergenceError) as got:
-            local_train(0, start, task, steps, eta, strategy, round_index, 0)
+            local_train(0, start, task, train_config(steps, eta, strategy), round_index)
         assert str(want.value) in str(got.value)
         assert got.value.step_index == want.value.step_index
         return got.value.step_index
@@ -633,10 +637,9 @@ class TestLocalTrainEdgeCases:
         task = lowrank_regression_task(8, 6, 2, 3, 0.4, seed=[3, 101], n_probes=40)
         rng = np.random.default_rng(1)
         start = LoraAdapter(rng.standard_normal((8, 2)), rng.standard_normal((2, 6)))
+        config = train_config(30, 0.02, strategy, seed=9, batch_size=batch_size)
         for round_index in (1, 2):
-            out = local_train(
-                1, start, task, 30, 0.02, strategy, round_index, 9, batch_size=batch_size
-            )
+            out = local_train(1, start, task, config, round_index)
             b, a = local_train_reference(
                 1, start, task, 30, 0.02, strategy, round_index, 9, batch_size=batch_size
             )
@@ -653,10 +656,7 @@ class TestClientRound:
     def train(self, config, client, round_index, start=None):
         """The training phase's adapter for one client, as ``client_round`` gets it."""
         start = self.broadcast if start is None else start
-        return local_train(
-            client, start, self.task, config.local_steps, config.learning_rate,
-            config.strategy, round_index, config.seed, batch_size=config.batch_size,
-        )
+        return local_train(client, start, self.task, config, round_index)
 
     def test_no_alignment_before_align_from_round(self):
         trained = self.train(self.config, 0, 1)
@@ -668,6 +668,40 @@ class TestClientRound:
         assert rotation is None
         assert (reported.b == trained.b).all()
         assert (reported.a == trained.a).all()
+
+    @pytest.mark.parametrize(
+        "strategy,rounds_aligned",
+        [(Strategy.FEDIT, []), (Strategy.FFA_LORA, []), (Strategy.ROLORA, []),
+         (Strategy.FEDROT, [3, 4]), (Strategy.SCALAR_RESCALE, [1, 2, 3, 4]),
+         (Strategy.RANDOM_ROTATION, [1, 2, 3, 4])],
+    )
+    def test_aligns(self, strategy, rounds_aligned):
+        # FedRot transforms from align_from_round on, random rotation and
+        # scalar rescale in every round, and the other strategies never.
+        config = regression_config(strategy, align_from_round=3)
+        rng = np.random.default_rng(4)
+        reference = LoraAdapter(rng.standard_normal((8, 2)), rng.standard_normal((2, 6)))
+        aligned = []
+        for t in range(1, 5):
+            trained = self.train(config, 0, t)
+            product = semantic_update(trained)
+            reported, update, rotation = client_round(0, trained, product, reference,
+                                                      config, t)
+            if reported is trained:
+                assert update is product and rotation is None
+                continue
+            aligned.append(t)
+            if strategy is Strategy.SCALAR_RESCALE:
+                # One factor times c, the other divided by it.
+                assert rotation is None
+                c = reported.b[0, 0] / trained.b[0, 0]
+                np.testing.assert_allclose(reported.b, trained.b * c, rtol=1e-12)
+                np.testing.assert_allclose(reported.a, trained.a / c, rtol=1e-12)
+            else:
+                assert rotation is not None
+                assert reported.b.tobytes() == (trained.b @ rotation.r).tobytes()
+                assert reported.a.tobytes() == (rotation.r.T @ trained.a).tobytes()
+        assert aligned == rounds_aligned
 
     def test_fedit_reports_raw_factors(self):
         config = regression_config(strategy=Strategy.FEDIT)
@@ -965,7 +999,7 @@ class TestRunFederation:
         real_local_train = fedrot.federation.local_train
 
         def local_train_failing_in_round_3(*args, **kwargs):
-            if args[6] == 3:
+            if args[4] == 3:
                 raise DivergenceError("non-finite gradient on client 0",
                                       round_index=3, step_index=7)
             return real_local_train(*args, **kwargs)
@@ -992,8 +1026,8 @@ class TestRunFederation:
                                   round_index=2, step_index=4)
 
         def local_train_failing_on_client_1(*args, **kwargs):
-            calls.append((args[6], args[0]))
-            if args[6] == 2 and args[0] == 1:
+            calls.append((args[4], args[0]))
+            if args[4] == 2 and args[0] == 1:
                 raise failure
             return real_local_train(*args, **kwargs)
 

@@ -20,19 +20,29 @@ To rewrite the golden files as a run writes them after a deliberate change::
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fedrot.aggregation import Strategy
+from fedrot.alignment import ReferenceKind, ScheduleAblation
 from fedrot.cli import main
-from fedrot.config import load_config
-from fedrot.federation import RoundRecord, build_task, run_federation, run_round
+from fedrot.config import ReferenceMode, load_config
+from fedrot.federation import RoundRecord, build_task, local_train, run_federation, run_round
 
 from cli_cases import check
 
 GOLDEN_DIR = check.GOLDEN_DIR
 CONFIGS = sorted(GOLDEN_DIR.glob("*.yaml"))
+PINNED = [f.name for f in fields(RoundRecord) if f.name != "wall_ms"]
+
+
+def record_bytes(record: RoundRecord) -> bytes:
+    """Every field of ``record`` but ``wall_ms``, as float64 bytes, so that a
+    NaN matches a NaN."""
+    return np.array([getattr(record, name) for name in PINNED], dtype=np.float64).tobytes()
 
 
 def test_configs_cover_the_protocol():
@@ -82,18 +92,59 @@ def test_rounds_replay_from_the_history(config):
     # and the same record, ``wall_ms`` aside.
     experiment = load_config(config).experiment
     result = run_federation(experiment)
-    pinned = [f.name for f in fields(RoundRecord) if f.name != "wall_ms"]
-
-    def exact(record):
-        return [float(getattr(record, name)).hex() for name in pinned]
-
     snapshots = []
     for t, ran in enumerate(result.rounds, start=1):
-        model, snapshots, record = run_round(experiment, build_task(experiment), t,
+        model, snapshots, record = run_round(experiment, build_task(experiment),
                                              result.history[:t], snapshots)
         want = result.history[t]
         assert (model.b.tobytes(), model.a.tobytes()) == (want.b.tobytes(), want.a.tobytes())
-        assert exact(record) == exact(ran), f"{config.stem} round {t}"
+        assert record_bytes(record) == record_bytes(ran), f"{config.stem} round {t}"
+
+
+def trainings(experiment, task, start) -> list[bytes]:
+    """Each client's ``local_train`` bytes from ``start`` in rounds 1 and 2."""
+    out = []
+    for client in range(experiment.n_clients):
+        for t in (1, 2):
+            trained = local_train(client, start, task, experiment, t)
+            out.append(trained.b.tobytes() + trained.a.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_local_training_reads_no_alignment_setting(config):
+    # Clients train alike whatever lambda, alignment round, schedule or
+    # reference a config sets, and every strategy that trains both factors
+    # trains alike too, so those cells could share their trainings.
+    experiment = load_config(config).experiment
+    task, start = build_task(experiment), run_federation(experiment).history[0]
+    want = trainings(experiment, task, start)
+    settings = [{"lam": lam} for lam in (0.0, 0.5, 1.0)]
+    settings += [{"align_from_round": k} for k in (1, 3)]
+    settings += [{"schedule": ScheduleAblation.A_ONLY}]
+    settings += [{"reference_mode": mode} for mode in (
+        ReferenceMode(), ReferenceMode(ReferenceKind.OLDER_GLOBAL, lag=2),
+        ReferenceMode(ReferenceKind.RANDOM_CLIENT))]
+    for setting in settings:
+        assert trainings(replace(experiment, **setting), task, start) == want, setting
+    both = [replace(experiment, strategy=s) for s in (
+        Strategy.FEDIT, Strategy.FEDROT, Strategy.SCALAR_RESCALE, Strategy.RANDOM_ROTATION)]
+    assert len({tuple(trainings(variant, task, start)) for variant in both}) == 1
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_fedrot_at_lambda_zero_is_fedit(config):
+    # At lambda 0 FedRot's soft rotation is the identity, so from round 1 on
+    # it reports its trained factors as FedIT does: the same records,
+    # ``wall_ms`` aside, the same global adapters and the same divergence.
+    experiment = load_config(config).experiment
+    fedit = run_federation(replace(experiment, strategy=Strategy.FEDIT))
+    fedrot = run_federation(replace(experiment, strategy=Strategy.FEDROT, lam=0.0,
+                                    align_from_round=1))
+    assert [record_bytes(r) for r in fedrot.rounds] == [record_bytes(r) for r in fedit.rounds]
+    assert ([(ad.b.tobytes(), ad.a.tobytes()) for ad in fedrot.history]
+            == [(ad.b.tobytes(), ad.a.tobytes()) for ad in fedit.history])
+    assert repr(fedrot.divergence) == repr(fedit.divergence)  # its round and loss
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)

@@ -10,6 +10,8 @@ pin the one place found where it does not hold.
 import numpy as np
 import pytest
 
+from fedrot.tasks import LowRankRegressionTask
+
 
 def stacked_factors(rng, n, d_out, d_in, rank):
     scale = 10.0 ** rng.uniform(-3, 3)
@@ -77,6 +79,32 @@ def test_stacked_logistic_step_matches_per_client_kernel(n, batch, d_in, d_out, 
             assert g[i].tobytes() == gi.tobytes()
             assert gb[i].tobytes() == np.dot(gi, a[i].T).tobytes()
             assert ga[i].tobytes() == np.dot(b[i].T, gi).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n,batch,d_in,d_out,n_probes",
+    [(3, 16, 6, 8, 50), (3, 32, 64, 64, 200), (10, 32, 8, 4, 200), (3, 1, 8, 4, 20),
+     (4, 64, 32, 16, 200), (3, 199, 64, 64, 200), (10, 16, 128, 32, 300)],
+)
+def test_stacked_probe_batch_matches_per_client_product_grad(n, batch, d_in, d_out,
+                                                             n_probes):
+    # A regression mini-batch step of n clients, each drawing its own rows
+    # of the shared probes (rolora_regression_batch's is the first shape):
+    # the stacked x^T x and (w - W) x^T x against product_grad per client.
+    rng = np.random.default_rng([n, batch, d_in, d_out, n_probes])
+    for _ in range(20):
+        probes = rng.standard_normal((n_probes, d_in))
+        targets = rng.standard_normal((n, d_out, d_in))
+        task = LowRankRegressionTask(list(targets), probes=probes)
+        w = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, d_out, d_in))
+        idx = np.array([rng.choice(n_probes, size=batch, replace=False) for _ in range(n)])
+        x = probes[idx]
+        xtx = np.matmul(x.transpose(0, 2, 1), x)
+        g = np.matmul(w - targets, xtx)
+        g *= 2.0
+        g /= batch
+        for i in range(n):
+            assert g[i].tobytes() == task.product_grad(i, w[i].copy(), idx[i]).tobytes()
 
 
 @pytest.mark.parametrize("rank", [1, 4, 16, 64])
