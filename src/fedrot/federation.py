@@ -155,32 +155,34 @@ def local_train(
     """Deterministic gradient descent on the client's shard from ``start``,
     with ``config``'s local steps, learning rate, strategy, seed and batch size.
 
-    Returns the trained adapter.  The client-round allocates its state
-    once: one packed parameter array (B's entries, then A's) with ``b`` and
-    ``a`` as views into it, and a packed gradient array of the same layout.
-    Each step calls ``task.client_grads(client, b, a, sample_idx, out=(gb,
-    ga))``, which writes the gradients into the views ``gb`` and ``ga``.
-    Mini-batching, when enabled, reads step ``s``'s batch from row ``s`` of
-    the client-round's ``(steps, batch_size)`` table, drawn from ``(seed,
+    Returns the trained adapter.  The client-round allocates one state
+    array: both factors' parameters (B's entries, then A's; ``b`` and ``a``
+    are views), their gradients in the same layout, and a scratch slice
+    for ``eta * g`` on the factors the strategy trains.  Each step calls
+    ``task.client_grads(client, b, a, sample_idx, out=(gb, ga))``, which
+    writes the gradients into the views ``gb`` and ``ga``.  Mini-batching,
+    when enabled, reads step ``s``'s batch from row ``s`` of the
+    client-round's ``(steps, batch_size)`` table, drawn from ``(seed,
     client, round)`` so results never depend on scheduling: shared through
     ``batch_tables`` when given, else drawn step by step with the same
-    bits.  Divergence is read from each step's sums of squares, of both
-    factors' gradients and of the trained parameters, and from their
-    entries only when a sum is not finite; numpy's overflow warnings are
-    silenced, as in :func:`run_round`.
+    bits.  Divergence is read once per step, after the update, from one sum
+    of squares over every parameter and gradient, a frozen factor's too,
+    and from their entries only when that sum is not finite; it is named
+    ``gradient`` if a gradient entry is not finite, else ``parameters``.
+    numpy's overflow warnings are silenced, as in :func:`run_round`.
     """
-    nb = start.b.size
-    params = np.concatenate((start.b.ravel(), start.a.ravel()))
-    grads = np.empty_like(params)
-    b = params[:nb].reshape(start.b.shape)
-    a = params[nb:].reshape(start.a.shape)
-    out = (grads[:nb].reshape(b.shape), grads[nb:].reshape(a.shape))
-    steps, eta, batch_size = config.local_steps, config.learning_rate, config.batch_size
+    nb, n = start.b.size, start.b.size + start.a.size
     freeze_b, freeze_a = frozen_factors(config.strategy, round_index)
     # The update runs on the factors the strategy trains this round; a
-    # frozen factor keeps its start value, so only these need the check.
-    trained = slice(nb if freeze_b else 0, nb if freeze_a else None)
-    updated, update = params[trained], grads[trained]
+    # frozen factor keeps its start value.
+    lo, hi = nb if freeze_b else 0, nb if freeze_a else n
+    state = np.empty(2 * n + hi - lo)
+    params, grads, checked = state[:n], state[n:2 * n], state[:2 * n]
+    b, a = params[:nb].reshape(start.b.shape), params[nb:].reshape(start.a.shape)
+    b[...], a[...] = start.b, start.a
+    out = (grads[:nb].reshape(b.shape), grads[nb:].reshape(a.shape))
+    updated, update, scaled = params[lo:hi], grads[lo:hi], state[2 * n:]
+    steps, eta, batch_size = config.local_steps, config.learning_rate, config.batch_size
     n_samples = task.sample_count(client)
     batches = repeat(None)  # the full batch
     if batch_size is not None and batch_size < n_samples:
@@ -189,19 +191,16 @@ def local_train(
     client_grads, isfinite = task.client_grads, math.isfinite
     for step, idx in zip(range(steps), batches):
         client_grads(client, b, a, idx, out=out)
+        # The gradient stays as the task wrote it, so the naming below
+        # sees it, and an ``eta * g`` that overflows is the parameters'.
+        np.multiply(update, eta, out=scaled)
+        updated -= scaled
         # A finite sum of squares proves every entry finite; a non-finite
         # one may only be an overflowing sum of finite entries.
-        if not isfinite(grads.dot(grads)) and not np.isfinite(grads).all():
+        if not isfinite(checked.dot(checked)) and not np.isfinite(checked).all():
             raise DivergenceError(
-                f"non-finite gradient on client {client}",
-                round_index=round_index,
-                step_index=step,
-            )
-        update *= eta
-        updated -= update
-        if not isfinite(updated.dot(updated)) and not np.isfinite(updated).all():
-            raise DivergenceError(
-                f"non-finite parameters on client {client}",
+                f"non-finite {'parameters' if np.isfinite(grads).all() else 'gradient'}"
+                f" on client {client}",
                 round_index=round_index,
                 step_index=step,
             )

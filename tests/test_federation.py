@@ -624,12 +624,31 @@ class TestLocalTrainEdgeCases:
     @pytest.mark.parametrize("factor", ["b", "a"])
     def test_non_finite_start_raises_at_reference_step(self, bad, factor):
         # LoraAdapter rejects non-finite factors, so the entry is written
-        # after construction.
+        # after construction.  A frozen factor is read like a trained one.
         start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)))
         getattr(start, factor)[1, 1] = bad
-        self.assert_raises_like_reference(
-            ScriptedTask((0.1, 0.1)), start, 5, 0.1, Strategy.FEDIT, 1
-        )
+        for strategy, round_index in [(Strategy.FEDIT, 1), (Strategy.FFA_LORA, 1),
+                                      (Strategy.ROLORA, 1), (Strategy.ROLORA, 2)]:
+            step = self.assert_raises_like_reference(
+                ScriptedTask((0.1, 0.1)), start, 5, 0.1, strategy, round_index
+            )
+            assert step == 0, (strategy, round_index)
+
+    @pytest.mark.parametrize(
+        "strategy,round_index,grads",
+        [(Strategy.FFA_LORA, 1, (0.1, np.nan)), (Strategy.ROLORA, 1, (0.1, np.nan)),
+         (Strategy.ROLORA, 2, (np.nan, 0.1))],
+    )
+    def test_nan_frozen_gradient_raises_at_reference_step(self, strategy, round_index,
+                                                          grads):
+        # The factor that is not updated still has its gradient read.
+        task = ScriptedTask((0.1, 0.1), (0.1, 0.1), grads)
+        start = LoraAdapter(np.ones((4, 2)), np.ones((2, 3)))
+        with pytest.raises(DivergenceError, match="non-finite gradient"):
+            local_train_reference(0, start, task, 5, 0.1, strategy, round_index, 0)
+        task.calls = 0
+        assert self.assert_raises_like_reference(
+            task, start, 5, 0.1, strategy, round_index) == 2
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("batch_size", [None, 16])
