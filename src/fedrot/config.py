@@ -252,7 +252,7 @@ class FederationConfig:
         d_out, d_in = self.dims
         return ((2 * self.n_clients + 4) * d_out * d_in
                 + (self.rounds + 1) * (d_out + d_in) * self.rank
-                + data_footprint(self.task, self.n_clients, self.dims, self.batch_size))
+                + data_footprint(self))
 
 
 def grid_field(config: FederationConfig, key: str) -> tuple[type, Field]:

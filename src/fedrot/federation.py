@@ -37,12 +37,11 @@ from .config import FederationConfig, SweepCell
 from .errors import DivergenceError, NonFiniteError, NumericError
 from .lora import LoraAdapter, init_adapter, semantic_update
 from .numerics import frobenius_norm
-from .tasks import LowRankRegressionTask, TaskKind, logistic_task, lowrank_regression_task
+from .tasks import build_task
 
 __all__ = [
     "RoundRecord",
     "RunResult",
-    "build_task",
     "local_train",
     "client_round",
     "run_round",
@@ -79,29 +78,6 @@ class RunResult:
     history: list[LoraAdapter]
     # What stopped a diverged run after its completed rounds; None otherwise.
     divergence: DivergenceError | None = None
-
-
-def build_task(config: FederationConfig):
-    """Instantiate the task a config describes, including data partitioning.
-    The scalar toy is a low-rank regression with one 1x1 target per client
-    and no probes, so it always trains on its full batch."""
-    spec = config.task
-    if spec.kind is TaskKind.SCALAR_TOY:
-        return LowRankRegressionTask([np.array([[t]]) for t in spec.targets])
-    if spec.kind is TaskKind.LOWRANK_REGRESSION:
-        return lowrank_regression_task(
-            config.dims[0],
-            config.dims[1],
-            spec.true_rank,
-            config.n_clients,
-            spec.heterogeneity,
-            seed=[config.seed, 101],
-            n_probes=spec.n_samples,
-        )
-    return logistic_task(
-        spec.n_features, spec.n_classes, spec.n_samples, config.n_clients,
-        config.dirichlet_alpha, seed=config.seed,
-    )
 
 
 def _draws(seed, client: int, round_index: int, n_samples: int, batch_size: int, steps: int):

@@ -21,12 +21,12 @@ products both reach the same BLAS call, so they give the same bits, and
 call writes, ``take`` gathers the same rows as fancy indexing, and the
 logistic one-hot label mask the same label entries, one per row in order.
 
-Each builder returns the finished task, which no later step changes.
-What a task kind requires of its values is checked once, in that kind's
-branch of ``FederationConfig.__post_init__``, and the builders here take
-their arguments as already checked; :func:`dirichlet_partition`, which the
-package exports, checks its own.  Each kind counts what its data holds at
-a run's peak beside the builders, in :func:`data_footprint`.
+Each task kind is built and sized here from a run's config, by
+:func:`build_task` and :func:`data_footprint`.  A builder returns the
+finished task, which no later step changes.  What a kind requires of its
+values is checked once, in its branch of ``FederationConfig.__post_init__``,
+and the builders take their arguments as already checked;
+:func:`dirichlet_partition`, which the package exports, checks its own.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "lowrank_regression_task",
     "logistic_task",
     "dirichlet_partition",
+    "build_task",
 ]
 
 DEFAULT_SCALAR_TARGETS = (0.5, 1.0, 1.5)
@@ -211,16 +212,39 @@ def logistic_task(
     return LogisticTask([(features[s], labels[s, None] == classes) for s in shards])
 
 
-def data_footprint(spec, n_clients: int, dims: tuple[int, int], batch_size) -> int:
-    """The float64 entries that the data of the task ``spec`` (a
-    ``config.TaskSpec``) holds at a run's peak, in Python integers."""
-    (d_out, d_in), n = dims, spec.n_samples
+def build_task(config):
+    """Instantiate the task a config describes, including data partitioning.
+    The scalar toy is a low-rank regression with one 1x1 target per client
+    and no probes, so it always trains on its full batch."""
+    spec = config.task
+    if spec.kind is TaskKind.SCALAR_TOY:
+        return LowRankRegressionTask([np.array([[t]]) for t in spec.targets])
+    if spec.kind is TaskKind.LOWRANK_REGRESSION:
+        return lowrank_regression_task(
+            config.dims[0],
+            config.dims[1],
+            spec.true_rank,
+            config.n_clients,
+            spec.heterogeneity,
+            seed=[config.seed, 101],
+            n_probes=spec.n_samples,
+        )
+    return logistic_task(
+        spec.n_features, spec.n_classes, spec.n_samples, config.n_clients,
+        config.dirichlet_alpha, seed=config.seed,
+    )
+
+
+def data_footprint(config) -> int:
+    """The float64 entries that the data of the task a config describes
+    holds at a run's peak, in Python integers."""
+    (d_out, d_in), spec, n = config.dims, config.task, config.task.n_samples
     if spec.kind is TaskKind.SCALAR_TOY:
         return 0
     if spec.kind is TaskKind.LOWRANK_REGRESSION:
         # The client targets, the probes and a batch's copy, and a batch's x^T x.
-        return (n_clients * d_out * d_in + 2 * n * d_in
-                + (0 if batch_size is None else d_in * d_in))
+        return (config.n_clients * d_out * d_in + 2 * n * d_in
+                + (0 if config.batch_size is None else d_in * d_in))
     # The shards' features and a batch's copy (or the full features and the
     # shards' while logistic_task builds them, with the labels and indices),
     # the one-hot label masks, a byte an entry, and a shard's logits twice over.

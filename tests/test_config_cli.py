@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import fedrot.alignment
 import fedrot.federation
+import fedrot.verify
 from fedrot.aggregation import Strategy
 from fedrot.cli import ROUNDS_COLUMNS, main
 from fedrot.config import (
@@ -31,7 +32,8 @@ from fedrot.config import (
     sweep_cells,
 )
 from fedrot.errors import ConfigError, UsageError
-from fedrot.federation import run_sweep
+from fedrot.federation import run_federation, run_sweep
+from fedrot.verify import scalar_rounds_to_threshold, scalar_toy_config
 
 from cli_cases import check
 
@@ -1115,6 +1117,18 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  det_correction" in out
+
+    def test_detects_unshrunk_soft_rotation(self, capsys, monkeypatch):
+        # A soft rotation that returns the hard one is not within 2 lambda
+        # of the identity's distance for lambda < 1/2.
+        monkeypatch.setattr(fedrot.verify, "soft_rotation", lambda hard, lam: hard)
+        assert main(["verify"]) == 1
+        assert "FAIL  soft_rotation_shrinkage" in capsys.readouterr().out
+
+
+def test_rounds_to_threshold_is_none_when_never_reached():
+    result = run_federation(replace(scalar_toy_config(Strategy.FEDIT), rounds=1))
+    assert scalar_rounds_to_threshold(result) is None
 
 
 # Small grids over the sweepable keys; a learning rate of 50 makes a cell

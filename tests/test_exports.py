@@ -50,3 +50,13 @@ def test_every_traced_layer_resolves():
     kinds = [p.kind for p in params.values()]
     assert len(kinds) == 1 and kinds[0] in (inspect.Parameter.POSITIONAL_ONLY,
                                             inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+def test_build_task_lives_in_tasks():
+    # ``run_federation`` calls ``build_task`` through ``fedrot.federation``,
+    # where the benchmark's tracer and the tests patch it; it is defined
+    # once, in ``fedrot.tasks``.
+    federation = importlib.import_module("fedrot.federation")
+    tasks = importlib.import_module("fedrot.tasks")
+    assert federation.build_task is tasks.build_task
+    assert "build_task" in tasks.__all__ and "build_task" not in federation.__all__

@@ -6,11 +6,11 @@ import pytest
 
 from fedrot.aggregation import Strategy
 from fedrot.errors import UsageError
-from fedrot.federation import build_task
 from fedrot.numerics import square
 from fedrot.tasks import (
     LowRankRegressionTask,
     _distinct_sorted,
+    build_task,
     dirichlet_partition,
     logistic_task,
     lowrank_regression_task,
