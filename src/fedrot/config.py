@@ -33,7 +33,7 @@ import yaml
 from .aggregation import Strategy
 from .alignment import ReferenceKind, ScheduleAblation
 from .errors import ConfigError, UsageError
-from .tasks import DEFAULT_SCALAR_TARGETS, TaskKind, data_footprint
+from .tasks import TaskKind, data_footprint
 
 __all__ = [
     "MAX_FOOTPRINT", "ReferenceMode", "TaskSpec", "FederationConfig", "SweepCell",
@@ -162,7 +162,7 @@ class ReferenceMode:
 @dataclass(frozen=True)
 class TaskSpec:
     kind: TaskKind
-    targets: tuple[float, ...] = field(default=DEFAULT_SCALAR_TARGETS, metadata=_SCALAR)
+    targets: tuple[float, ...] = field(default=(0.5, 1.0, 1.5), metadata=_SCALAR)
     true_rank: int = field(default=1, metadata=_REGRESSION | _SWEEP)
     heterogeneity: float = field(default=0.0, metadata=_REGRESSION | _SWEEP | _NONNEGATIVE)
     n_features: int = field(default=8, metadata=_LOGISTIC)

@@ -49,8 +49,6 @@ __all__ = [
     "build_task",
 ]
 
-DEFAULT_SCALAR_TARGETS = (0.5, 1.0, 1.5)
-
 
 class TaskKind(enum.Enum):
     SCALAR_TOY = "scalar_toy"

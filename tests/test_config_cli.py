@@ -1125,6 +1125,26 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
         assert "FAIL  soft_rotation_shrinkage" in capsys.readouterr().out
 
+    def test_detects_suboptimal_procrustes_rotation(self, capsys, monkeypatch):
+        # The identity is not the optimum for general correlation matrices.
+        # det_correction's matrices are symmetric, so the identity is their
+        # SO(2) optimum and that check still passes.
+        monkeypatch.setattr(
+            fedrot.verify, "procrustes_rotation",
+            lambda local, reference, target: fedrot.alignment.Rotation.identity(2),
+        )
+        assert main(["verify"]) == 1
+        assert "FAIL  procrustes_grid_r2" in capsys.readouterr().out
+
+    def test_detects_wrong_pairwise_oracle(self, capsys, monkeypatch):
+        # A pairwise error of zero disagrees with the direct aggregation
+        # error of heterogeneous random adapters.
+        monkeypatch.setattr(
+            fedrot.verify, "lagrange_error_oracle", lambda adapters: np.zeros((2, 2))
+        )
+        assert main(["verify"]) == 1
+        assert "FAIL  lagrange_identity" in capsys.readouterr().out
+
 
 def test_rounds_to_threshold_is_none_when_never_reached():
     result = run_federation(replace(scalar_toy_config(Strategy.FEDIT), rounds=1))
